@@ -15,14 +15,14 @@ from .algebra import (AlgebraError, AlgebraSpec, CatalogError, JacobiError,
                       catalog_spec, check_jacobi, load_algebra,
                       parse_algebra_document)
 from .chain import (Chain, SuperMonomial, boundary_matrix, boundary_monomial,
-                    chain_basis, chain_dim, format_monomial, induced_bracket,
-                    monomial_degree, monomial_weight, normalize_word,
-                    support_degrees)
+                    chain_basis, chain_dim, format_monomial, monomial_degree,
+                    monomial_weight, normalize_word, support_degrees)
 from .exterior import (GeneratorSystem, Multivector, WedgeBasisElement,
                        bracket_table, generator_system, paper_level2_basis,
                        render_bracket_table, schouten, wedge_basis)
-from .homology import (BettiRow, BettiTable, TableDiff, betti_row,
-                       betti_table, euler_check, load_expected, verify_table)
+from .homology import (BettiRow, BettiTable, TableDiff, TableInvariantError,
+                       betti_row, betti_table, euler_check, load_expected,
+                       verify_table)
 from .matrix import RationalMatrix
 from .rational import Rational, format_rational, parse_rational
 from .ranklin import BACKEND, EliminationReport, kernel_dim, rank, rank_report
@@ -33,14 +33,13 @@ __all__ = [
     "AlgebraError", "AlgebraSpec", "BACKEND", "BettiRow", "BettiTable",
     "CatalogError", "Chain", "EliminationReport", "GeneratorSystem",
     "JacobiError", "Multivector", "Rational", "RationalMatrix",
-    "StructureConstants", "SuperMonomial", "TableDiff", "WedgeBasisElement",
-    "betti_row", "betti_table", "boundary_matrix", "boundary_monomial",
-    "bracket_table", "catalog_get", "catalog_names", "catalog_spec",
-    "chain_basis", "chain_dim", "check_jacobi", "euler_check",
-    "format_monomial", "format_rational", "generator_system",
-    "induced_bracket", "kernel_dim", "load_algebra", "load_expected",
-    "monomial_degree", "monomial_weight", "normalize_word",
-    "paper_level2_basis", "parse_algebra_document", "parse_rational", "rank",
-    "rank_report", "render_bracket_table", "schouten", "support_degrees",
-    "verify_table", "wedge_basis",
+    "StructureConstants", "SuperMonomial", "TableDiff", "TableInvariantError",
+    "WedgeBasisElement", "betti_row", "betti_table", "boundary_matrix",
+    "boundary_monomial", "bracket_table", "catalog_get", "catalog_names",
+    "catalog_spec", "chain_basis", "chain_dim", "check_jacobi", "euler_check",
+    "format_monomial", "format_rational", "generator_system", "kernel_dim",
+    "load_algebra", "load_expected", "monomial_degree", "monomial_weight",
+    "normalize_word", "paper_level2_basis", "parse_algebra_document",
+    "parse_rational", "rank", "rank_report", "render_bracket_table",
+    "schouten", "support_degrees", "verify_table", "wedge_basis",
 ]

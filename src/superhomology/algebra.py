@@ -231,13 +231,16 @@ def load_algebra(source, bindings: Mapping[str, Fraction] | None = None,
                  check: bool = True) -> StructureConstants:
     """Load an algebra document (dict, JSON text, or path) and bind parameters.
 
+    A ``dict`` is the document itself and an ``os.PathLike`` is a path.  A
+    ``str`` is JSON text when its first non-blank character is ``{`` and a
+    path otherwise, so paths may contain braces.
+
     The result is Jacobi-checked; a violation raises :class:`JacobiError`
     with the offending triples and exact residual vectors.  ``check=False``
     skips the gate so a suspect bracket can still be inspected.
     """
-    if hasattr(source, "__fspath__"):
-        source = os.fspath(source)
-    if isinstance(source, str) and "{" not in source:
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and not source.lstrip().startswith("{")):
         with open(source, "r", encoding="utf-8") as fh:
             source = fh.read()
     spec = parse_algebra_document(source)

@@ -137,7 +137,7 @@ def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
     if m < 0 or w < 0:
         return 0
     key = ("dim", m, w)
-    cache = _gs_cache(gs)
+    cache = gs._chain_cache
     if key in cache:
         return cache[key]
     # DP over levels: even levels contribute binomial choices, odd levels
@@ -167,20 +167,12 @@ def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
     return result
 
 
-def _gs_cache(gs: GeneratorSystem) -> dict:
-    cache = getattr(gs, "_chain_cache", None)
-    if cache is None:
-        cache = {}
-        gs._chain_cache = cache
-    return cache
-
-
 def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
     """All monomials of degree m and weight w, ordered by (even bits, odd exponents) lex."""
     if m < 0 or w < 0:
         return []
     key = ("basis", m, w)
-    cache = _gs_cache(gs)
+    cache = gs._chain_cache
     if key in cache:
         return cache[key]
     even_grades = [gs.grades[g] for g in gs.even_ids]
@@ -305,40 +297,6 @@ def _insert_terms(gs: GeneratorSystem, out: Chain, reduced: tuple[int, ...],
         new_word = reduced[:lo] + (gid,) + reduced[lo:]
         out.add_term(word_to_monomial(gs, new_word),
                      coeff if sign * move_sign > 0 else -coeff)
-
-
-def wedge_monomials(gs: GeneratorSystem, a: SuperMonomial, b: SuperMonomial) -> tuple[int, SuperMonomial] | None:
-    """Super exterior product of two monomials, or None when it vanishes."""
-    norm = normalize_word(gs, monomial_word(gs, a) + monomial_word(gs, b))
-    return norm
-
-
-def wedge_chain(gs: GeneratorSystem, chain: Chain, mono: SuperMonomial, on_left: bool = False) -> Chain:
-    out = Chain()
-    for m2, c in chain.terms.items():
-        pair = (mono, m2) if on_left else (m2, mono)
-        norm = wedge_monomials(gs, *pair)
-        if norm is not None:
-            sign, prod = norm
-            out.add_term(prod, c * sign)
-    return out
-
-
-def induced_bracket(gs: GeneratorSystem, a: SuperMonomial, b: SuperMonomial) -> Chain:
-    """The bracket the boundary induces across a wedge split:
-
-    boundary(a ^ b) - boundary(a) ^ b - (-1)^{deg a} a ^ boundary(b).
-    On two single even-grade letters this is the Lie bracket.
-    """
-    out = Chain()
-    norm = wedge_monomials(gs, a, b)
-    if norm is not None:
-        sign, prod = norm
-        out = out + boundary_monomial(gs, prod).scaled(sign)
-    out = out - wedge_chain(gs, boundary_monomial(gs, a), b)
-    sign_a = -1 if monomial_degree(a) % 2 else 1
-    out = out - wedge_chain(gs, boundary_monomial(gs, b), a, on_left=True).scaled(sign_a)
-    return out
 
 
 def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .algebra import (AlgebraError, catalog_get, catalog_names, catalog_spec,
                       check_jacobi, load_algebra)
@@ -81,7 +82,8 @@ def _load_source(args, params):
         raise AlgebraError("exactly one of --algebra or --file is required")
     if args.algebra:
         return catalog_get(args.algebra, params)
-    return load_algebra(args.file, params)
+    # --file is always a path, even one that starts with a brace
+    return load_algebra(Path(args.file), params)
 
 
 def _cmd_catalog(out) -> int:
@@ -187,7 +189,7 @@ def run_cli(argv, out=None, err=None) -> int:
         if args.command == "check-jacobi":
             params = _parse_params(args.param)
             if args.file:
-                sc = load_algebra(args.file, params, check=False)
+                sc = load_algebra(Path(args.file), params, check=False)
             else:
                 sc = _load_source(args, params)
             violations = check_jacobi(sc)

@@ -332,6 +332,8 @@ class GeneratorSystem:
                     cols.append({self._canon_index[k][idx]: c for idx, c in mv.coeffs.items()})
                 self._expand_inverse[k] = _invert(cols, len(order))
         self._pair_cache: dict[tuple[int, int], tuple[tuple[Fraction, int], ...]] = {}
+        # chain-space dimensions and bases by ("dim" | "basis", m, w); owned by chain.py
+        self._chain_cache: dict[tuple[str, int, int], object] = {}
 
     @property
     def dim(self) -> int:

@@ -5,13 +5,13 @@ final table holds, for every degree in the support, the space dimension,
 the kernel dimension of the outgoing boundary, and the Betti number
 (kernel minus the rank of the incoming boundary).  The Euler alternating
 sum of the dimensions vanishes for every weight; ``euler_check`` exposes it.
+``betti_row`` checks every row it computes and raises
+:class:`TableInvariantError` when one breaks these identities.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,16 +21,8 @@ from .ranklin import EliminationReport, rank_report
 from .rational import format_rational
 
 
-def thread_count() -> int:
-    """Worker cap from SUPERHOMOLOGY_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("SUPERHOMOLOGY_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
+class TableInvariantError(RuntimeError):
+    """A computed row breaks an identity every Betti row must satisfy."""
 
 
 @dataclass
@@ -54,11 +46,21 @@ class BettiRow:
         return sum((-1) ** m * d for m, d in zip(self.degrees, self.dims))
 
     def validate(self) -> None:
-        assert all(b >= 0 for b in self.betti), f"negative Betti in weight {self.w}"
-        assert all(0 <= k <= d for k, d in zip(self.kernels, self.dims))
-        if self.degrees:
-            assert self.euler() == 0, f"nonzero Euler sum at weight {self.w}"
-            assert sum((-1) ** m * b for m, b in zip(self.degrees, self.betti)) == 0
+        """Raise :class:`TableInvariantError` unless the row is consistent.
+
+        Betti numbers are >= 0, every kernel lies in [0, dim], and the
+        alternating sums of the dimensions and of the Betti numbers vanish.
+        """
+        if any(b < 0 for b in self.betti):
+            raise TableInvariantError(f"negative Betti number at weight {self.w}: {self.betti}")
+        if not all(0 <= k <= d for k, d in zip(self.kernels, self.dims)):
+            raise TableInvariantError(
+                f"kernel outside [0, dim] at weight {self.w}: "
+                f"kernels {self.kernels}, dims {self.dims}")
+        if self.euler() != 0:
+            raise TableInvariantError(f"nonzero Euler sum of dimensions at weight {self.w}")
+        if sum((-1) ** m * b for m, b in zip(self.degrees, self.betti)) != 0:
+            raise TableInvariantError(f"nonzero Euler sum of Betti numbers at weight {self.w}")
 
     def to_dict(self) -> dict:
         return {"w": self.w, "degrees": list(self.degrees), "dims": list(self.dims),
@@ -121,52 +123,36 @@ class BettiTable:
 
 
 def betti_row(gs: GeneratorSystem, w: int,
-              report_sink: dict[tuple[int, int], EliminationReport] | None = None,
-              max_workers: int = 1) -> BettiRow:
-    """Assemble one weight: supports by enumeration, ranks shared across cells."""
+              report_sink: dict[tuple[int, int], EliminationReport] | None = None) -> BettiRow:
+    """Assemble and check one weight: supports by enumeration, ranks shared across cells."""
     degrees = support_degrees(gs, w)
     if not degrees:
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
     in_support = set(degrees)
-
-    def rank_of(m: int) -> tuple[int, EliminationReport | None]:
+    ranks: dict[int, int] = {}
+    for m in sorted(in_support | {m + 1 for m in degrees}):
         # boundary from degree m lands in degree m-1; empty target => rank 0
         if m < 1 or m not in in_support or (m - 1) not in in_support:
-            return 0, None
+            continue
         report = rank_report(boundary_matrix(gs, m, w))
-        return report.rank, report
-
-    needed = sorted(set(degrees) | {m + 1 for m in degrees})
-    ranks: dict[int, int] = {}
-    if max_workers > 1 and len(needed) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(rank_of, needed))
-    else:
-        results = [rank_of(m) for m in needed]
-    for m, (r, report) in zip(needed, results):
-        ranks[m] = r
-        if report is not None and report_sink is not None:
+        ranks[m] = report.rank
+        if report_sink is not None:
             report_sink[(w, m)] = report
 
     kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
     betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]
-    return BettiRow(w, degrees, dims, kernels, betti)
+    row = BettiRow(w, degrees, dims, kernels, betti)
+    row.validate()
+    return row
 
 
 def betti_table(gs: GeneratorSystem, w_max: int, algebra: str = "",
                 params: dict[str, Fraction] | None = None,
                 report_sink: dict[tuple[int, int], EliminationReport] | None = None) -> BettiTable:
-    """Rows for every weight up to w_max; weights run concurrently."""
-    workers = min(thread_count(), w_max + 1)
-    name = algebra or gs.sc.name
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda w: betti_row(gs, w, report_sink=report_sink), range(w_max + 1)))
-    else:
-        rows = [betti_row(gs, w, report_sink=report_sink) for w in range(w_max + 1)]
-    return BettiTable(algebra=name, params=dict(params or {}), rows=rows)
+    """Checked rows for every weight up to w_max, computed in order."""
+    rows = [betti_row(gs, w, report_sink=report_sink) for w in range(w_max + 1)]
+    return BettiTable(algebra=algebra or gs.sc.name, params=dict(params or {}), rows=rows)
 
 
 def euler_check(gs: GeneratorSystem, w: int) -> int:

@@ -6,6 +6,9 @@ these are the second routes the main paths are checked against.
 
 from fractions import Fraction
 
+from superhomology.chain import (Chain, boundary_monomial, monomial_degree,
+                                 monomial_word, normalize_word)
+
 
 def naive_rank(matrix) -> int:
     """Dense rational Gaussian elimination, first-nonzero pivoting."""
@@ -68,3 +71,37 @@ def jacobi_holds_via_adjoint(sc) -> bool:
             if ad_bracket != commutator:
                 return False
     return True
+
+
+def wedge_monomials(gs, a, b):
+    """Super exterior product of two monomials as (sign, monomial), or None when it vanishes."""
+    return normalize_word(gs, monomial_word(gs, a) + monomial_word(gs, b))
+
+
+def wedge_chain(gs, chain, mono, on_left=False):
+    """chain ^ mono, or mono ^ chain with ``on_left``."""
+    out = Chain()
+    for m2, c in chain.terms.items():
+        pair = (mono, m2) if on_left else (m2, mono)
+        norm = wedge_monomials(gs, *pair)
+        if norm is not None:
+            sign, prod = norm
+            out.add_term(prod, c * sign)
+    return out
+
+
+def induced_bracket(gs, a, b):
+    """The bracket the boundary induces across a wedge split:
+
+    boundary(a ^ b) - boundary(a) ^ b - (-1)^{deg a} a ^ boundary(b).
+    On two single even-grade letters this is the Lie bracket.
+    """
+    out = Chain()
+    norm = wedge_monomials(gs, a, b)
+    if norm is not None:
+        sign, prod = norm
+        out = out + boundary_monomial(gs, prod).scaled(sign)
+    out = out - wedge_chain(gs, boundary_monomial(gs, a), b)
+    sign_a = -1 if monomial_degree(a) % 2 else 1
+    out = out - wedge_chain(gs, boundary_monomial(gs, b), a, on_left=True).scaled(sign_a)
+    return out

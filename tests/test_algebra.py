@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ import pytest
 from superhomology import (AlgebraError, CatalogError, JacobiError,
                            StructureConstants, catalog_get, catalog_names,
                            check_jacobi, load_algebra, parse_rational)
+from superhomology.cli import run_cli
 from superhomology.rational import format_rational
 
 from oracles import jacobi_holds_via_adjoint
@@ -140,6 +142,32 @@ def test_load_algebra_document_forms(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     sc = load_algebra(str(path), {"alpha": "1"})
     assert sc.bracket(2, 3)[1] == F(-1)
+
+
+def test_load_algebra_path_with_braces(tmp_path, monkeypatch):
+    heis3 = catalog_get("heis3")
+    text = json.dumps(heis3.to_document())
+    path = tmp_path / "run{1}" / "alg.json"
+    path.parent.mkdir()
+    path.write_text(text, encoding="utf-8")
+    assert load_algebra(path) == heis3
+    assert load_algebra(str(path)) == heis3
+    # a str is JSON text only when its first non-blank character is "{"
+    assert load_algebra("\n  " + text) == heis3
+
+    def csv_table(*source):
+        out = io.StringIO()
+        code = run_cli(["table", *source, "--wmax", "2", "--format", "csv"],
+                       out=out, err=io.StringIO())
+        return code, out.getvalue()
+
+    want = csv_table("--algebra", "heis3")
+    assert want[0] == 0
+    assert csv_table("--file", str(path)) == want
+    # --file is a path even when the path itself starts with a brace
+    (tmp_path / "{alg}.json").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert csv_table("--file", "{alg}.json") == want
 
 
 def test_load_algebra_errors():

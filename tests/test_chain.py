@@ -8,12 +8,12 @@ import pytest
 from superhomology import (Chain, SuperMonomial, boundary_matrix,
                            boundary_monomial, catalog_get, chain_basis,
                            chain_dim, format_monomial, generator_system,
-                           induced_bracket, monomial_degree, monomial_weight,
-                           normalize_word, support_degrees)
-from superhomology.chain import monomial_word, wedge_chain
+                           monomial_degree, monomial_weight, normalize_word,
+                           support_degrees)
+from superhomology.chain import monomial_word
 from superhomology.matrix import RationalMatrix
 
-from oracles import naive_rank
+from oracles import induced_bracket, naive_rank, wedge_chain
 
 
 def mono(eps, odds):

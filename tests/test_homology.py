@@ -1,15 +1,18 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
-from superhomology import (betti_row, betti_table, catalog_get, euler_check,
-                           generator_system, verify_table)
+from superhomology import (TableInvariantError, betti_row, betti_table,
+                           catalog_get, euler_check, generator_system,
+                           homology, verify_table)
 
-from conftest import EXPECTED_DIR
+from conftest import EXPECTED_DIR, REPO_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -233,12 +236,41 @@ def test_empty_weight_rows_render_without_error():
     table.row(1).validate()
 
 
-def test_threaded_and_serial_tables_agree(monkeypatch):
-    sc = catalog_get("g3d1n")
-    serial = betti_table(generator_system(sc), 5)
-    monkeypatch.setenv("SUPERHOMOLOGY_THREADS", "4")
-    threaded = betti_table(generator_system(sc), 5)
-    assert [r.to_dict() for r in serial.rows] == [r.to_dict() for r in threaded.rows]
-    # degrees within one row may also run on a pool
-    gs = generator_system(sc)
-    assert betti_row(gs, 5, max_workers=4) == betti_row(gs, 5)
+def test_validate_raises_under_optimize():
+    # python -O strips asserts; the row checks must still raise there
+    script = (
+        "from superhomology import BettiRow, TableInvariantError\n"
+        "bad = [BettiRow(1, [1, 2, 3], [1, 3, 2], [1, 3, 2], [1, -1, 0]),\n"
+        "       BettiRow(2, [1, 2], [1, 1], [2, 1], [0, 0]),\n"
+        "       BettiRow(3, [1, 2], [1, 2], [0, 1], [0, 1]),\n"
+        "       BettiRow(4, [1, 2], [1, 1], [1, 1], [1, 0])]\n"
+        "for row in bad:\n"
+        "    try:\n"
+        "        row.validate()\n"
+        "    except TableInvariantError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4
+    for line, why in zip(lines, ["negative Betti", "kernel outside",
+                                 "Euler sum of dimensions", "Euler sum of Betti"]):
+        assert why in line
+
+
+def test_wrong_rank_raises_instead_of_returning_row(monkeypatch):
+    real = homology.rank_report
+
+    def off_by_one(matrix):
+        report = real(matrix)
+        report.rank += 1
+        return report
+
+    monkeypatch.setattr(homology, "rank_report", off_by_one)
+    with pytest.raises(TableInvariantError):
+        betti_table(generator_system(catalog_get("heis3")), 3)
