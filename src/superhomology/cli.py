@@ -77,13 +77,13 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _load_source(args, params):
+def _load_source(args, params, check: bool = True):
     if bool(args.algebra) == bool(args.file):
         raise AlgebraError("exactly one of --algebra or --file is required")
     if args.algebra:
         return catalog_get(args.algebra, params)
     # --file is always a path, even one that starts with a brace
-    return load_algebra(Path(args.file), params)
+    return load_algebra(Path(args.file), params, check=check)
 
 
 def _cmd_catalog(out) -> int:
@@ -183,15 +183,15 @@ def run_cli(argv, out=None, err=None) -> int:
         return int(exc.code or 0)
 
     try:
+        if args.command in ("table", "verify") and args.wmax < 0:
+            raise ValueError(f"--wmax must be >= 0, got {args.wmax}")
+
         if args.command == "catalog":
             return _cmd_catalog(out)
 
         if args.command == "check-jacobi":
-            params = _parse_params(args.param)
-            if args.file:
-                sc = load_algebra(Path(args.file), params, check=False)
-            else:
-                sc = _load_source(args, params)
+            # the file's Jacobi violations are the report, not a load error
+            sc = _load_source(args, _parse_params(args.param), check=False)
             violations = check_jacobi(sc)
             if not violations:
                 out.write(f"{sc.name or 'algebra'}: Jacobi identity holds\n")

@@ -1,6 +1,6 @@
 """Independent oracles kept out of the package on purpose.
 
-Nothing here may import from superhomology.ranklin's elimination kernels:
+Nothing here may import from superhomology.ranklin's elimination kernel:
 these are the second routes the main paths are checked against.
 """
 

@@ -148,6 +148,13 @@ def test_usage_errors_exit_2():
     code, _, err = run(["table", "--algebra", "g3d2", "--param", "alpha=0.5",
                         "--wmax", "3"])
     assert code == 2
+    code, _, err = run(["check-jacobi", "--algebra", "heis3", "--file", "x.json"])
+    assert code == 2 and "exactly one" in err
+    code, out, err = run(["table", "--algebra", "heis3", "--wmax", "-3"])
+    assert code == 2 and "--wmax must be >= 0" in err and not out
+    code, out, err = run(["verify", "--algebra", "heis3", "--wmax", "-1",
+                          "--expected", os.path.join(EXPECTED_DIR, "g3d1_central.json")])
+    assert code == 2 and "--wmax must be >= 0" in err and not out
     code, _, _ = run(["no-such-command"])
     assert code == 2
     code, _, _ = run([])

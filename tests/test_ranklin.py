@@ -1,18 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhomology import (boundary_matrix, catalog_get, generator_system,
-                           kernel_dim, rank, rank_report)
+                           kernel_dim, rank, rank_report, support_degrees)
 from superhomology.matrix import RationalMatrix
-from superhomology.ranklin import _elim_py
-
-try:
-    from superhomology.ranklin import _elim_cy
-except ImportError:
-    _elim_cy = None
 
 from oracles import naive_rank
 
@@ -98,19 +93,21 @@ def test_report_fields():
     assert payload["rank"] == report.rank and "backend" in payload
 
 
-def test_python_and_compiled_kernels_agree():
-    if _elim_cy is None:
-        return
-    rng = random.Random(4242)
-    for trial in range(40):
-        rows = rng.randint(1, 12)
-        cols = rng.randint(1, 12)
-        matrix = random_matrix(rng, rows, cols, denominators=False)
-        int_rows = [{c: int(v) for (r2, c), v in matrix.entries.items() if r2 == r}
-                    for r in range(rows)]
-        got_py = _elim_py.eliminate([dict(r) for r in int_rows])
-        got_cy = _elim_cy.eliminate([dict(r) for r in int_rows])
-        assert got_py == got_cy, trial
+@pytest.mark.parametrize("name,binds,w_max", [
+    ("heis3", {}, 6), ("sl2_efh", {}, 5),
+    ("g3d3", {"alpha": F(2, 3), "beta": F(-5, 7)}, 5), ("gl2", {}, 2)])
+def test_boundary_matrix_ranks_against_oracle(name, binds, w_max):
+    gs = generator_system(catalog_get(name, binds))
+    for w in range(w_max + 1):
+        for m in support_degrees(gs, w):
+            if m < 1:
+                continue
+            matrix = boundary_matrix(gs, m, w)
+            report = rank_report(matrix)
+            assert report.rank == naive_rank(matrix), (w, m)
+            pivot_rows = {r for r, _ in report.pivots}
+            pivot_cols = {c for _, c in report.pivots}
+            assert len(pivot_rows) == len(pivot_cols) == report.rank, (w, m)
 
 
 def test_bigint_entries_fall_back_correctly():
