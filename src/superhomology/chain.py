@@ -8,11 +8,30 @@ so each weight gives a finite complex.
 
 On a word Y_1 ^ ... ^ Y_m the boundary acts pair by pair,
 
-    sum_{i<j} (-1)^{i-1 + y_i (y_{i+1}+...+y_{j-1})}
-              Y_1 ^ ... Y_i-hat ... ^ [Y_i, Y_j] ^ ... ^ Y_m ,
+    sum_{a<b} (-1)^{a-1 + y_a (y_{a+1}+...+y_{b-1})}
+              Y_1 ^ ... Y_a-hat ... ^ [Y_a, Y_b] ^ ... ^ Y_m ,
 
-with the bracket of the two generators substituted at position j and the
+with the bracket of the two generators substituted at position b and the
 resulting word renormalized.  Degree <= 1 words map to zero.
+
+The word is never built.  Generator ids sort even grades first, so a
+monomial is its exponent vector e over ids, and the sorted word is e_0
+copies of id 0, then e_1 copies of id 1, and so on.  The sum above is
+evaluated once per pair of letter types i <= j, weighted by the number of
+position pairs: e_i * e_j for i < j, and C(e_i, 2) for an odd type paired
+with itself (even types have e_i <= 1).  Every position pair of the same
+two types gives the same term with the same sign:
+
+* moving a to the next copy of an odd Y_i raises a - 1 by one and removes
+  one odd letter from the passed sum, so the exponent keeps its parity;
+* moving b to the next copy of an odd Y_j adds one odd letter to the passed
+  sum, which flips the sign when Y_i is odd, and moves the slot of the
+  bracket letter by one, which flips the sign of its move to sorted order
+  when that letter is even.  The bracket letter has the parity of
+  y_i + y_j, so it is even exactly when Y_i is odd, and the flips cancel.
+
+So the sign is taken at the first occurrences, with a, b, the passed letters
+and the letters the bracket letter crosses all read off prefix counts of e.
 """
 
 from __future__ import annotations
@@ -47,14 +66,6 @@ def monomial_weight(gs: GeneratorSystem, mono: SuperMonomial) -> int:
         if e:
             w += e * gs.grades[gid]
     return w
-
-
-def monomial_word(gs: GeneratorSystem, mono: SuperMonomial) -> tuple[int, ...]:
-    """The monomial as a sorted word of generator ids (odd letters repeated)."""
-    word = [gid for bit, gid in zip(mono.evens, gs.even_ids) if bit]
-    for e, gid in zip(mono.odds, gs.odd_ids):
-        word.extend([gid] * e)
-    return tuple(word)
 
 
 def word_to_monomial(gs: GeneratorSystem, word) -> SuperMonomial:
@@ -191,10 +202,9 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
         g = odd_grades[pos]
         if pos == len(odd_grades) - 1:
             # last generator must absorb everything exactly
-            if dw == dm * g and (g == 0 or dw % g == 0) and dm >= 0:
+            if dw == dm * g:
                 odds[pos] = dm
-                if dm * g == dw:
-                    out.append(SuperMonomial(tuple(evens), tuple(odds)))
+                out.append(SuperMonomial(tuple(evens), tuple(odds)))
                 odds[pos] = 0
             return
         t = 0
@@ -232,71 +242,70 @@ def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
 # Boundary operator.
 # ---------------------------------------------------------------------------
 
-def boundary_monomial(gs: GeneratorSystem, mono: SuperMonomial) -> Chain:
-    """Boundary of one monomial: degree drops by 1, weight is preserved."""
-    word = monomial_word(gs, mono)
-    m = len(word)
-    out = Chain()
-    if m <= 1:
-        return out
-    grades = [gs.grades[g] for g in word]
-    parities = [g & 1 for g in grades]
+def _boundary_terms(gs: GeneratorSystem, exps: tuple[int, ...]) -> dict[tuple[int, ...], object]:
+    """Boundary of the monomial with exponent vector ``exps`` (evens + odds).
+
+    Returns {target exponent vector: coefficient}; coefficients are int where
+    the pair brackets are, and entries that cancel are left at 0.
+    """
+    n_even = len(gs.even_ids)
+    start = []  # letters of the sorted word before each generator id
+    total = 0
+    for e in exps:
+        start.append(total)
+        total += e
+    even_letters = start[n_even] if n_even < len(exps) else total
+    present = [g for g, e in enumerate(exps) if e]
     cache = gs._pair_cache
-    for a in range(m):
-        pa = parities[a]
-        ga = word[a]
-        between = 0  # parity of sum of grades strictly between a and b
-        for b in range(a + 1, m):
-            bracket = cache.get((ga, word[b]))
+    out: dict[tuple[int, ...], object] = {}
+    for x, i in enumerate(present):
+        ei = exps[i]
+        si = start[i]
+        for j in present[x:]:
+            # sign exponent and slot of [Y_i, Y_j] at the first position pair
+            if j == i:
+                if ei < 2:
+                    continue
+                mult = ei * (ei - 1) // 2
+                slot = sign_exp = si
+            else:
+                mult = ei * exps[j]
+                slot = start[j] - 1
+                # an odd Y_i passes the odd letters between it and Y_j
+                sign_exp = slot if i >= n_even else si
+            bracket = cache.get((i, j))
             if bracket is None:
-                bracket = gs.pair_bracket(ga, word[b])
-            if bracket:
-                # (-1)^{i-1 + y_i * sum_{i<s<j} y_s} with 1-based i = a+1
-                sign = -1 if (a + (pa & between)) % 2 else 1
-                reduced = word[:a] + word[a + 1:b] + word[b + 1:]
-                _insert_terms(gs, out, reduced, b - 1, bracket, sign)
-            between ^= parities[b]
+                bracket = gs.pair_bracket(i, j)
+            if not bracket:
+                continue
+            even_left = even_letters - (i < n_even) - (j < n_even)
+            reduced = list(exps)
+            reduced[i] -= 1
+            reduced[j] -= 1
+            for coeff, k in bracket:
+                # move the bracket letter from the slot to its sorted place
+                lo = start[k] - (i < k) - (j < k)
+                if k < n_even:
+                    if reduced[k]:
+                        continue  # even letters square to zero
+                    flips = slot - lo
+                elif lo < slot:
+                    flips = min(slot, even_left) - min(lo, even_left)
+                else:
+                    flips = min(lo, even_left) - min(slot, even_left)
+                reduced[k] += 1
+                target = tuple(reduced)
+                reduced[k] -= 1
+                value = coeff * mult if (sign_exp + flips) % 2 == 0 else -coeff * mult
+                out[target] = out.get(target, 0) + value
     return out
 
 
-def _insert_terms(gs: GeneratorSystem, out: Chain, reduced: tuple[int, ...],
-                  slot: int, bracket, sign: int) -> None:
-    """Place each bracket letter at ``slot`` (virtual position) and normalize.
-
-    ``reduced`` is sorted; moving the new letter to its sorted position swaps
-    it past neighbours, each swap against an even-grade letter flipping the
-    sign (odd-odd swaps are free).
-    """
-    grades = gs.grades
-    for coeff, gid in bracket:
-        g_par = grades[gid] & 1
-        # count letters passed while moving left/right to sorted position
-        lo, hi = 0, len(reduced)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if reduced[mid] < gid:
-                lo = mid + 1
-            else:
-                hi = mid
-        move_sign = 1
-        if lo < slot:
-            span = reduced[lo:slot]
-        else:
-            span = reduced[slot:lo]
-        if g_par:
-            for other in span:
-                if grades[other] & 1 == 0:
-                    move_sign = -move_sign
-        else:
-            if len(span) % 2:
-                move_sign = -move_sign
-        if g_par == 0:
-            # even letters square to zero
-            if lo < len(reduced) and reduced[lo] == gid:
-                continue
-        new_word = reduced[:lo] + (gid,) + reduced[lo:]
-        out.add_term(word_to_monomial(gs, new_word),
-                     coeff if sign * move_sign > 0 else -coeff)
+def boundary_monomial(gs: GeneratorSystem, mono: SuperMonomial) -> Chain:
+    """Boundary of one monomial: degree drops by 1, weight is preserved."""
+    n_even = len(mono.evens)
+    return Chain({SuperMonomial(t[:n_even], t[n_even:]): c
+                  for t, c in _boundary_terms(gs, mono.evens + mono.odds).items()})
 
 
 def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
@@ -312,10 +321,12 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     matrix = RationalMatrix(len(rows), len(cols))
     if not cols or not rows:
         return matrix
-    row_index = {mono: r for r, mono in enumerate(rows)}
+    row_index = {mono.evens + mono.odds: r for r, mono in enumerate(rows)}
+    entries = matrix.entries
     for c, mono in enumerate(cols):
-        for target, coeff in boundary_monomial(gs, mono).terms.items():
-            matrix.set(row_index[target], c, coeff)
+        for target, coeff in _boundary_terms(gs, mono.evens + mono.odds).items():
+            if coeff:
+                entries[(row_index[target], c)] = Fraction(coeff)
     return matrix
 
 

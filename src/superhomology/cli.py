@@ -15,10 +15,14 @@ from pathlib import Path
 
 from .algebra import (AlgebraError, catalog_get, catalog_names, catalog_spec,
                       check_jacobi, load_algebra)
-from .chain import boundary_matrix, chain_basis, format_monomial
+from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial,
+                    support_degrees)
 from .exterior import generator_system, render_bracket_table
 from .homology import betti_table, load_expected, verify_table
 from .rational import format_rational, parse_rational
+
+# admits the largest chain spaces of gl2 to w=8 (20,576) and heis3 to w=40
+DEFAULT_MAX_DIM = 200_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,6 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basis", choices=("canonical", "paper"), default="canonical",
                        help="level-2 basis: canonical wedge order or the printed-table basis")
 
+    def add_max_dim(p):
+        p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, metavar="N",
+                       help="refuse a chain space of more than N monomials before "
+                            f"listing any basis (default {DEFAULT_MAX_DIM})")
+
     sub.add_parser("catalog", help="list catalog algebras and their parameters")
 
     p = sub.add_parser("check-jacobi", help="verify the Jacobi identity")
@@ -47,10 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_source(p)
     p.add_argument("--m", type=int, required=True, help="degree")
     p.add_argument("--w", type=int, required=True, help="weight")
+    add_max_dim(p)
 
     p = sub.add_parser("table", help="compute the Betti table up to a weight")
     add_source(p)
     p.add_argument("--wmax", type=int, required=True)
+    add_max_dim(p)
     p.add_argument("--format", choices=("json", "csv", "md"), default="md")
     p.add_argument("--dump-matrix", metavar="DIR",
                    help="write every boundary matrix as 'rows cols' + 'r c p/q' triplets")
@@ -62,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare a computed table against an expected file")
     add_source(p)
     p.add_argument("--wmax", type=int, required=True)
+    add_max_dim(p)
     p.add_argument("--expected", required=True, metavar="PATH")
 
     return parser
@@ -86,6 +98,22 @@ def _load_source(args, params, check: bool = True):
     return load_algebra(Path(args.file), params, check=check)
 
 
+def _check_size(gs, cells, max_dim: int) -> None:
+    """Refuse the first (w, m) cell whose chain space has more than max_dim monomials.
+
+    Uses the counting ``chain_dim``, so nothing is listed before the refusal.
+    """
+    for w, m in cells:
+        size = chain_dim(gs, m, w)
+        if size > max_dim:
+            raise ValueError(f"chain space at w={w}, m={m} has {size} monomials, "
+                             f"more than --max-dim {max_dim}")
+
+
+def _table_cells(gs, w_max: int):
+    return ((w, m) for w in range(w_max + 1) for m in support_degrees(gs, w))
+
+
 def _cmd_catalog(out) -> int:
     for name in catalog_names():
         spec = catalog_spec(name)
@@ -104,6 +132,7 @@ def _cmd_table(args, out) -> int:
         return _cmd_sweep(args, params, out)
     sc = _load_source(args, params)
     gs = generator_system(sc, args.basis)
+    _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
     reports: dict = {}
     sink = reports if args.report else None
     table = betti_table(gs, args.wmax, params=params, report_sink=sink)
@@ -149,6 +178,7 @@ def _cmd_sweep(args, params, out) -> int:
         swept[name] = value
         sc = _load_source(args, swept)
         gs = generator_system(sc, args.basis)
+        _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
         tables.append(betti_table(gs, args.wmax, params=swept))
     labels = [format_rational(v) for v in bindings]
     differing = []
@@ -185,6 +215,8 @@ def run_cli(argv, out=None, err=None) -> int:
     try:
         if args.command in ("table", "verify") and args.wmax < 0:
             raise ValueError(f"--wmax must be >= 0, got {args.wmax}")
+        if args.command in ("table", "verify", "basis") and args.max_dim < 0:
+            raise ValueError(f"--max-dim must be >= 0, got {args.max_dim}")
 
         if args.command == "catalog":
             return _cmd_catalog(out)
@@ -212,6 +244,7 @@ def run_cli(argv, out=None, err=None) -> int:
             params = _parse_params(args.param)
             sc = _load_source(args, params)
             gs = generator_system(sc, args.basis)
+            _check_size(gs, [(args.w, args.m)], args.max_dim)
             monos = chain_basis(gs, args.m, args.w)
             out.write(f"dim C_{args.m}^(w={args.w}) = {len(monos)}\n")
             for mono in monos:
@@ -225,6 +258,7 @@ def run_cli(argv, out=None, err=None) -> int:
             params = _parse_params(args.param)
             sc = _load_source(args, params)
             gs = generator_system(sc, args.basis)
+            _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
             table = betti_table(gs, args.wmax, params=params)
             diff = verify_table(table, load_expected(args.expected))
             out.write(diff.render())

@@ -6,8 +6,9 @@ these are the second routes the main paths are checked against.
 
 from fractions import Fraction
 
-from superhomology.chain import (Chain, boundary_monomial, monomial_degree,
-                                 monomial_word, normalize_word)
+from superhomology.chain import (Chain, boundary_monomial, chain_basis,
+                                 monomial_degree, normalize_word, word_to_monomial)
+from superhomology.matrix import RationalMatrix
 
 
 def naive_rank(matrix) -> int:
@@ -73,6 +74,14 @@ def jacobi_holds_via_adjoint(sc) -> bool:
     return True
 
 
+def monomial_word(gs, mono):
+    """The monomial as a sorted word of generator ids (odd letters repeated)."""
+    word = [gid for bit, gid in zip(mono.evens, gs.even_ids) if bit]
+    for e, gid in zip(mono.odds, gs.odd_ids):
+        word.extend([gid] * e)
+    return tuple(word)
+
+
 def wedge_monomials(gs, a, b):
     """Super exterior product of two monomials as (sign, monomial), or None when it vanishes."""
     return normalize_word(gs, monomial_word(gs, a) + monomial_word(gs, b))
@@ -105,3 +114,67 @@ def induced_bracket(gs, a, b):
     sign_a = -1 if monomial_degree(a) % 2 else 1
     out = out - wedge_chain(gs, boundary_monomial(gs, b), a, on_left=True).scaled(sign_a)
     return out
+
+
+def word_boundary_monomial(gs, mono):
+    """Boundary of one monomial, letter pair by letter pair on its sorted word.
+
+    The package sums over pairs of letter types in closed form; this visits
+    all O(m^2) position pairs of the expanded word and renormalizes each term.
+    """
+    word = monomial_word(gs, mono)
+    m = len(word)
+    out = Chain()
+    parities = [gs.grades[g] & 1 for g in word]
+    for a in range(m):
+        pa = parities[a]
+        between = 0  # parity of the grades strictly between a and b
+        for b in range(a + 1, m):
+            bracket = gs.pair_bracket(word[a], word[b])
+            if bracket:
+                # (-1)^{i-1 + y_i * sum_{i<s<j} y_s} with 1-based i = a+1
+                sign = -1 if (a + (pa & between)) % 2 else 1
+                reduced = word[:a] + word[a + 1:b] + word[b + 1:]
+                _insert_terms(gs, out, reduced, b - 1, bracket, sign)
+            between ^= parities[b]
+    return out
+
+
+def _insert_terms(gs, out, reduced, slot, bracket, sign):
+    """Place each bracket letter at ``slot`` of the sorted ``reduced`` word and normalize.
+
+    Moving the new letter to its sorted position swaps it past neighbours,
+    each swap against an even-grade letter flipping the sign (odd-odd swaps
+    are free).
+    """
+    grades = gs.grades
+    for coeff, gid in bracket:
+        g_par = grades[gid] & 1
+        lo, hi = 0, len(reduced)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reduced[mid] < gid:
+                lo = mid + 1
+            else:
+                hi = mid
+        span = reduced[lo:slot] if lo < slot else reduced[slot:lo]
+        if g_par:
+            flips = sum(1 for other in span if grades[other] & 1 == 0)
+        else:
+            if lo < len(reduced) and reduced[lo] == gid:
+                continue  # even letters square to zero
+            flips = len(span)
+        out.add_term(word_to_monomial(gs, reduced[:lo] + (gid,) + reduced[lo:]),
+                     coeff if (sign > 0) == (flips % 2 == 0) else -coeff)
+
+
+def word_boundary_matrix(gs, m, w):
+    """``boundary_matrix`` built from ``word_boundary_monomial``, same bases and order."""
+    cols = chain_basis(gs, m, w)
+    rows = chain_basis(gs, m - 1, w)
+    matrix = RationalMatrix(len(rows), len(cols))
+    row_index = {mono: r for r, mono in enumerate(rows)}
+    for c, mono in enumerate(cols):
+        for target, coeff in word_boundary_monomial(gs, mono).terms.items():
+            matrix.set(row_index[target], c, coeff)
+    return matrix

@@ -10,10 +10,10 @@ from superhomology import (Chain, SuperMonomial, boundary_matrix,
                            chain_dim, format_monomial, generator_system,
                            monomial_degree, monomial_weight, normalize_word,
                            support_degrees)
-from superhomology.chain import monomial_word
 from superhomology.matrix import RationalMatrix
 
-from oracles import induced_bracket, naive_rank, wedge_chain
+from oracles import (induced_bracket, monomial_word, naive_rank, wedge_chain,
+                     word_boundary_matrix, word_boundary_monomial)
 
 
 def mono(eps, odds):
@@ -414,6 +414,42 @@ def test_boundary_squared_is_zero_on_matrices():
                 if m - 1 in degrees and m + 1 in degrees:
                     product = boundary_matrix(gs, m, w).matmul(boundary_matrix(gs, m + 1, w))
                     assert product.is_zero(), (name, m, w)
+
+
+ORACLE_CASES = [
+    ("heis3", {}, 10), ("sl2_efh", {}, 10), ("g3d2", {"alpha": F(-1)}, 10),
+    ("g3d3", {"alpha": F(2, 3), "beta": F(-5, 7)}, 10), ("aff1", {}, 8)]
+
+
+@pytest.mark.parametrize("name,binds,basis,w_max", [
+    *[(n, b, basis, w) for n, b, w in ORACLE_CASES for basis in ("canonical", "paper")],
+    ("gl2", {}, "canonical", 3)])
+def test_boundary_matrix_matches_word_oracle(name, binds, basis, w_max):
+    gs = generator_system(catalog_get(name, binds), basis)
+    for w in range(w_max + 1):
+        for m in support_degrees(gs, w):
+            if m >= 1:
+                assert boundary_matrix(gs, m, w) == word_boundary_matrix(gs, m, w), (w, m)
+
+
+def test_boundary_of_high_odd_powers_matches_word_oracle():
+    # an odd exponent >= 3 makes the C(e, 2) self-pair term; an even bracket
+    # letter that is already present must drop out
+    sl2 = generator_system(catalog_get("sl2_efh"), "paper")
+    z4 = (0, 0, 0, 1)
+    assert boundary_monomial(sl2, mono((0, 0, 0, 0), (0, 0, 3))) == chain((6, z4, (0, 0, 1)))
+    assert boundary_monomial(sl2, mono(z4, (0, 0, 3))).is_zero()
+    rng = random.Random(20)
+    for name, binds in [("sl2_efh", {}), ("heis3", {}), ("g3d3", {"alpha": F(2, 3), "beta": F(-5, 7)}),
+                        ("gl2", {})]:
+        gs = generator_system(catalog_get(name, binds))
+        n_even, n_odd = len(gs.even_ids), len(gs.odd_ids)
+        for _ in range(60):
+            evens = tuple(rng.randint(0, 1) for _ in range(n_even))
+            odds = [rng.choice((0, 0, 1, 2)) for _ in range(n_odd)]
+            odds[rng.randrange(n_odd)] = rng.randint(3, 5)
+            pick = mono(evens, odds)
+            assert boundary_monomial(gs, pick) == word_boundary_monomial(gs, pick), (name, pick)
 
 
 def test_boundary_matrix_shapes_and_examples():

@@ -155,6 +155,20 @@ def test_usage_errors_exit_2():
     code, out, err = run(["verify", "--algebra", "heis3", "--wmax", "-1",
                           "--expected", os.path.join(EXPECTED_DIR, "g3d1_central.json")])
     assert code == 2 and "--wmax must be >= 0" in err and not out
+    # --max-dim refuses from chain_dim counts, before any basis is listed
+    code, out, err = run(["table", "--algebra", "gl2", "--wmax", "40"])
+    assert code == 2 and "w=13, m=13 has 205626 monomials" in err and not out
+    code, out, err = run(["basis", "--algebra", "gl2", "--m", "7", "--w", "6",
+                          "--max-dim", "100"])
+    assert code == 2 and "w=6, m=7 has 5628 monomials" in err and not out
+    code, out, err = run(["verify", "--algebra", "heis3", "--wmax", "6", "--max-dim", "50",
+                          "--expected", os.path.join(EXPECTED_DIR, "g3d1_central.json")])
+    assert code == 2 and "more than --max-dim 50" in err and not out
+    code, out, err = run(["table", "--algebra", "g3d2", "--sweep", "alpha=1,2",
+                          "--wmax", "6", "--max-dim", "50"])
+    assert code == 2 and "w=4, m=5 has 63 monomials" in err and not out
+    code, out, err = run(["table", "--algebra", "heis3", "--wmax", "3", "--max-dim", "-1"])
+    assert code == 2 and "--max-dim must be >= 0" in err and not out
     code, _, _ = run(["no-such-command"])
     assert code == 2
     code, _, _ = run([])

@@ -79,6 +79,29 @@ def test_rank_of_product_bound():
         assert rank(a.matmul(b)) <= min(rank(a), rank(b))
 
 
+def test_rank_deficient_products_against_oracle():
+    # dense random matrices are almost always of full rank; a product of thin
+    # factors, with duplicated and scaled rows appended, is not, so
+    # elimination must cancel rows to zero to get the rank right
+    rng = random.Random(1618)
+    for trial in range(60):
+        rows, cols = rng.randint(2, 12), rng.randint(2, 12)
+        k = rng.randint(1, min(rows, cols) - 1)
+        factor = random_matrix(rng, rows, k, density=rng.uniform(0.4, 1.0))
+        matrix = factor.matmul(random_matrix(rng, k, cols, density=rng.uniform(0.4, 1.0)))
+        copies = [rng.randrange(rows) for _ in range(rng.randint(1, 4))]
+        padded = RationalMatrix(rows + len(copies), cols)
+        padded.entries = dict(matrix.entries)
+        for offset, src in enumerate(copies):
+            scale = F(rng.choice([1, -1, 2, -3]), rng.choice([1, 5]))
+            for c in range(cols):
+                padded.set(rows + offset, c, matrix.get(src, c) * scale)
+        expected = naive_rank(padded)
+        assert expected <= k
+        assert rank(padded) == expected, trial
+        assert rank(padded.transpose()) == expected, trial
+
+
 def test_report_fields():
     gs = generator_system(catalog_get("heis3"))
     matrix = boundary_matrix(gs, 4, 3)
