@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .algebra import (AlgebraError, catalog_get, catalog_names, catalog_spec,
                       check_jacobi, load_algebra)
-from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial,
-                    support_degrees)
+from .chain import chain_basis, chain_dim, format_monomial, support_degrees
 from .exterior import generator_system, render_bracket_table
 from .homology import betti_table, load_expected, verify_table
 from .rational import format_rational, parse_rational
@@ -129,15 +128,27 @@ def _cmd_catalog(out) -> int:
 def _cmd_table(args, out) -> int:
     params = _parse_params(args.param)
     if args.sweep:
+        if args.dump_matrix or args.report:
+            raise ValueError("--sweep writes no matrices or reports; "
+                             "drop --dump-matrix and --report")
         return _cmd_sweep(args, params, out)
     sc = _load_source(args, params)
     gs = generator_system(sc, args.basis)
     _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
-    reports: dict = {}
-    sink = reports if args.report else None
-    table = betti_table(gs, args.wmax, params=params, report_sink=sink)
+    reports: list[dict] = []
+
+    def on_cell(w, m, matrix, report):
+        if args.dump_matrix:
+            path = os.path.join(args.dump_matrix, f"boundary_w{w}_m{m}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                matrix.dump(fh)
+        if args.report:
+            reports.append({"w": w, "m": m, **report.to_dict()})
+
     if args.dump_matrix:
         os.makedirs(args.dump_matrix, exist_ok=True)
+    table = betti_table(gs, args.wmax, params=params, on_cell=on_cell)
+    if args.dump_matrix:
         for row in table.rows:
             # record the basis ordering the matrix files refer to
             basis_path = os.path.join(args.dump_matrix, f"basis_w{row.w}.txt")
@@ -145,17 +156,9 @@ def _cmd_table(args, out) -> int:
                 for m in row.degrees:
                     for i, mono in enumerate(chain_basis(gs, m, row.w)):
                         fh.write(f"m={m} {i} {format_monomial(gs, mono)}\n")
-            for m in row.degrees:
-                if m < 1:
-                    continue
-                path = os.path.join(args.dump_matrix, f"boundary_w{row.w}_m{m}.txt")
-                with open(path, "w", encoding="utf-8") as fh:
-                    boundary_matrix(gs, m, row.w).dump(fh)
     if args.report:
-        payload = [{"w": w, "m": m, **rep.to_dict()}
-                   for (w, m), rep in sorted(reports.items())]
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(reports, fh, indent=2)
             fh.write("\n")
     if args.format == "json":
         out.write(table.to_json())

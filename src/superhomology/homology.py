@@ -14,11 +14,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .chain import boundary_matrix, chain_dim, support_degrees
 from .exterior import GeneratorSystem
+from .matrix import RationalMatrix
 from .ranklin import EliminationReport, rank_report
 from .rational import format_rational
+
+CellCallback = Callable[[int, int, RationalMatrix, EliminationReport], None]
 
 
 class TableInvariantError(RuntimeError):
@@ -123,22 +127,25 @@ class BettiTable:
 
 
 def betti_row(gs: GeneratorSystem, w: int,
-              report_sink: dict[tuple[int, int], EliminationReport] | None = None) -> BettiRow:
-    """Assemble and check one weight: supports by enumeration, ranks shared across cells."""
+              on_cell: CellCallback | None = None) -> BettiRow:
+    """Assemble and check one weight: supports by enumeration, ranks shared across cells.
+
+    Each support degree m >= 1 is assembled and ranked once (0 x k when m-1
+    is empty), then passed to ``on_cell(w, m, matrix, report)``.
+    """
     degrees = support_degrees(gs, w)
     if not degrees:
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
-    in_support = set(degrees)
     ranks: dict[int, int] = {}
-    for m in sorted(in_support | {m + 1 for m in degrees}):
-        # boundary from degree m lands in degree m-1; empty target => rank 0
-        if m < 1 or m not in in_support or (m - 1) not in in_support:
+    for m in degrees:
+        if m < 1:
             continue
-        report = rank_report(boundary_matrix(gs, m, w))
+        matrix = boundary_matrix(gs, m, w)
+        report = rank_report(matrix)
         ranks[m] = report.rank
-        if report_sink is not None:
-            report_sink[(w, m)] = report
+        if on_cell is not None:
+            on_cell(w, m, matrix, report)
 
     kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
     betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]
@@ -149,9 +156,9 @@ def betti_row(gs: GeneratorSystem, w: int,
 
 def betti_table(gs: GeneratorSystem, w_max: int, algebra: str = "",
                 params: dict[str, Fraction] | None = None,
-                report_sink: dict[tuple[int, int], EliminationReport] | None = None) -> BettiTable:
+                on_cell: CellCallback | None = None) -> BettiTable:
     """Checked rows for every weight up to w_max, computed in order."""
-    rows = [betti_row(gs, w, report_sink=report_sink) for w in range(w_max + 1)]
+    rows = [betti_row(gs, w, on_cell=on_cell) for w in range(w_max + 1)]
     return BettiTable(algebra=algebra or gs.sc.name, params=dict(params or {}), rows=rows)
 
 

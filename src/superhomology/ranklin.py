@@ -1,16 +1,16 @@
 """Exact rank and kernel dimension of sparse rational matrices.
 
 Each row is cleared to integers, then eliminated fraction-free over Python
-integers.  Each step picks the pivot that minimizes fill (fewest-nonzero row,
-then the column in it held by fewest rows, ties by lowest column then lowest
-row index) and updates only the rows that actually contain the pivot column:
+integers in one echelon pass whose order is fixed before it starts: columns
+are ranked by (nonzero count, index), and each row is taken once, in
+(nonzero count, row index) order.  A pivot table maps a leading (lowest
+ranked) column to the row that owns it.  A row is reduced against the table,
 
-    row <- (p // g) * row - (row[c] // g) * pivot_row,   g = gcd(p, row[c])
+    row <- (p // g) * row - (row[c] // g) * pivot_row,   g = gcd(p, row[c]),
 
-followed by stripping the content (gcd) of the updated row.  All arithmetic
-stays in arbitrary-precision integers, so the result is exact
-unconditionally; the gcd reductions keep entry growth in check without ever
-scaling rows that miss the pivot column.
+and its content (gcd) stripped, until it is zero or its leading column has
+no owner yet, which makes it that column's pivot row.  All arithmetic stays
+in arbitrary-precision integers, so the result is exact unconditionally.
 
 There is no modular/CRT path (that would be the natural extension for
 weights far beyond the tables computed here).
@@ -19,6 +19,7 @@ weights far beyond the tables computed here).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -60,31 +61,26 @@ def _integer_rows(matrix: RationalMatrix) -> list[dict[int, int]]:
 
 def eliminate(rows: list[dict[int, int]]) -> tuple[int, list[tuple[int, int]], int]:
     """Return (rank, pivot sequence, fill-in count); ``rows`` is consumed."""
-    active: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
+    counts = Counter(c for row in rows for c in row)
+    order = sorted(counts, key=lambda c: (counts[c], c))
+    rank_of = {c: i for i, c in enumerate(order)}
     for r, row in enumerate(rows):
-        if row:
-            active[r] = row
-            for c in row:
-                col_rows.setdefault(c, set()).add(r)
+        rows[r] = {rank_of[c]: v for c, v in row.items()}
 
+    # leading column -> (pivot entry, rest of its pivot row)
+    pivot_rows: dict[int, tuple[int, dict[int, int]]] = {}
     pivots: list[tuple[int, int]] = []
     fill = 0
-    while active:
-        # pivot row: fewest nonzeros, lowest index; pivot column within it:
-        # held by fewest rows, lowest index
-        pr = min(active, key=lambda r: (len(active[r]), r))
-        prow = active.pop(pr)
-        pc = min(prow, key=lambda c: (len(col_rows[c]), c))
-        pivots.append((pr, pc))
-        p = prow[pc]
-        for c in prow:
-            col_rows[c].discard(pr)
-
-        for r in sorted(col_rows[pc]):
-            row = active[r]
+    for r in sorted(range(len(rows)), key=lambda r: (len(rows[r]), r)):
+        row = rows[r]
+        while row:
+            pc = min(row)
+            if pc not in pivot_rows:
+                pivot_rows[pc] = (row.pop(pc), row)
+                pivots.append((r, order[pc]))
+                break
+            p, prow = pivot_rows[pc]
             q = row.pop(pc)
-            col_rows[pc].discard(r)
             g = gcd(p, q)
             mp = p // g
             mq = q // g
@@ -92,12 +88,9 @@ def eliminate(rows: list[dict[int, int]]) -> tuple[int, list[tuple[int, int]], i
                 for c in row:
                     row[c] *= mp
             for c, v in prow.items():
-                if c == pc:
-                    continue
                 old = row.get(c)
                 if old is None:
                     row[c] = -mq * v
-                    col_rows.setdefault(c, set()).add(r)
                     fill += 1
                 else:
                     val = old - mq * v
@@ -105,15 +98,7 @@ def eliminate(rows: list[dict[int, int]]) -> tuple[int, list[tuple[int, int]], i
                         row[c] = val
                     else:
                         del row[c]
-                        col_rows[c].discard(r)
-            if not row:
-                del active[r]
-                continue
-            content = 0
-            for v in row.values():
-                content = gcd(content, v)
-                if content == 1:
-                    break
+            content = gcd(*row.values())
             if content > 1:
                 for c in row:
                     row[c] //= content

@@ -1,8 +1,9 @@
 import io
 import json
 import os
+from collections import Counter
 
-
+from superhomology import cli, homology
 from superhomology.cli import run_cli
 
 from conftest import EXPECTED_DIR
@@ -111,7 +112,17 @@ def test_sweep_reports_kappa_jump():
     assert "alpha=-1: 1" in out and "alpha=1: 0" in out
 
 
-def test_dump_matrix_and_report(tmp_path):
+def test_dump_matrix_and_report(tmp_path, monkeypatch):
+    # count assemblies wherever the table path can reach boundary_matrix
+    calls = Counter()
+    real = homology.boundary_matrix
+
+    def counting(gs, m, w):
+        calls[(w, m)] += 1
+        return real(gs, m, w)
+
+    for module in (homology, cli):
+        monkeypatch.setattr(module, "boundary_matrix", counting, raising=False)
     dump_dir = tmp_path / "mats"
     report = tmp_path / "report.json"
     code, out, _ = run(["table", "--algebra", "heis3", "--wmax", "2",
@@ -132,9 +143,15 @@ def test_dump_matrix_and_report(tmp_path):
     reports = json.loads(report.read_text())
     assert any(r["w"] == 2 and r["m"] == 3 for r in reports)
     assert all(r["rank"] >= 0 and "pivots" in r for r in reports)
+    # one assembly per cell, and the dump and the report cover the same cells
+    cells = [(r["w"], r["m"]) for r in reports]
+    assert cells == sorted(cells) and set(calls.values()) == {1}
+    assert sorted(calls) == cells
+    assert sorted(f"boundary_w{w}_m{m}.txt" for w, m in cells) == \
+        sorted(f for f in dumped if f.startswith("boundary_"))
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     code, _, err = run(["table", "--wmax", "3"])  # no algebra source
     assert code == 2 and "exactly one" in err
     code, _, err = run(["table", "--algebra", "heis3", "--file", "x.json",
@@ -169,6 +186,12 @@ def test_usage_errors_exit_2():
     assert code == 2 and "w=4, m=5 has 63 monomials" in err and not out
     code, out, err = run(["table", "--algebra", "heis3", "--wmax", "3", "--max-dim", "-1"])
     assert code == 2 and "--max-dim must be >= 0" in err and not out
+    # --sweep writes neither matrices nor reports, so it refuses both
+    for flag, name in (("--dump-matrix", "mats"), ("--report", "report.json")):
+        code, out, err = run(["table", "--algebra", "g3d2", "--sweep", "alpha=1,2",
+                              "--wmax", "2", flag, str(tmp_path / name)])
+        assert code == 2 and "--sweep" in err and flag in err and not out
+        assert not (tmp_path / name).exists()
     code, _, _ = run(["no-such-command"])
     assert code == 2
     code, _, _ = run([])

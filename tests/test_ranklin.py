@@ -23,6 +23,18 @@ def random_matrix(rng, rows, cols, density=0.3, denominators=True):
     return matrix
 
 
+def assert_pivots_nonsingular(matrix, report):
+    """The reported pivot rows x pivot columns are a nonsingular rank x rank submatrix."""
+    rows = [r for r, _ in report.pivots]
+    cols = [c for _, c in report.pivots]
+    assert len(set(rows)) == len(set(cols)) == report.rank
+    square = RationalMatrix(report.rank, report.rank)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            square.set(i, j, matrix.get(r, c))
+    assert naive_rank(square) == report.rank
+
+
 def test_trivial_ranks():
     assert rank(RationalMatrix(5, 7)) == 0
     assert kernel_dim(RationalMatrix(5, 7)) == 7
@@ -69,6 +81,12 @@ def test_rank_transpose_and_scaling_invariance():
         for (i, j), v in matrix.entries.items():
             swapped.set(perm[i], j, v)
         assert rank(swapped) == r
+        cperm = list(range(matrix.cols))
+        rng.shuffle(cperm)
+        permuted = RationalMatrix(matrix.rows, matrix.cols)
+        for (i, j), v in matrix.entries.items():
+            permuted.set(i, cperm[j], v)
+        assert rank(permuted) == r
 
 
 def test_rank_of_product_bound():
@@ -98,8 +116,10 @@ def test_rank_deficient_products_against_oracle():
                 padded.set(rows + offset, c, matrix.get(src, c) * scale)
         expected = naive_rank(padded)
         assert expected <= k
-        assert rank(padded) == expected, trial
-        assert rank(padded.transpose()) == expected, trial
+        for case in (padded, padded.transpose()):
+            report = rank_report(case)
+            assert report.rank == expected, trial
+            assert_pivots_nonsingular(case, report)
 
 
 def test_report_fields():
@@ -128,9 +148,7 @@ def test_boundary_matrix_ranks_against_oracle(name, binds, w_max):
             matrix = boundary_matrix(gs, m, w)
             report = rank_report(matrix)
             assert report.rank == naive_rank(matrix), (w, m)
-            pivot_rows = {r for r, _ in report.pivots}
-            pivot_cols = {c for _, c in report.pivots}
-            assert len(pivot_rows) == len(pivot_cols) == report.rank, (w, m)
+            assert_pivots_nonsingular(matrix, report)
 
 
 def test_bigint_entries_fall_back_correctly():
