@@ -16,16 +16,16 @@ from .algebra import (AlgebraError, AlgebraSpec, CatalogError, JacobiError,
                       parse_algebra_document)
 from .chain import (Chain, SuperMonomial, boundary_matrix, boundary_monomial,
                     chain_basis, chain_dim, format_monomial, monomial_degree,
-                    monomial_weight, normalize_word, support_degrees)
+                    monomial_weight, normalize_word, support_degrees,
+                    torus_pieces, zero_piece_matrix)
 from .exterior import (GeneratorSystem, Multivector, WedgeBasisElement,
                        bracket_table, generator_system, paper_level2_basis,
                        render_bracket_table, schouten, wedge_basis)
 from .homology import (BettiRow, BettiTable, TableDiff, TableInvariantError,
-                       betti_row, betti_table, euler_check, load_expected,
-                       verify_table)
+                       betti_row, betti_table, load_expected, verify_table)
 from .matrix import RationalMatrix
 from .rational import Rational, format_rational, parse_rational
-from .ranklin import BACKEND, EliminationReport, kernel_dim, rank, rank_report
+from .ranklin import BACKEND, EliminationReport, rank_report
 
 __version__ = "0.1.0"
 
@@ -36,10 +36,11 @@ __all__ = [
     "StructureConstants", "SuperMonomial", "TableDiff", "TableInvariantError",
     "WedgeBasisElement", "betti_row", "betti_table", "boundary_matrix",
     "boundary_monomial", "bracket_table", "catalog_get", "catalog_names",
-    "catalog_spec", "chain_basis", "chain_dim", "check_jacobi", "euler_check",
-    "format_monomial", "format_rational", "generator_system", "kernel_dim",
+    "catalog_spec", "chain_basis", "chain_dim", "check_jacobi",
+    "format_monomial", "format_rational", "generator_system",
     "load_algebra", "load_expected", "monomial_degree", "monomial_weight",
     "normalize_word", "paper_level2_basis", "parse_algebra_document",
-    "parse_rational", "rank", "rank_report", "render_bracket_table",
-    "schouten", "support_degrees", "verify_table", "wedge_basis",
+    "parse_rational", "rank_report", "render_bracket_table",
+    "schouten", "support_degrees", "torus_pieces", "verify_table",
+    "wedge_basis", "zero_piece_matrix",
 ]

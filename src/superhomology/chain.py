@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import AlgebraError
@@ -143,39 +144,58 @@ class Chain:
 # Basis enumeration.
 # ---------------------------------------------------------------------------
 
+def _counts(gs: GeneratorSystem, w: int, graded: bool) -> dict[tuple[int, tuple[int, ...]], int]:
+    """{(degree, torus weight): number of weight-w monomials}, by counting (no listing).
+
+    A DP over groups of letters of one grade (and, when ``graded``, one
+    torus weight, see ``GeneratorSystem.torus``): c letters of a group of
+    size s add (c, grade * c, torus * c) to (degree, weight, torus weight)
+    in C(s, c) ways for even grades and C(s + c - 1, c) for odd ones.
+    Ungraded counts carry the empty torus weight ().
+    """
+    key = ("counts", w, graded)
+    cache = gs._chain_cache
+    if key in cache:
+        return cache[key]
+    coords = gs.torus if graded else ()
+    groups: dict[tuple[int, tuple[int, ...]], int] = {}
+    for gid, grade in enumerate(gs.grades):
+        group = (grade, tuple(coord[gid] for coord in coords))
+        groups[group] = groups.get(group, 0) + 1
+    states = {(0, 0, (0,) * len(coords)): 1}
+    for (grade, torus), size in groups.items():
+        nxt: dict[tuple[int, int, tuple[int, ...]], int] = {}
+        for (dm, dw, dt), ways in states.items():
+            c = 0
+            # even letters square to zero; odd ones have grade >= 1
+            while dw + c * grade <= w and (grade % 2 or c <= size):
+                mult = comb(size + c - 1, c) if grade % 2 else comb(size, c)
+                key2 = (dm + c, dw + c * grade, tuple(a + c * b for a, b in zip(dt, torus)))
+                nxt[key2] = nxt.get(key2, 0) + ways * mult
+                c += 1
+        states = nxt
+    result = {(dm, dt): n for (dm, dw, dt), n in states.items() if dw == w}
+    cache[key] = result
+    return result
+
+
 def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
     """dim of the weight-w degree-m chain space, by counting (no listing)."""
     if m < 0 or w < 0:
         return 0
-    key = ("dim", m, w)
-    cache = gs._chain_cache
-    if key in cache:
-        return cache[key]
-    # DP over levels: even levels contribute binomial choices, odd levels
-    # stars-and-bars, each adding (count, grade*count) to (degree, weight).
-    states = {(0, 0): 1}
-    for k, gids in gs.level_to_gens.items():
-        grade = k - 1
-        size = len(gids)
-        nxt: dict[tuple[int, int], int] = {}
-        for (dm, dw), ways in states.items():
-            t = 0
-            while dm + t <= m and dw + t * grade <= w:
-                if grade % 2 == 0:
-                    if t > size:
-                        break
-                    mult = comb(size, t)
-                else:
-                    mult = comb(size + t - 1, t)
-                key2 = (dm + t, dw + t * grade)
-                nxt[key2] = nxt.get(key2, 0) + ways * mult
-                if grade == 0 and t == size:
-                    break
-                t += 1
-        states = nxt
-    result = states.get((m, w), 0)
-    cache[key] = result
-    return result
+    return _counts(gs, w, False).get((m, ()), 0)
+
+
+def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """{torus weight: {degree: dim}} of the pieces of the weight-w complex, by counting.
+
+    The boundary keeps the torus weight, so each piece is a subcomplex.
+    Without a grading there is one piece, keyed ().
+    """
+    pieces: dict[tuple[int, ...], dict[int, int]] = {}
+    for (m, torus), n in sorted(_counts(gs, w, True).items()):
+        pieces.setdefault(torus, {})[m] = n
+    return pieces
 
 
 def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
@@ -229,6 +249,18 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
 
     fill_evens(0, m, w)
     out.sort()
+    cache[key] = out
+    return out
+
+
+def zero_piece_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
+    """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order."""
+    key = ("zero", m, w)
+    cache = gs._chain_cache
+    if key in cache:
+        return cache[key]
+    out = [mono for mono in chain_basis(gs, m, w)
+           if not any(sum(map(mul, mono.evens + mono.odds, coord)) for coord in gs.torus)]
     cache[key] = out
     return out
 
@@ -308,16 +340,9 @@ def boundary_monomial(gs: GeneratorSystem, mono: SuperMonomial) -> Chain:
                   for t, c in _boundary_terms(gs, mono.evens + mono.odds).items()})
 
 
-def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
-    """Matrix of the boundary from degree m to degree m-1 at weight w.
-
-    Columns index the degree-m basis, rows the degree-(m-1) basis, both in
-    chain_basis order.  Empty spaces give 0 x k / k x 0 matrices.
-    """
-    if m < 1:
-        raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
-    cols = chain_basis(gs, m, w)
-    rows = chain_basis(gs, m - 1, w)
+def _assemble(gs: GeneratorSystem, cols: list[SuperMonomial],
+              rows: list[SuperMonomial]) -> RationalMatrix:
+    """Boundary of each column monomial, written in the coordinates of ``rows``."""
     matrix = RationalMatrix(len(rows), len(cols))
     if not cols or not rows:
         return matrix
@@ -328,6 +353,24 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
             if coeff:
                 entries[(row_index[target], c)] = Fraction(coeff)
     return matrix
+
+
+def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
+    """Matrix of the boundary from degree m to degree m-1 at weight w.
+
+    Columns index the degree-m basis, rows the degree-(m-1) basis, both in
+    chain_basis order.  Empty spaces give 0 x k / k x 0 matrices.
+    """
+    if m < 1:
+        raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
+    return _assemble(gs, chain_basis(gs, m, w), chain_basis(gs, m - 1, w))
+
+
+def zero_piece_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
+    """``boundary_matrix`` restricted to the torus-weight-0 piece, in ``zero_piece_basis`` order."""
+    if m < 1:
+        raise AlgebraError(f"zero_piece_matrix needs degree >= 1, got {m}")
+    return _assemble(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .algebra import (AlgebraError, catalog_get, catalog_names, catalog_spec,
                       check_jacobi, load_algebra)
-from .chain import chain_basis, chain_dim, format_monomial, support_degrees
+from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial,
+                    support_degrees)
 from .exterior import generator_system, render_bracket_table
 from .homology import betti_table, load_expected, verify_table
 from .rational import format_rational, parse_rational
@@ -65,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-matrix", metavar="DIR",
                    help="write every boundary matrix as 'rows cols' + 'r c p/q' triplets")
     p.add_argument("--report", metavar="PATH",
-                   help="write elimination reports (rank, pivots, fill-in, time) as JSON")
+                   help="write elimination reports (shape, rank, pivots, fill-in, time, "
+                        "forced and cell rank) as JSON")
     p.add_argument("--sweep", metavar="NAME=V1,V2,...",
                    help="run the table per parameter value and report differing cells")
 
@@ -137,13 +139,17 @@ def _cmd_table(args, out) -> int:
     _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
     reports: list[dict] = []
 
-    def on_cell(w, m, matrix, report):
+    def on_cell(w, m, matrix, report, forced_rank):
         if args.dump_matrix:
+            # with a torus grading only the weight-0 piece was assembled
+            whole = boundary_matrix(gs, m, w) if gs.torus else matrix
             path = os.path.join(args.dump_matrix, f"boundary_w{w}_m{m}.txt")
             with open(path, "w", encoding="utf-8") as fh:
-                matrix.dump(fh)
+                whole.dump(fh)
         if args.report:
-            reports.append({"w": w, "m": m, **report.to_dict()})
+            reports.append({"w": w, "m": m, "rows": matrix.rows, "cols": matrix.cols,
+                            **report.to_dict(), "forced_rank": forced_rank,
+                            "cell_rank": report.rank + forced_rank})
 
     if args.dump_matrix:
         os.makedirs(args.dump_matrix, exist_ok=True)

@@ -24,11 +24,13 @@ It makes the direct sum of all levels a Z-graded Lie superalgebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraError, StructureConstants
+from .ranklin import eliminate
 from .rational import format_rational
 
 
@@ -338,6 +340,38 @@ class GeneratorSystem:
     @property
     def dim(self) -> int:
         return self.sc.dim
+
+    @cached_property
+    def torus(self) -> tuple[tuple[int, ...], ...]:
+        """Torus weights of the generators: one tuple over generator ids per coordinate.
+
+        A level-1 generator x gives a coordinate when [x, g] = c_g g for every
+        generator g, with rational c_g not all zero; the c_g are scaled to
+        integers by the lcm of their denominators.  Two such generators
+        commute ([x, y] = c_y y = -c'_x x forces both to 0), so together
+        they grade the chain spaces; a coordinate in the span of those kept
+        before it (a central x gives the zero one) is dropped.  Empty when no
+        generator gives a coordinate.
+        Computed on first use, not at construction.
+        """
+        coords: list[tuple[int, ...]] = []
+        for x in self.level_to_gens[1]:
+            eigen = []
+            for g in range(self.count):
+                bracket = self.pair_bracket(x, g)
+                if not bracket:
+                    eigen.append(Fraction(0))
+                elif len(bracket) == 1 and bracket[0][1] == g:
+                    eigen.append(Fraction(bracket[0][0]))
+                else:
+                    break
+            else:
+                scale = lcm(*(c.denominator for c in eigen))
+                coord = tuple(int(c * scale) for c in eigen)
+                rows = [{g: t for g, t in enumerate(v) if t} for v in coords + [coord]]
+                if eliminate(rows)[0] > len(coords):
+                    coords.append(coord)
+        return tuple(coords)
 
     def generator_named(self, name: str) -> Generator:
         for g in self.generators:

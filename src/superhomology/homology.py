@@ -4,9 +4,17 @@ For a fixed weight the chain spaces form a finite complex; a row of the
 final table holds, for every degree in the support, the space dimension,
 the kernel dimension of the outgoing boundary, and the Betti number
 (kernel minus the rank of the incoming boundary).  The Euler alternating
-sum of the dimensions vanishes for every weight; ``euler_check`` exposes it.
-``betti_row`` checks every row it computes and raises
-:class:`TableInvariantError` when one breaks these identities.
+sum of the dimensions vanishes for every weight.
+
+When the algebra has a torus grading (``GeneratorSystem.torus``), the
+weighted complex splits into pieces by torus weight.  A level-1 generator x
+is even, so by the Cartan homotopy formula d e(x) + e(x) d = +-theta(x),
+with e(x) the wedge with x, it acts by zero on homology; theta(x) is the
+scalar torus weight on a piece, so every piece of nonzero torus weight is
+acyclic.  Its ranks follow from its dimensions: 0 at its lowest degree,
+then r_{m+1} = dim_m - r_m.  Only the torus-weight-0 piece is assembled and
+eliminated.  ``betti_row`` checks the forced ranks and every row it computes
+and raises :class:`TableInvariantError` when one breaks these identities.
 """
 
 from __future__ import annotations
@@ -16,13 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .chain import boundary_matrix, chain_dim, support_degrees
+from .chain import (boundary_matrix, chain_dim, support_degrees, torus_pieces,
+                    zero_piece_matrix)
 from .exterior import GeneratorSystem
 from .matrix import RationalMatrix
 from .ranklin import EliminationReport, rank_report
 from .rational import format_rational
 
-CellCallback = Callable[[int, int, RationalMatrix, EliminationReport], None]
+# (w, m, eliminated matrix, its report, rank forced by the acyclic pieces)
+CellCallback = Callable[[int, int, RationalMatrix, EliminationReport, int], None]
 
 
 class TableInvariantError(RuntimeError):
@@ -126,26 +136,72 @@ class BettiTable:
         return "\n".join(out)
 
 
+def _piece_ranks(gs: GeneratorSystem, w: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Ranks forced by the nonzero torus pieces, and the dimensions of the zero piece.
+
+    Returns ({m: summed rank of the boundary from degree m over the nonzero
+    pieces}, {m: dim of the torus-weight-0 piece}).  Raises
+    :class:`TableInvariantError` unless the piece dimensions add up to
+    ``chain_dim``, and every forced rank lies in [0, min(rows, cols)] of its
+    piece, which at one past the top degree means the recurrence ends at 0.
+    """
+    pieces = torus_pieces(gs, w)
+    for m in set(support_degrees(gs, w)).union(*pieces.values()):
+        total = sum(dims.get(m, 0) for dims in pieces.values())
+        if total != chain_dim(gs, m, w):
+            raise TableInvariantError(
+                f"torus pieces at w={w}, m={m} add up to {total}, "
+                f"not chain_dim {chain_dim(gs, m, w)}")
+    zero = (0,) * len(gs.torus)
+    forced: dict[int, int] = {}
+    for torus, dims in pieces.items():
+        if torus == zero:
+            continue
+        r = 0  # rank of the boundary into the lowest degree
+        for m in range(min(dims), max(dims) + 2):
+            if not 0 <= r <= min(dims.get(m, 0), dims.get(m - 1, 0)):
+                raise TableInvariantError(
+                    f"forced rank {r} at w={w}, m={m}, torus weight {torus} is outside "
+                    f"[0, min({dims.get(m - 1, 0)}, {dims.get(m, 0)})]")
+            forced[m] = forced.get(m, 0) + r
+            r = dims.get(m, 0) - r
+    return forced, pieces.get(zero, {})
+
+
 def betti_row(gs: GeneratorSystem, w: int,
               on_cell: CellCallback | None = None) -> BettiRow:
-    """Assemble and check one weight: supports by enumeration, ranks shared across cells.
+    """Assemble and check one weight: supports by counting, ranks shared across cells.
 
     Each support degree m >= 1 is assembled and ranked once (0 x k when m-1
-    is empty), then passed to ``on_cell(w, m, matrix, report)``.
+    is empty): the whole boundary matrix without a torus grading, its
+    torus-weight-0 piece with one.  ``on_cell(w, m, matrix, report, forced)``
+    receives what was eliminated and the rank the other pieces add to it.
     """
     degrees = support_degrees(gs, w)
     if not degrees:
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
-    ranks: dict[int, int] = {}
+    # the dimensions of what is eliminated: the zero piece, or the whole cell
+    if gs.torus:
+        ranks, piece_dims = _piece_ranks(gs, w)
+        assemble = zero_piece_matrix
+    else:
+        ranks, piece_dims = {}, dict(zip(degrees, dims))
+        assemble = boundary_matrix
     for m in degrees:
         if m < 1:
             continue
-        matrix = boundary_matrix(gs, m, w)
+        matrix = assemble(gs, m, w)
+        shape = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
+        if (matrix.rows, matrix.cols) != shape:
+            raise TableInvariantError(
+                f"matrix at w={w}, m={m} is {matrix.rows} x {matrix.cols}, "
+                f"its counted piece {shape[0]} x {shape[1]}")
         report = rank_report(matrix)
-        ranks[m] = report.rank
+        forced = ranks.get(m, 0)
+        ranks[m] = forced + report.rank
         if on_cell is not None:
-            on_cell(w, m, matrix, report)
+            on_cell(w, m, matrix, report, forced)
 
     kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
     betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]
@@ -160,11 +216,6 @@ def betti_table(gs: GeneratorSystem, w_max: int, algebra: str = "",
     """Checked rows for every weight up to w_max, computed in order."""
     rows = [betti_row(gs, w, on_cell=on_cell) for w in range(w_max + 1)]
     return BettiTable(algebra=algebra or gs.sc.name, params=dict(params or {}), rows=rows)
-
-
-def euler_check(gs: GeneratorSystem, w: int) -> int:
-    """Alternating sum of the weight-w chain dimensions; 0 for every Lie algebra."""
-    return sum((-1) ** m * chain_dim(gs, m, w) for m in range(0, w + gs.dim + 1))
 
 
 # ---------------------------------------------------------------------------

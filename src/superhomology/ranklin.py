@@ -112,11 +112,3 @@ def rank_report(matrix: RationalMatrix) -> EliminationReport:
     return EliminationReport(rank=r, pivots=pivots, fill_in=fill,
                              elapsed=time.perf_counter() - start)
 
-
-def rank(matrix: RationalMatrix) -> int:
-    return rank_report(matrix).rank
-
-
-def kernel_dim(matrix: RationalMatrix) -> int:
-    """Nullity: columns minus rank."""
-    return matrix.cols - rank(matrix)

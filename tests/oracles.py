@@ -1,14 +1,99 @@
 """Independent oracles kept out of the package on purpose.
 
-Nothing here may import from superhomology.ranklin's elimination kernel:
-these are the second routes the main paths are checked against.
+These are the second routes the main paths are checked against.  Each
+avoids the path it checks: ``naive_rank`` shares nothing with the
+elimination kernel, and the whole-matrix and per-piece Betti routes
+eliminate through the kernel (checked against ``naive_rank`` elsewhere) but
+never take a rank from the torus split.
 """
 
 from fractions import Fraction
 
-from superhomology.chain import (Chain, boundary_monomial, chain_basis,
-                                 monomial_degree, normalize_word, word_to_monomial)
+from superhomology.chain import (Chain, boundary_matrix, boundary_monomial,
+                                 chain_basis, chain_dim, monomial_degree,
+                                 normalize_word, support_degrees, word_to_monomial)
+from superhomology.homology import BettiRow, BettiTable
 from superhomology.matrix import RationalMatrix
+from superhomology.ranklin import rank_report
+
+
+def rank(matrix) -> int:
+    """Exact rank through the package kernel."""
+    return rank_report(matrix).rank
+
+
+def kernel_dim(matrix) -> int:
+    """Nullity: columns minus rank."""
+    return matrix.cols - rank(matrix)
+
+
+def euler_check(gs, w) -> int:
+    """Alternating sum of the weight-w chain dimensions; 0 for every Lie algebra."""
+    return sum((-1) ** m * chain_dim(gs, m, w) for m in range(0, w + gs.dim + 1))
+
+
+def whole_matrix_betti_table(gs, w_max) -> BettiTable:
+    """``betti_table`` without the torus split: every cell's whole matrix is eliminated."""
+    rows = []
+    for w in range(w_max + 1):
+        degrees = support_degrees(gs, w)
+        dims = [chain_dim(gs, m, w) for m in degrees]
+        ranks = {m: rank(boundary_matrix(gs, m, w)) for m in degrees if m >= 1}
+        kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
+        betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]
+        rows.append(BettiRow(w, degrees, dims, kernels, betti))
+    return BettiTable(algebra=gs.sc.name, rows=rows)
+
+
+def torus_weight(gs, mono) -> tuple:
+    """Torus weight of a monomial, summed letter by letter."""
+    word = monomial_word(gs, mono)
+    return tuple(sum(coord[gid] for gid in word) for coord in gs.torus)
+
+
+def _positions(keys):
+    """Index of each entry among the entries with the same key, in order."""
+    seen: dict = {}
+    out = []
+    for key in keys:
+        out.append(seen.get(key, 0))
+        seen[key] = out[-1] + 1
+    return out
+
+
+def piece_tables(gs, w):
+    """{torus weight: ({m: dim}, {m: Betti})} with each piece of weight w ranked on its own.
+
+    A piece's matrix is the whole boundary matrix restricted to the piece's
+    rows and columns; an entry that links two pieces raises ValueError.
+    """
+    keys = {m: [torus_weight(gs, mono) for mono in chain_basis(gs, m, w)]
+            for m in support_degrees(gs, w)}
+    dims: dict = {}
+    for m, m_keys in keys.items():
+        for key in m_keys:
+            dims.setdefault(key, {}).setdefault(m, 0)
+            dims[key][m] += 1
+    ranks: dict = {}
+    for m in keys:
+        if m - 1 not in keys:
+            continue
+        col_keys, row_keys = keys[m], keys[m - 1]
+        col_pos, row_pos = _positions(col_keys), _positions(row_keys)
+        blocks: dict = {}
+        for (r, c), v in boundary_matrix(gs, m, w).entries.items():
+            if row_keys[r] != col_keys[c]:
+                raise ValueError(f"entry ({r}, {c}) at w={w}, m={m} links two torus pieces")
+            blocks.setdefault(col_keys[c], []).append((row_pos[r], col_pos[c], v))
+        for key, entries in blocks.items():
+            piece = RationalMatrix(dims[key].get(m - 1, 0), dims[key][m], entries)
+            ranks.setdefault(key, {})[m] = rank(piece)
+    out = {}
+    for key, key_dims in dims.items():
+        r = ranks.get(key, {})
+        out[key] = (key_dims, {m: d - r.get(m, 0) - r.get(m + 1, 0)
+                               for m, d in key_dims.items()})
+    return out
 
 
 def naive_rank(matrix) -> int:

@@ -3,10 +3,13 @@ import json
 import os
 from collections import Counter
 
-from superhomology import cli, homology
+from superhomology import (catalog_get, chain_dim, cli, generator_system, homology,
+                           zero_piece_matrix)
 from superhomology.cli import run_cli
+from superhomology.matrix import RationalMatrix
 
 from conftest import EXPECTED_DIR
+from oracles import naive_rank
 
 
 def run(argv):
@@ -149,6 +152,33 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assert sorted(calls) == cells
     assert sorted(f"boundary_w{w}_m{m}.txt" for w, m in cells) == \
         sorted(f for f in dumped if f.startswith("boundary_"))
+    # one piece: the eliminated matrix is the dumped one, and nothing is forced
+    for r in reports:
+        header = (dump_dir / f"boundary_w{r['w']}_m{r['m']}.txt").read_text().split("\n")[0]
+        assert [r["rows"], r["cols"]] == list(map(int, header.split()))
+        assert r["forced_rank"] == 0 and r["cell_rank"] == r["rank"]
+
+    # gl2 is graded: only the torus-weight-0 piece is eliminated, the dump stays whole
+    calls.clear()
+    gl2_dir = tmp_path / "gl2"
+    gl2_report = tmp_path / "gl2.json"
+    code, _, _ = run(["table", "--algebra", "gl2", "--wmax", "3", "--format", "csv",
+                      "--dump-matrix", str(gl2_dir), "--report", str(gl2_report)])
+    assert code == 0
+    assert calls and max(calls.values()) == 1
+    gs = generator_system(catalog_get("gl2"))
+    reports = json.loads(gl2_report.read_text())
+    assert sorted(calls) == [(r["w"], r["m"]) for r in reports]
+    assert any(r["forced_rank"] for r in reports)
+    for r in reports:
+        w, m = r["w"], r["m"]
+        with open(gl2_dir / f"boundary_w{w}_m{m}.txt", encoding="utf-8") as fh:
+            whole = RationalMatrix.load(fh)
+        assert (whole.rows, whole.cols) == (chain_dim(gs, m - 1, w), chain_dim(gs, m, w))
+        assert r["cell_rank"] == r["rank"] + r["forced_rank"] == naive_rank(whole)
+        piece = zero_piece_matrix(gs, m, w)
+        assert (r["rows"], r["cols"]) == (piece.rows, piece.cols)
+        assert len(r["pivots"]) == r["rank"] <= min(piece.rows, piece.cols)
 
 
 def test_usage_errors_exit_2(tmp_path):

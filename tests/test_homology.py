@@ -9,10 +9,10 @@ from math import comb
 import pytest
 
 from superhomology import (TableInvariantError, betti_row, betti_table,
-                           catalog_get, euler_check, generator_system,
-                           homology, verify_table)
+                           catalog_get, generator_system, homology, verify_table)
 
 from conftest import EXPECTED_DIR, REPO_ROOT
+from oracles import euler_check
 
 
 @pytest.fixture(scope="module")

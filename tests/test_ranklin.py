@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhomology import (boundary_matrix, catalog_get, generator_system,
-                           kernel_dim, rank, rank_report, support_degrees)
+                           rank_report, support_degrees)
 from superhomology.matrix import RationalMatrix
 
-from oracles import naive_rank
+from oracles import kernel_dim, naive_rank, rank
 
 
 def random_matrix(rng, rows, cols, density=0.3, denominators=True):
