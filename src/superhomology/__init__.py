@@ -14,10 +14,9 @@ from .algebra import (AlgebraError, AlgebraSpec, CatalogError, JacobiError,
                       StructureConstants, catalog_get, catalog_names,
                       catalog_spec, check_jacobi, load_algebra,
                       parse_algebra_document)
-from .chain import (Chain, SuperMonomial, boundary_matrix, boundary_monomial,
-                    chain_basis, chain_dim, format_monomial, monomial_degree,
-                    monomial_weight, normalize_word, support_degrees,
-                    torus_pieces, zero_piece_matrix)
+from .chain import (SuperMonomial, boundary_matrix, chain_basis, chain_dim,
+                    format_monomial, support_degrees, torus_pieces,
+                    zero_piece_matrix)
 from .exterior import (GeneratorSystem, Multivector, WedgeBasisElement,
                        bracket_table, generator_system, paper_level2_basis,
                        render_bracket_table, schouten, wedge_basis)
@@ -31,16 +30,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraError", "AlgebraSpec", "BACKEND", "BettiRow", "BettiTable",
-    "CatalogError", "Chain", "EliminationReport", "GeneratorSystem",
-    "JacobiError", "Multivector", "Rational", "RationalMatrix",
-    "StructureConstants", "SuperMonomial", "TableDiff", "TableInvariantError",
-    "WedgeBasisElement", "betti_row", "betti_table", "boundary_matrix",
-    "boundary_monomial", "bracket_table", "catalog_get", "catalog_names",
-    "catalog_spec", "chain_basis", "chain_dim", "check_jacobi",
-    "format_monomial", "format_rational", "generator_system",
-    "load_algebra", "load_expected", "monomial_degree", "monomial_weight",
-    "normalize_word", "paper_level2_basis", "parse_algebra_document",
-    "parse_rational", "rank_report", "render_bracket_table",
-    "schouten", "support_degrees", "torus_pieces", "verify_table",
-    "wedge_basis", "zero_piece_matrix",
+    "CatalogError", "EliminationReport", "GeneratorSystem", "JacobiError",
+    "Multivector", "Rational", "RationalMatrix", "StructureConstants",
+    "SuperMonomial", "TableDiff", "TableInvariantError", "WedgeBasisElement",
+    "betti_row", "betti_table", "boundary_matrix", "bracket_table",
+    "catalog_get", "catalog_names", "catalog_spec", "chain_basis", "chain_dim",
+    "check_jacobi", "format_monomial", "format_rational", "generator_system",
+    "load_algebra", "load_expected", "paper_level2_basis",
+    "parse_algebra_document", "parse_rational", "rank_report",
+    "render_bracket_table", "schouten", "support_degrees", "torus_pieces",
+    "verify_table", "wedge_basis", "zero_piece_matrix",
 ]

@@ -136,7 +136,11 @@ class AlgebraSpec:
         self.params = tuple(params)
         self.constraints = tuple(constraints)  # (param, "nonzero")
 
-    def bind(self, bindings: Mapping[str, Fraction], check: bool = True) -> StructureConstants:
+    def bind(self, bindings: Mapping[str, Fraction | str] | None = None,
+             check: bool = True) -> StructureConstants:
+        """Substitute the parameters (``Fraction`` or ``"p/q"`` text) and Jacobi-check."""
+        bindings = {k: v if isinstance(v, Fraction) else parse_rational(v)
+                    for k, v in (bindings or {}).items()}
         for p in self.params:
             if p not in bindings:
                 raise AlgebraError(f"{self.name}: unbound parameter {p!r}")
@@ -182,6 +186,15 @@ def _parse_coefficient(value) -> tuple[Fraction, str | None]:
     return Fraction(1), s
 
 
+def _list_field(doc: dict, key: str, kind: type, what: str) -> list:
+    """``doc[key]`` (default empty), which must be a list of ``kind`` values."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise AlgebraError(f"algebra document field {key!r} must be a list of {what}, "
+                           f"got {value!r}")
+    return value
+
+
 def parse_algebra_document(doc) -> AlgebraSpec:
     """Parse the JSON algebra-description document into an :class:`AlgebraSpec`."""
     if isinstance(doc, (str, bytes)):
@@ -193,27 +206,30 @@ def parse_algebra_document(doc) -> AlgebraSpec:
         raise AlgebraError("algebra document must be a JSON object")
     try:
         dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise AlgebraError("algebra document needs an integer 'dim'")
     name = str(doc.get("name", ""))
-    params = [str(p) for p in doc.get("params", [])]
+    params = _list_field(doc, "params", str, "strings")
     constraints = []
-    for entry in doc.get("constraints", []):
+    for entry in _list_field(doc, "constraints", dict, "objects"):
         p = entry.get("param")
         if p not in params:
             raise AlgebraError(f"constraint references unknown parameter {p!r}")
         if entry.get("nonzero"):
             constraints.append((p, "nonzero"))
     brackets = {}
-    for entry in doc.get("brackets", []):
+    for entry in _list_field(doc, "brackets", dict, "objects"):
         try:
             i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise AlgebraError(f"bad bracket entry: {entry!r}")
         if not (1 <= i < j <= dim):
             raise AlgebraError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
+        out_doc = entry.get("out", {})
+        if not isinstance(out_doc, dict):
+            raise AlgebraError(f"bracket ({i}, {j}): 'out' must be an object, got {out_doc!r}")
         out = {}
-        for k_str, value in entry.get("out", {}).items():
+        for k_str, value in out_doc.items():
             k = int(k_str)
             if not (1 <= k <= dim):
                 raise AlgebraError(f"bracket output index {k} out of range")
@@ -243,10 +259,7 @@ def load_algebra(source, bindings: Mapping[str, Fraction] | None = None,
             isinstance(source, str) and not source.lstrip().startswith("{")):
         with open(source, "r", encoding="utf-8") as fh:
             source = fh.read()
-    spec = parse_algebra_document(source)
-    clean = {k: parse_rational(v) if not isinstance(v, Fraction) else v
-             for k, v in (bindings or {}).items()}
-    return spec.bind(clean, check=check)
+    return parse_algebra_document(source).bind(bindings, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +318,8 @@ def catalog_spec(name: str) -> AlgebraSpec:
 def catalog_get(name: str, bindings: Mapping[str, Fraction] | None = None) -> StructureConstants:
     """The named catalog algebra with parameters substituted and Jacobi-checked."""
     spec = catalog_spec(name)
-    clean = {k: parse_rational(v) if not isinstance(v, Fraction) else v
-             for k, v in (bindings or {}).items()}
     try:
-        return spec.bind(clean)
+        return spec.bind(bindings)
     except AlgebraError as exc:
         if isinstance(exc, CatalogError):
             raise

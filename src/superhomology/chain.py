@@ -36,14 +36,12 @@ and the letters the bracket letter crosses all read off prefix counts of e.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import NamedTuple
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
-from .exterior import normalize_word as _normalize_generator_word
 from .matrix import RationalMatrix
 
 
@@ -52,92 +50,6 @@ class SuperMonomial(NamedTuple):
 
     evens: tuple[int, ...]
     odds: tuple[int, ...]
-
-
-def monomial_degree(mono: SuperMonomial) -> int:
-    return sum(mono.evens) + sum(mono.odds)
-
-
-def monomial_weight(gs: GeneratorSystem, mono: SuperMonomial) -> int:
-    w = 0
-    for bit, gid in zip(mono.evens, gs.even_ids):
-        if bit:
-            w += gs.grades[gid]
-    for e, gid in zip(mono.odds, gs.odd_ids):
-        if e:
-            w += e * gs.grades[gid]
-    return w
-
-
-def word_to_monomial(gs: GeneratorSystem, word) -> SuperMonomial:
-    """Canonical (sorted, even-square-free) word -> monomial."""
-    even_pos = gs.even_pos
-    odd_pos = gs.odd_pos
-    evens = [0] * len(even_pos)
-    odds = [0] * len(odd_pos)
-    for gid in word:
-        pos = even_pos.get(gid)
-        if pos is not None:
-            evens[pos] += 1
-        else:
-            odds[odd_pos[gid]] += 1
-    return SuperMonomial(tuple(evens), tuple(odds))
-
-
-def normalize_word(gs: GeneratorSystem, word) -> tuple[int, SuperMonomial] | None:
-    """Public word normalizer returning a monomial; None when the word is zero."""
-    norm = _normalize_generator_word(gs, tuple(word))
-    if norm is None:
-        return None
-    sign, sorted_word = norm
-    return sign, word_to_monomial(gs, sorted_word)
-
-
-class Chain:
-    """A rational combination of monomials, homogeneous in degree and weight."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[SuperMonomial, Fraction] = {}
-        if terms:
-            for mono, c in dict(terms).items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_term(self, mono: SuperMonomial, c: Fraction) -> None:
-        v = self.terms.get(mono, Fraction(0)) + c
-        if v:
-            self.terms[mono] = v
-        else:
-            self.terms.pop(mono, None)
-
-    def __add__(self, other: "Chain") -> "Chain":
-        out = Chain(self.terms)
-        for mono, c in other.terms.items():
-            out.add_term(mono, c)
-        return out
-
-    def scaled(self, c) -> "Chain":
-        c = Fraction(c)
-        if not c:
-            return Chain()
-        return Chain({m: v * c for m, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, Chain) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "Chain(0)"
-        return "Chain(" + ", ".join(f"{c}*{m}" for m, c in sorted(self.terms.items())) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +110,25 @@ def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int,
     return pieces
 
 
+def _odd_parts(grades: list[int], m: int, w: int) -> list[tuple[int, ...]]:
+    """Exponent tuples over odd letters of these nondecreasing grades with degree m and weight w.
+
+    Letters are placed one at a time; a partial tuple is kept only while the
+    letters after it, with grades in [next grade, last grade], can still take
+    up exactly the degree and weight left, and the last letter takes the rest.
+    """
+    if not grades:
+        return [()] if m == w == 0 else []
+    *head, last = grades
+    parts = [((), m, w)]
+    for pos, g in enumerate(head):
+        low = grades[pos + 1]
+        parts = [(o + (t,), dm - t, dw - t * g) for o, dm, dw in parts
+                 for t in range(min(dm, dw // g) + 1)
+                 if low * (dm - t) <= dw - t * g <= last * (dm - t)]
+    return [o + (dm,) for o, dm, dw in parts if dw == dm * last]
+
+
 def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
     """All monomials of degree m and weight w, ordered by (even bits, odd exponents) lex."""
     if m < 0 or w < 0:
@@ -206,48 +137,28 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
     cache = gs._chain_cache
     if key in cache:
         return cache[key]
-    even_grades = [gs.grades[g] for g in gs.even_ids]
-    odd_grades = [gs.grades[g] for g in gs.odd_ids]
+    n_even = len(gs.even_ids)
+    # a letter of grade above w never occurs, and grades rise with the id
+    # within each parity, so each part is listed over a prefix of its letters
+    evens = [g for g in gs.grades[:n_even] if g <= w]
+    odds = [g for g in gs.grades[n_even:] if g <= w]
+    even_pad = (0,) * (n_even - len(evens))
+    odd_pad = (0,) * (len(gs.odd_ids) - len(odds))
+    even_parts = [((), m, w)]  # (exponents so far, degree and weight left)
+    for g in evens:
+        even_parts = [(e + (t,), dm - t, dw - t * g) for e, dm, dw in even_parts
+                      for t in ((0, 1) if dm and dw >= g else (0,))]
+    # the odd parts depend only on what the even part leaves
+    by_rest: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for e, dm, dw in even_parts:
+        by_rest.setdefault((dm, dw), []).append(e)
     out: list[SuperMonomial] = []
-    evens = [0] * len(even_grades)
-    odds = [0] * len(odd_grades)
-
-    def fill_odds(pos: int, dm: int, dw: int) -> None:
-        if pos == len(odd_grades):
-            if dm == 0 and dw == 0:
-                out.append(SuperMonomial(tuple(evens), tuple(odds)))
-            return
-        if dw < dm:  # every remaining letter has grade >= 1
-            return
-        g = odd_grades[pos]
-        if pos == len(odd_grades) - 1:
-            # last generator must absorb everything exactly
-            if dw == dm * g:
-                odds[pos] = dm
-                out.append(SuperMonomial(tuple(evens), tuple(odds)))
-                odds[pos] = 0
-            return
-        t = 0
-        while t <= dm and t * g <= dw:
-            odds[pos] = t
-            fill_odds(pos + 1, dm - t, dw - t * g)
-            t += 1
-        odds[pos] = 0
-
-    def fill_evens(pos: int, dm: int, dw: int) -> None:
-        if dw < 0 or dm < 0:
-            return
-        if pos == len(even_grades):
-            fill_odds(0, dm, dw)
-            return
-        g = even_grades[pos]
-        fill_evens(pos + 1, dm, dw)
-        if dm >= 1 and dw >= g:
-            evens[pos] = 1
-            fill_evens(pos + 1, dm - 1, dw - g)
-            evens[pos] = 0
-
-    fill_evens(0, m, w)
+    for (dm, dw), even_exps in by_rest.items():
+        odd_exps = [o + odd_pad for o in _odd_parts(odds, dm, dw)]
+        if odd_exps:
+            for e in even_exps:
+                e += even_pad
+                out += [SuperMonomial(e, o) for o in odd_exps]
     out.sort()
     cache[key] = out
     return out
@@ -333,13 +244,6 @@ def _boundary_terms(gs: GeneratorSystem, exps: tuple[int, ...]) -> dict[tuple[in
     return out
 
 
-def boundary_monomial(gs: GeneratorSystem, mono: SuperMonomial) -> Chain:
-    """Boundary of one monomial: degree drops by 1, weight is preserved."""
-    n_even = len(mono.evens)
-    return Chain({SuperMonomial(t[:n_even], t[n_even:]): c
-                  for t, c in _boundary_terms(gs, mono.evens + mono.odds).items()})
-
-
 def _assemble(gs: GeneratorSystem, cols: list[SuperMonomial],
               rows: list[SuperMonomial]) -> RationalMatrix:
     """Boundary of each column monomial, written in the coordinates of ``rows``."""
@@ -351,7 +255,7 @@ def _assemble(gs: GeneratorSystem, cols: list[SuperMonomial],
     for c, mono in enumerate(cols):
         for target, coeff in _boundary_terms(gs, mono.evens + mono.odds).items():
             if coeff:
-                entries[(row_index[target], c)] = Fraction(coeff)
+                entries[(row_index[target], c)] = coeff
     return matrix
 
 

@@ -334,8 +334,9 @@ class GeneratorSystem:
                     cols.append({self._canon_index[k][idx]: c for idx, c in mv.coeffs.items()})
                 self._expand_inverse[k] = _invert(cols, len(order))
         self._pair_cache: dict[tuple[int, int], tuple[tuple[Fraction, int], ...]] = {}
-        # chain-space dimensions and bases by ("dim" | "basis", m, w); owned by chain.py
-        self._chain_cache: dict[tuple[str, int, int], object] = {}
+        # owned by chain.py: ("counts", w, graded) -> degree and torus-weight counts,
+        # ("basis", m, w) -> chain_basis, ("zero", m, w) -> zero_piece_basis
+        self._chain_cache: dict[tuple[str, int, int | bool], object] = {}
 
     @property
     def dim(self) -> int:
@@ -372,12 +373,6 @@ class GeneratorSystem:
                 if eliminate(rows)[0] > len(coords):
                     coords.append(coord)
         return tuple(coords)
-
-    def generator_named(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise AlgebraError(f"no generator named {name!r}")
 
     def to_generator_coords(self, mv: Multivector) -> dict[int, Fraction]:
         """Express a multivector in the active basis of its level."""
@@ -421,37 +416,6 @@ class GeneratorSystem:
             key=lambda t: t[1]))
         self._pair_cache[key] = value
         return value
-
-
-# ---------------------------------------------------------------------------
-# Word normalization in the super exterior algebra of the generators.
-# ---------------------------------------------------------------------------
-
-def normalize_word(gs: GeneratorSystem, word: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort a word of generator ids into canonical order with the super sign.
-
-    Each adjacent swap of letters with grades x, y contributes -(-1)^{xy}:
-    any swap involving an even-grade letter flips the sign, odd-odd swaps do
-    not.  Returns None (the word is zero) when an even-grade letter repeats;
-    normalizing an already canonical word returns sign +1.
-    """
-    out = list(word)
-    grades = gs.grades
-    sign = 1
-    for i in range(1, len(out)):
-        x = out[i]
-        xg = grades[x]
-        j = i - 1
-        while j >= 0 and out[j] > x:
-            if (xg & 1) == 0 or (grades[out[j]] & 1) == 0:
-                sign = -sign
-            out[j + 1] = out[j]
-            j -= 1
-        out[j + 1] = x
-    for a, b in zip(out, out[1:]):
-        if a == b and (grades[a] & 1) == 0:
-            return None
-    return sign, tuple(out)
 
 
 # ---------------------------------------------------------------------------

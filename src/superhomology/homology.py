@@ -13,8 +13,9 @@ with e(x) the wedge with x, it acts by zero on homology; theta(x) is the
 scalar torus weight on a piece, so every piece of nonzero torus weight is
 acyclic.  Its ranks follow from its dimensions: 0 at its lowest degree,
 then r_{m+1} = dim_m - r_m.  Only the torus-weight-0 piece is assembled and
-eliminated.  ``betti_row`` checks the forced ranks and every row it computes
-and raises :class:`TableInvariantError` when one breaks these identities.
+eliminated; without a grading it is the whole complex.  ``betti_row`` checks
+the piece dimensions, the forced ranks and every row it computes and raises
+:class:`TableInvariantError` when one breaks these identities.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .chain import (boundary_matrix, chain_dim, support_degrees, torus_pieces,
-                    zero_piece_matrix)
+from .chain import chain_dim, support_degrees, torus_pieces, zero_piece_matrix
 from .exterior import GeneratorSystem
 from .matrix import RationalMatrix
 from .ranklin import EliminationReport, rank_report
@@ -172,26 +172,20 @@ def betti_row(gs: GeneratorSystem, w: int,
               on_cell: CellCallback | None = None) -> BettiRow:
     """Assemble and check one weight: supports by counting, ranks shared across cells.
 
-    Each support degree m >= 1 is assembled and ranked once (0 x k when m-1
-    is empty): the whole boundary matrix without a torus grading, its
-    torus-weight-0 piece with one.  ``on_cell(w, m, matrix, report, forced)``
-    receives what was eliminated and the rank the other pieces add to it.
+    Each support degree m >= 1 has its torus-weight-0 piece assembled and
+    ranked once (0 x k when m-1 is empty); without a torus grading that piece
+    is the whole cell.  ``on_cell(w, m, matrix, report, forced)`` receives
+    what was eliminated and the rank the other pieces add to it.
     """
     degrees = support_degrees(gs, w)
     if not degrees:
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
-    # the dimensions of what is eliminated: the zero piece, or the whole cell
-    if gs.torus:
-        ranks, piece_dims = _piece_ranks(gs, w)
-        assemble = zero_piece_matrix
-    else:
-        ranks, piece_dims = {}, dict(zip(degrees, dims))
-        assemble = boundary_matrix
+    ranks, piece_dims = _piece_ranks(gs, w)
     for m in degrees:
         if m < 1:
             continue
-        matrix = assemble(gs, m, w)
+        matrix = zero_piece_matrix(gs, m, w)
         shape = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
         if (matrix.rows, matrix.cols) != shape:
             raise TableInvariantError(

@@ -42,32 +42,6 @@ class RationalMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def transpose(self) -> "RationalMatrix":
-        out = RationalMatrix(self.cols, self.rows)
-        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
-        return out
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                s = acc.get(key, Fraction(0)) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = RationalMatrix(self.rows, other.cols)
-        out.entries = acc
-        return out
-
-    __matmul__ = matmul
-
     def row_lists(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
         for (r, c), v in self.entries.items():

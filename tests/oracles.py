@@ -4,17 +4,153 @@ These are the second routes the main paths are checked against.  Each
 avoids the path it checks: ``naive_rank`` shares nothing with the
 elimination kernel, and the whole-matrix and per-piece Betti routes
 eliminate through the kernel (checked against ``naive_rank`` elsewhere) but
-never take a rank from the torus split.
+never take a rank from the torus split.  The word layer (sorting words of
+generators with the super sign), ``Chain`` arithmetic and the matrix
+product and transpose live here too: only tests use them.
 """
 
 from fractions import Fraction
 
-from superhomology.chain import (Chain, boundary_matrix, boundary_monomial,
-                                 chain_basis, chain_dim, monomial_degree,
-                                 normalize_word, support_degrees, word_to_monomial)
+from superhomology.chain import (SuperMonomial, _boundary_terms, boundary_matrix,
+                                 chain_basis, chain_dim, support_degrees)
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.matrix import RationalMatrix
 from superhomology.ranklin import rank_report
+
+
+def sort_generator_word(gs, word):
+    """Sort a word of generator ids into canonical order with the super sign.
+
+    Each adjacent swap of letters with grades x, y contributes -(-1)^{xy}:
+    any swap involving an even-grade letter flips the sign, odd-odd swaps do
+    not.  Returns (sign, sorted word), or None (the word is zero) when an
+    even-grade letter repeats; a canonical word comes back with sign +1.
+    """
+    out = list(word)
+    grades = gs.grades
+    sign = 1
+    for i in range(1, len(out)):
+        x = out[i]
+        xg = grades[x]
+        j = i - 1
+        while j >= 0 and out[j] > x:
+            if (xg & 1) == 0 or (grades[out[j]] & 1) == 0:
+                sign = -sign
+            out[j + 1] = out[j]
+            j -= 1
+        out[j + 1] = x
+    for a, b in zip(out, out[1:]):
+        if a == b and (grades[a] & 1) == 0:
+            return None
+    return sign, tuple(out)
+
+
+def word_to_monomial(gs, word) -> SuperMonomial:
+    """Canonical (sorted, even-square-free) word -> monomial."""
+    evens = [0] * len(gs.even_ids)
+    odds = [0] * len(gs.odd_ids)
+    for gid in word:
+        pos = gs.even_pos.get(gid)
+        if pos is not None:
+            evens[pos] += 1
+        else:
+            odds[gs.odd_pos[gid]] += 1
+    return SuperMonomial(tuple(evens), tuple(odds))
+
+
+def normalize_word(gs, word):
+    """(sign, monomial) of a word of generator ids; None when the word is zero."""
+    norm = sort_generator_word(gs, tuple(word))
+    if norm is None:
+        return None
+    sign, sorted_word = norm
+    return sign, word_to_monomial(gs, sorted_word)
+
+
+def monomial_degree(mono) -> int:
+    return sum(mono.evens) + sum(mono.odds)
+
+
+def monomial_weight(gs, mono) -> int:
+    """Grade-weighted letter count, summed letter type by letter type."""
+    return sum(e * gs.grades[gid] for e, gid in zip(mono.evens + mono.odds,
+                                                    gs.even_ids + gs.odd_ids))
+
+
+class Chain:
+    """A rational combination of monomials, homogeneous in degree and weight."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms: dict[SuperMonomial, Fraction] = {}
+        if terms:
+            for mono, c in dict(terms).items():
+                c = Fraction(c)
+                if c:
+                    self.terms[mono] = c
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add_term(self, mono: SuperMonomial, c: Fraction) -> None:
+        v = self.terms.get(mono, Fraction(0)) + c
+        if v:
+            self.terms[mono] = v
+        else:
+            self.terms.pop(mono, None)
+
+    def __add__(self, other: "Chain") -> "Chain":
+        out = Chain(self.terms)
+        for mono, c in other.terms.items():
+            out.add_term(mono, c)
+        return out
+
+    def scaled(self, c) -> "Chain":
+        return Chain({m: v * c for m, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def __eq__(self, other):
+        return isinstance(other, Chain) and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "Chain(0)"
+        return "Chain(" + ", ".join(f"{c}*{m}" for m, c in sorted(self.terms.items())) + ")"
+
+
+def boundary_monomial(gs, mono) -> Chain:
+    """Boundary of one monomial as a ``Chain``, read off the package's term dict."""
+    n_even = len(mono.evens)
+    return Chain({SuperMonomial(t[:n_even], t[n_even:]): c
+                  for t, c in _boundary_terms(gs, mono.evens + mono.odds).items()})
+
+
+def transpose(matrix) -> RationalMatrix:
+    out = RationalMatrix(matrix.cols, matrix.rows)
+    out.entries = {(c, r): v for (r, c), v in matrix.entries.items()}
+    return out
+
+
+def matmul(a, b) -> RationalMatrix:
+    """Sparse exact product a @ b."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    by_row: dict = {}
+    for (r, c), v in b.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    out = RationalMatrix(a.rows, b.cols)
+    acc = out.entries
+    for (r, k), v in a.entries.items():
+        for c, u in by_row.get(k, ()):
+            s = acc.get((r, c), 0) + v * u
+            if s:
+                acc[(r, c)] = s
+            else:
+                acc.pop((r, c), None)
+    return out
 
 
 def rank(matrix) -> int:
@@ -136,7 +272,7 @@ def adjoint_matrices(sc):
     return mats
 
 
-def _matmul(a, b):
+def _dense_matmul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
@@ -151,8 +287,8 @@ def jacobi_holds_via_adjoint(sc) -> bool:
             vec = sc.bracket(i, j)
             ad_bracket = [[sum(vec[k] * ads[k][r][c] for k in range(n))
                            for c in range(n)] for r in range(n)]
-            lhs = _matmul(ads[i - 1], ads[j - 1])
-            rhs = _matmul(ads[j - 1], ads[i - 1])
+            lhs = _dense_matmul(ads[i - 1], ads[j - 1])
+            rhs = _dense_matmul(ads[j - 1], ads[i - 1])
             commutator = [[lhs[r][c] - rhs[r][c] for c in range(n)] for r in range(n)]
             if ad_bracket != commutator:
                 return False

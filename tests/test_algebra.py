@@ -170,6 +170,17 @@ def test_load_algebra_path_with_braces(tmp_path, monkeypatch):
     assert csv_table("--file", "{alg}.json") == want
 
 
+MALFORMED_DOCUMENTS = [
+    ({"dim": 2, "params": ["a"], "constraints": ["a"]}, "'constraints' must be a list of objects"),
+    ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": [1]}]}, "'out' must be an object"),
+    ({"dim": 2, "params": 5}, "'params' must be a list of strings"),
+    ({"dim": 2, "params": [1]}, "'params' must be a list of strings"),
+    ({"dim": 2, "brackets": {"i": 1, "j": 2}}, "'brackets' must be a list of objects"),
+    ({"dim": float("inf")}, "integer 'dim'"),
+    ({"dim": 2, "brackets": [{"i": float("inf"), "j": 2}]}, "bad bracket entry"),
+]
+
+
 def test_load_algebra_errors():
     with pytest.raises(AlgebraError):
         load_algebra("{not json")
@@ -178,6 +189,10 @@ def test_load_algebra_errors():
     with pytest.raises(AlgebraError):
         load_algebra(json.dumps({
             "dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": "gamma"}}]}))
+    # a field of the wrong JSON type is named in the error, not a traceback
+    for doc, field in MALFORMED_DOCUMENTS:
+        with pytest.raises(AlgebraError, match=field):
+            load_algebra(doc)
     bad = {"dim": 3, "brackets": [
         {"i": 1, "j": 2, "out": {"3": "1"}},
         {"i": 1, "j": 3, "out": {"1": "1"}},

@@ -2,6 +2,7 @@ import io
 import json
 import os
 from collections import Counter
+from math import comb
 
 from superhomology import (catalog_get, chain_dim, cli, generator_system, homology,
                            zero_piece_matrix)
@@ -10,6 +11,7 @@ from superhomology.matrix import RationalMatrix
 
 from conftest import EXPECTED_DIR
 from oracles import naive_rank
+from test_algebra import MALFORMED_DOCUMENTS
 
 
 def run(argv):
@@ -116,16 +118,16 @@ def test_sweep_reports_kappa_jump():
 
 
 def test_dump_matrix_and_report(tmp_path, monkeypatch):
-    # count assemblies wherever the table path can reach boundary_matrix
+    # count the assemblies the table makes: every algebra goes through zero_piece_matrix
     calls = Counter()
-    real = homology.boundary_matrix
+    real = homology.zero_piece_matrix
 
     def counting(gs, m, w):
         calls[(w, m)] += 1
         return real(gs, m, w)
 
     for module in (homology, cli):
-        monkeypatch.setattr(module, "boundary_matrix", counting, raising=False)
+        monkeypatch.setattr(module, "zero_piece_matrix", counting, raising=False)
     dump_dir = tmp_path / "mats"
     report = tmp_path / "report.json"
     code, out, _ = run(["table", "--algebra", "heis3", "--wmax", "2",
@@ -222,10 +224,29 @@ def test_usage_errors_exit_2(tmp_path):
                               "--wmax", "2", flag, str(tmp_path / name)])
         assert code == 2 and "--sweep" in err and flag in err and not out
         assert not (tmp_path / name).exists()
+    # malformed algebra documents name the bad field
+    for doc, field in MALFORMED_DOCUMENTS:
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(["table", "--file", str(path), "--wmax", "1"])
+        assert code == 2 and field in err and not out
     code, _, _ = run(["no-such-command"])
     assert code == 2
     code, _, _ = run([])
     assert code == 2
+
+
+def test_file_algebra_of_dim_10(tmp_path):
+    # 1023 generators: the basis listing takes no stack frame per generator
+    path = tmp_path / "abelian10.json"
+    path.write_text(json.dumps({"name": "abelian10", "dim": 10, "brackets": []}),
+                    encoding="utf-8")
+    code, out, err = run(["table", "--file", str(path), "--wmax", "0", "--format", "json"])
+    assert code == 0, err
+    [row] = json.loads(out)["rows"]
+    assert row["degrees"] == list(range(11))
+    assert row["dims"] == [comb(10, m) for m in range(11)]
+    assert row["betti"] == row["dims"]  # the boundary is zero
 
 
 def test_file_source_with_params(tmp_path):

@@ -9,7 +9,7 @@ from superhomology import (boundary_matrix, catalog_get, generator_system,
                            rank_report, support_degrees)
 from superhomology.matrix import RationalMatrix
 
-from oracles import kernel_dim, naive_rank, rank
+from oracles import kernel_dim, matmul, naive_rank, rank, transpose
 
 
 def random_matrix(rng, rows, cols, density=0.3, denominators=True):
@@ -69,7 +69,7 @@ def test_rank_transpose_and_scaling_invariance():
     for _ in range(25):
         matrix = random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
         r = rank(matrix)
-        assert rank(matrix.transpose()) == r
+        assert rank(transpose(matrix)) == r
         scaled = RationalMatrix(matrix.rows, matrix.cols)
         scales = [F(rng.choice([1, 2, 3, -1, -5]), rng.choice([1, 2])) for _ in range(matrix.rows)]
         for (i, j), v in matrix.entries.items():
@@ -94,7 +94,7 @@ def test_rank_of_product_bound():
     for _ in range(20):
         a = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         b = random_matrix(rng, a.cols, rng.randint(1, 8))
-        assert rank(a.matmul(b)) <= min(rank(a), rank(b))
+        assert rank(matmul(a, b)) <= min(rank(a), rank(b))
 
 
 def test_rank_deficient_products_against_oracle():
@@ -106,7 +106,7 @@ def test_rank_deficient_products_against_oracle():
         rows, cols = rng.randint(2, 12), rng.randint(2, 12)
         k = rng.randint(1, min(rows, cols) - 1)
         factor = random_matrix(rng, rows, k, density=rng.uniform(0.4, 1.0))
-        matrix = factor.matmul(random_matrix(rng, k, cols, density=rng.uniform(0.4, 1.0)))
+        matrix = matmul(factor, random_matrix(rng, k, cols, density=rng.uniform(0.4, 1.0)))
         copies = [rng.randrange(rows) for _ in range(rng.randint(1, 4))]
         padded = RationalMatrix(rows + len(copies), cols)
         padded.entries = dict(matrix.entries)
@@ -116,7 +116,7 @@ def test_rank_deficient_products_against_oracle():
                 padded.set(rows + offset, c, matrix.get(src, c) * scale)
         expected = naive_rank(padded)
         assert expected <= k
-        for case in (padded, padded.transpose()):
+        for case in (padded, transpose(padded)):
             report = rank_report(case)
             assert report.rank == expected, trial
             assert_pivots_nonsingular(case, report)
