@@ -15,15 +15,14 @@ from .algebra import (AlgebraError, AlgebraSpec, CatalogError, JacobiError,
                       catalog_spec, check_jacobi, load_algebra,
                       parse_algebra_document)
 from .chain import (SuperMonomial, boundary_matrix, chain_basis, chain_dim,
-                    format_monomial, support_degrees, torus_pieces,
-                    zero_piece_matrix)
-from .exterior import (GeneratorSystem, Multivector, WedgeBasisElement,
-                       bracket_table, generator_system, paper_level2_basis,
+                    format_monomial, support_degrees, torus_pieces)
+from .exterior import (GeneratorSystem, Multivector, bracket_table,
+                       generator_system, paper_level2_basis,
                        render_bracket_table, schouten, wedge_basis)
 from .homology import (BettiRow, BettiTable, TableDiff, TableInvariantError,
                        betti_row, betti_table, load_expected, verify_table)
 from .matrix import RationalMatrix
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .ranklin import BACKEND, EliminationReport, rank_report
 
 __version__ = "0.1.0"
@@ -31,13 +30,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraError", "AlgebraSpec", "BACKEND", "BettiRow", "BettiTable",
     "CatalogError", "EliminationReport", "GeneratorSystem", "JacobiError",
-    "Multivector", "Rational", "RationalMatrix", "StructureConstants",
-    "SuperMonomial", "TableDiff", "TableInvariantError", "WedgeBasisElement",
-    "betti_row", "betti_table", "boundary_matrix", "bracket_table",
-    "catalog_get", "catalog_names", "catalog_spec", "chain_basis", "chain_dim",
-    "check_jacobi", "format_monomial", "format_rational", "generator_system",
-    "load_algebra", "load_expected", "paper_level2_basis",
-    "parse_algebra_document", "parse_rational", "rank_report",
-    "render_bracket_table", "schouten", "support_degrees", "torus_pieces",
-    "verify_table", "wedge_basis", "zero_piece_matrix",
+    "Multivector", "RationalMatrix", "StructureConstants", "SuperMonomial",
+    "TableDiff", "TableInvariantError", "betti_row", "betti_table",
+    "boundary_matrix", "bracket_table", "catalog_get", "catalog_names",
+    "catalog_spec", "chain_basis", "chain_dim", "check_jacobi",
+    "format_monomial", "format_rational", "generator_system", "load_algebra",
+    "load_expected", "paper_level2_basis", "parse_algebra_document",
+    "parse_rational", "rank_report", "render_bracket_table", "schouten",
+    "support_degrees", "torus_pieces", "verify_table", "wedge_basis",
 ]

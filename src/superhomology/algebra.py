@@ -195,6 +195,18 @@ def _list_field(doc: dict, key: str, kind: type, what: str) -> list:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """An int or its decimal text; a float or bool (which ``int()`` would cut) raises."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise AlgebraError(f"{what}, got {value!r}")
+    return value
+
+
 def parse_algebra_document(doc) -> AlgebraSpec:
     """Parse the JSON algebra-description document into an :class:`AlgebraSpec`."""
     if isinstance(doc, (str, bytes)):
@@ -204,10 +216,7 @@ def parse_algebra_document(doc) -> AlgebraSpec:
             raise AlgebraError(f"algebra document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise AlgebraError("algebra document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise AlgebraError("algebra document needs an integer 'dim'")
+    dim = _integer(doc.get("dim"), "algebra document needs an integer 'dim'")
     name = str(doc.get("name", ""))
     params = _list_field(doc, "params", str, "strings")
     constraints = []
@@ -219,10 +228,8 @@ def parse_algebra_document(doc) -> AlgebraSpec:
             constraints.append((p, "nonzero"))
     brackets = {}
     for entry in _list_field(doc, "brackets", dict, "objects"):
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise AlgebraError(f"bad bracket entry: {entry!r}")
+        i, j = (_integer(entry.get(f), f"bad bracket entry {entry!r}: {f!r} must be an integer")
+                for f in ("i", "j"))
         if not (1 <= i < j <= dim):
             raise AlgebraError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
         out_doc = entry.get("out", {})
@@ -230,7 +237,7 @@ def parse_algebra_document(doc) -> AlgebraSpec:
             raise AlgebraError(f"bracket ({i}, {j}): 'out' must be an object, got {out_doc!r}")
         out = {}
         for k_str, value in out_doc.items():
-            k = int(k_str)
+            k = _integer(k_str, f"bracket ({i}, {j}): output index must be an integer")
             if not (1 <= k <= dim):
                 raise AlgebraError(f"bracket output index {k} out of range")
             terms = value if isinstance(value, list) else [value]

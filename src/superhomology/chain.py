@@ -65,10 +65,9 @@ def _counts(gs: GeneratorSystem, w: int, graded: bool) -> dict[tuple[int, tuple[
     in C(s, c) ways for even grades and C(s + c - 1, c) for odd ones.
     Ungraded counts carry the empty torus weight ().
     """
-    key = ("counts", w, graded)
-    cache = gs._chain_cache
-    if key in cache:
-        return cache[key]
+    cache = gs._count_cache
+    if (w, graded) in cache:
+        return cache[w, graded]
     coords = gs.torus if graded else ()
     groups: dict[tuple[int, tuple[int, ...]], int] = {}
     for gid, grade in enumerate(gs.grades):
@@ -82,12 +81,12 @@ def _counts(gs: GeneratorSystem, w: int, graded: bool) -> dict[tuple[int, tuple[
             # even letters square to zero; odd ones have grade >= 1
             while dw + c * grade <= w and (grade % 2 or c <= size):
                 mult = comb(size + c - 1, c) if grade % 2 else comb(size, c)
-                key2 = (dm + c, dw + c * grade, tuple(a + c * b for a, b in zip(dt, torus)))
-                nxt[key2] = nxt.get(key2, 0) + ways * mult
+                key = (dm + c, dw + c * grade, tuple(a + c * b for a, b in zip(dt, torus)))
+                nxt[key] = nxt.get(key, 0) + ways * mult
                 c += 1
         states = nxt
     result = {(dm, dt): n for (dm, dw, dt), n in states.items() if dw == w}
-    cache[key] = result
+    cache[w, graded] = result
     return result
 
 
@@ -133,10 +132,6 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
     """All monomials of degree m and weight w, ordered by (even bits, odd exponents) lex."""
     if m < 0 or w < 0:
         return []
-    key = ("basis", m, w)
-    cache = gs._chain_cache
-    if key in cache:
-        return cache[key]
     n_even = len(gs.even_ids)
     # a letter of grade above w never occurs, and grades rise with the id
     # within each parity, so each part is listed over a prefix of its letters
@@ -160,20 +155,13 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
                 e += even_pad
                 out += [SuperMonomial(e, o) for o in odd_exps]
     out.sort()
-    cache[key] = out
     return out
 
 
 def zero_piece_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
     """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order."""
-    key = ("zero", m, w)
-    cache = gs._chain_cache
-    if key in cache:
-        return cache[key]
-    out = [mono for mono in chain_basis(gs, m, w)
-           if not any(sum(map(mul, mono.evens + mono.odds, coord)) for coord in gs.torus)]
-    cache[key] = out
-    return out
+    return [mono for mono in chain_basis(gs, m, w)
+            if not any(sum(map(mul, mono.evens + mono.odds, coord)) for coord in gs.torus)]
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
@@ -244,8 +232,8 @@ def _boundary_terms(gs: GeneratorSystem, exps: tuple[int, ...]) -> dict[tuple[in
     return out
 
 
-def _assemble(gs: GeneratorSystem, cols: list[SuperMonomial],
-              rows: list[SuperMonomial]) -> RationalMatrix:
+def assemble(gs: GeneratorSystem, cols: list[SuperMonomial],
+             rows: list[SuperMonomial]) -> RationalMatrix:
     """Boundary of each column monomial, written in the coordinates of ``rows``."""
     matrix = RationalMatrix(len(rows), len(cols))
     if not cols or not rows:
@@ -267,14 +255,7 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     """
     if m < 1:
         raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
-    return _assemble(gs, chain_basis(gs, m, w), chain_basis(gs, m - 1, w))
-
-
-def zero_piece_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
-    """``boundary_matrix`` restricted to the torus-weight-0 piece, in ``zero_piece_basis`` order."""
-    if m < 1:
-        raise AlgebraError(f"zero_piece_matrix needs degree >= 1, got {m}")
-    return _assemble(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
+    return assemble(gs, chain_basis(gs, m, w), chain_basis(gs, m - 1, w))
 
 
 # ---------------------------------------------------------------------------

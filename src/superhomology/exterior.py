@@ -34,45 +34,12 @@ from .ranklin import eliminate
 from .rational import format_rational
 
 
-class WedgeBasisElement:
-    """A canonical basis wedge z_{i1} ^ ... ^ z_{ik} with i1 < ... < ik."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: Sequence[int]):
-        indices = tuple(indices)
-        if any(a >= b for a, b in zip(indices, indices[1:])):
-            raise AlgebraError(f"indices must be strictly increasing: {indices}")
-        self.indices = indices
-
-    @property
-    def level(self) -> int:
-        return len(self.indices)
-
-    @property
-    def grade(self) -> int:
-        return len(self.indices) - 1
-
-    @property
-    def parity(self) -> int:
-        return (len(self.indices) - 1) % 2
-
-    def __eq__(self, other):
-        return isinstance(other, WedgeBasisElement) and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return "z" + "^z".join(str(i) for i in self.indices)
-
-
-def wedge_basis(sc: StructureConstants, k: int) -> list[WedgeBasisElement]:
-    """The C(n, k) canonical basis elements of the level-k exterior power, lex order."""
+def wedge_basis(sc: StructureConstants, k: int) -> list[tuple[int, ...]]:
+    """Index tuples i1 < ... < ik of the C(n, k) canonical level-k wedges, lex order."""
     n = sc.dim
     if not (1 <= k <= n):
         raise AlgebraError(f"level {k} out of range 1..{n}")
-    return [WedgeBasisElement(c) for c in combinations(range(1, n + 1), k)]
+    return list(combinations(range(1, n + 1), k))
 
 
 def sort_indices(seq: Iterable[int]) -> tuple[int, tuple[int, ...]] | None:
@@ -259,6 +226,15 @@ def _invert(columns: list[dict[int, Fraction]], size: int) -> list[list[Fraction
     return [row[size:] for row in aug]
 
 
+# Generators are built eagerly, 2^dim - 1 of them, and every chain monomial
+# holds exponent tuples over all of them.  On a 2-core host, abelian
+# algebras read with --file ran `table --wmax 0` in 3-4 s at dim 12, 11-12 s
+# (370 MB) at dim 13 and 36 s at dim 14; dim 40 ran 61 s and died with a
+# MemoryError under a 3 GB address-space limit.  So a larger dim is refused
+# before any generator is built.
+MAX_DIM = 12  # 4,095 generators
+
+
 class GeneratorSystem:
     """All generators of the superalgebra built on a Lie algebra.
 
@@ -273,6 +249,9 @@ class GeneratorSystem:
                  level_bases: dict[int, list[tuple[str, Multivector]]] | None = None):
         self.sc = sc
         n = sc.dim
+        if n > MAX_DIM:
+            raise AlgebraError(f"dim {n} needs 2^{n} - 1 generators; at most dim {MAX_DIM} "
+                               f"({2 ** MAX_DIM - 1} generators) is supported")
         level_bases = level_bases or {}
         per_level: dict[int, list[tuple[str, Multivector]]] = {}
         for k in range(1, n + 1):
@@ -286,38 +265,22 @@ class GeneratorSystem:
                         raise AlgebraError(f"alias element at level {k} has level {mv.level}")
                 per_level[k] = basis
             else:
-                per_level[k] = [("", Multivector.basis(e.indices))
-                                for e in wedge_basis(sc, k)]
+                per_level[k] = [("", Multivector.basis(e)) for e in wedge_basis(sc, k)]
 
         self.generators: list[Generator] = []
         self.level_to_gens: dict[int, list[int]] = {}
-        even_count = odd_count = 0
-        for parity in (0, 1):
-            for k in range(1, n + 1):
-                if (k - 1) % 2 != parity:
-                    continue
+        for parity, letter in ((0, "z"), (1, "u")):
+            count = 0  # unnamed generators are numbered within their parity
+            for k in range(1 + parity, n + 1, 2):
                 ids = []
                 for name, mv in per_level[k]:
                     idx = len(self.generators)
-                    if not name:
-                        if parity == 0:
-                            even_count += 1
-                            name = f"z{even_count}"
-                        else:
-                            odd_count += 1
-                            name = f"u{odd_count}"
-                    else:
-                        if parity == 0:
-                            even_count += 1
-                        else:
-                            odd_count += 1
-                    self.generators.append(Generator(idx, name, k, mv))
+                    count += 1
+                    self.generators.append(Generator(idx, name or f"{letter}{count}", k, mv))
                     ids.append(idx)
                 self.level_to_gens[k] = ids
         self.even_ids = [g.index for g in self.generators if g.parity == 0]
         self.odd_ids = [g.index for g in self.generators if g.parity == 1]
-        self.even_pos = {gid: i for i, gid in enumerate(self.even_ids)}
-        self.odd_pos = {gid: i for i, gid in enumerate(self.odd_ids)}
         self.grades = tuple(g.grade for g in self.generators)
         self.count = len(self.generators)
 
@@ -325,7 +288,7 @@ class GeneratorSystem:
         self._expand_inverse: dict[int, list[list[Fraction]]] = {}
         self._canon_index: dict[int, dict[tuple[int, ...], int]] = {}
         for k in range(1, n + 1):
-            order = [e.indices for e in wedge_basis(sc, k)]
+            order = wedge_basis(sc, k)
             self._canon_index[k] = {idx: r for r, idx in enumerate(order)}
             if k in level_bases:
                 cols = []
@@ -334,9 +297,9 @@ class GeneratorSystem:
                     cols.append({self._canon_index[k][idx]: c for idx, c in mv.coeffs.items()})
                 self._expand_inverse[k] = _invert(cols, len(order))
         self._pair_cache: dict[tuple[int, int], tuple[tuple[Fraction, int], ...]] = {}
-        # owned by chain.py: ("counts", w, graded) -> degree and torus-weight counts,
-        # ("basis", m, w) -> chain_basis, ("zero", m, w) -> zero_piece_basis
-        self._chain_cache: dict[tuple[str, int, int | bool], object] = {}
+        # owned by chain._counts: (w, graded) -> {(degree, torus weight): count};
+        # bases are listed per call and never kept
+        self._count_cache: dict[tuple[int, bool], dict[tuple[int, tuple[int, ...]], int]] = {}
 
     @property
     def dim(self) -> int:

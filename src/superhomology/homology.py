@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .chain import chain_dim, support_degrees, torus_pieces, zero_piece_matrix
+from .chain import assemble, chain_dim, support_degrees, torus_pieces, zero_piece_basis
 from .exterior import GeneratorSystem
 from .matrix import RationalMatrix
 from .ranklin import EliminationReport, rank_report
@@ -172,20 +172,23 @@ def betti_row(gs: GeneratorSystem, w: int,
               on_cell: CellCallback | None = None) -> BettiRow:
     """Assemble and check one weight: supports by counting, ranks shared across cells.
 
-    Each support degree m >= 1 has its torus-weight-0 piece assembled and
-    ranked once (0 x k when m-1 is empty); without a torus grading that piece
-    is the whole cell.  ``on_cell(w, m, matrix, report, forced)`` receives
-    what was eliminated and the rank the other pieces add to it.
+    The torus-weight-0 basis of each support degree is listed once and kept
+    only while the row is computed.  Each support degree m >= 1 has its
+    piece assembled from those lists and ranked once (0 x k when m-1 is
+    empty); without a torus grading that piece is the whole cell.
+    ``on_cell(w, m, matrix, report, forced)`` receives what was eliminated
+    and the rank the other pieces add to it.
     """
     degrees = support_degrees(gs, w)
     if not degrees:
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
     ranks, piece_dims = _piece_ranks(gs, w)
+    bases = {m: zero_piece_basis(gs, m, w) for m in degrees}
     for m in degrees:
         if m < 1:
             continue
-        matrix = zero_piece_matrix(gs, m, w)
+        matrix = assemble(gs, bases[m], bases.get(m - 1, []))
         shape = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
         if (matrix.rows, matrix.cols) != shape:
             raise TableInvariantError(

@@ -9,17 +9,22 @@ from .rational import format_rational, parse_rational
 
 
 class RationalMatrix:
-    """A rows x cols sparse matrix over the rationals; zeros are not stored."""
+    """A rows x cols sparse matrix over the rationals; zeros are not stored.
+
+    Entries are ``int`` or ``Fraction``: the boundary assembly stores the
+    ints that integral brackets give as they are, and ``set`` stores a
+    ``Fraction``.  Both compare and hash equal when their values are equal.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int,
-                 entries: Iterable[tuple[int, int, Fraction]] | None = None):
+                 entries: Iterable[tuple[int, int, int | Fraction]] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError(f"bad shape {rows} x {cols}")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], int | Fraction] = {}
         if entries:
             for r, c, v in entries:
                 self.set(r, c, v)
@@ -33,7 +38,7 @@ class RationalMatrix:
         else:
             self.entries.pop((r, c), None)
 
-    def get(self, r: int, c: int) -> Fraction:
+    def get(self, r: int, c: int) -> int | Fraction:
         return self.entries.get((r, c), Fraction(0))
 
     def is_zero(self) -> bool:
@@ -42,8 +47,8 @@ class RationalMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def row_lists(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
+    def row_lists(self) -> list[dict[int, int | Fraction]]:
+        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out

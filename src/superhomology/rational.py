@@ -1,15 +1,16 @@
 """Exact rational scalars.
 
-All coefficients in this package are ``fractions.Fraction`` values: reduced,
-positive denominator, arbitrary precision.  This module only adds the string
-form used by every file format: ``"p/q"`` or ``"p"``, no decimals.
+Every coefficient in this package is exact.  Structure constants and
+multivectors hold ``fractions.Fraction`` values (reduced, positive
+denominator, arbitrary precision); pair brackets and boundary matrix entries
+are ``int`` where they are integral and ``Fraction`` otherwise.  This module
+only adds the string form used by every file format: ``"p/q"`` or ``"p"``,
+no decimals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:

@@ -11,8 +11,8 @@ product and transpose live here too: only tests use them.
 
 from fractions import Fraction
 
-from superhomology.chain import (SuperMonomial, _boundary_terms, boundary_matrix,
-                                 chain_basis, chain_dim, support_degrees)
+from superhomology.chain import (SuperMonomial, _boundary_terms, assemble, boundary_matrix,
+                                 chain_basis, chain_dim, support_degrees, zero_piece_basis)
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.matrix import RationalMatrix
 from superhomology.ranklin import rank_report
@@ -47,14 +47,16 @@ def sort_generator_word(gs, word):
 
 def word_to_monomial(gs, word) -> SuperMonomial:
     """Canonical (sorted, even-square-free) word -> monomial."""
-    evens = [0] * len(gs.even_ids)
-    odds = [0] * len(gs.odd_ids)
+    even_pos = {gid: i for i, gid in enumerate(gs.even_ids)}
+    odd_pos = {gid: i for i, gid in enumerate(gs.odd_ids)}
+    evens = [0] * len(even_pos)
+    odds = [0] * len(odd_pos)
     for gid in word:
-        pos = gs.even_pos.get(gid)
+        pos = even_pos.get(gid)
         if pos is not None:
             evens[pos] += 1
         else:
-            odds[gs.odd_pos[gid]] += 1
+            odds[odd_pos[gid]] += 1
     return SuperMonomial(tuple(evens), tuple(odds))
 
 
@@ -185,6 +187,11 @@ def torus_weight(gs, mono) -> tuple:
     """Torus weight of a monomial, summed letter by letter."""
     word = monomial_word(gs, mono)
     return tuple(sum(coord[gid] for gid in word) for coord in gs.torus)
+
+
+def zero_piece_matrix(gs, m, w) -> RationalMatrix:
+    """``boundary_matrix`` restricted to the torus-weight-0 piece, in ``zero_piece_basis`` order."""
+    return assemble(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
 
 
 def _positions(keys):

@@ -178,6 +178,17 @@ MALFORMED_DOCUMENTS = [
     ({"dim": 2, "brackets": {"i": 1, "j": 2}}, "'brackets' must be a list of objects"),
     ({"dim": float("inf")}, "integer 'dim'"),
     ({"dim": 2, "brackets": [{"i": float("inf"), "j": 2}]}, "bad bracket entry"),
+    # int() would cut these to an index, and the fractional one loads as aff1
+    ({"dim": 2.9, "brackets": [{"i": 1.9, "j": 2, "out": {"1": "1"}}]}, "integer 'dim', got 2.9"),
+    ({"dim": 2, "brackets": [{"i": 1.9, "j": 2, "out": {"1": "1"}}]},
+     "'i' must be an integer, got 1.9"),
+    ({"dim": 2, "brackets": [{"i": True, "j": 2, "out": {"1": "1"}}]},
+     "'i' must be an integer, got True"),
+    ({"dim": 2, "brackets": [{"i": 1, "j": 2.5, "out": {"1": "1"}}]},
+     "'j' must be an integer, got 2.5"),
+    ({"dim": True}, "integer 'dim', got True"),
+    ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1.5": "1"}}]},
+     "output index must be an integer, got '1.5'"),
 ]
 
 

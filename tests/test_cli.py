@@ -1,16 +1,15 @@
 import io
 import json
 import os
-from collections import Counter
+import time
 from math import comb
 
-from superhomology import (catalog_get, chain_dim, cli, generator_system, homology,
-                           zero_piece_matrix)
+from superhomology import catalog_get, chain_dim, generator_system, homology
 from superhomology.cli import run_cli
 from superhomology.matrix import RationalMatrix
 
 from conftest import EXPECTED_DIR
-from oracles import naive_rank
+from oracles import monomial_degree, monomial_weight, naive_rank, zero_piece_matrix
 from test_algebra import MALFORMED_DOCUMENTS
 
 
@@ -118,16 +117,21 @@ def test_sweep_reports_kappa_jump():
 
 
 def test_dump_matrix_and_report(tmp_path, monkeypatch):
-    # count the assemblies the table makes: every algebra goes through zero_piece_matrix
-    calls = Counter()
-    real = homology.zero_piece_matrix
+    # record the assemblies the table makes: betti_row assembles every cell through
+    # homology.assemble, and the whole matrices of --dump-matrix do not pass there
+    assembled = []
+    real = homology.assemble
 
-    def counting(gs, m, w):
-        calls[(w, m)] += 1
-        return real(gs, m, w)
+    def recording(gs, cols, rows):
+        matrix = real(gs, cols, rows)
+        # the cell (w, m) read off a column or row monomial; None when both are empty
+        mono, shift = next(((basis[0], s) for basis, s in ((cols, 0), (rows, 1)) if basis),
+                           (None, 0))
+        cell = None if mono is None else (monomial_weight(gs, mono), monomial_degree(mono) + shift)
+        assembled.append((cell, matrix.rows, matrix.cols))
+        return matrix
 
-    for module in (homology, cli):
-        monkeypatch.setattr(module, "zero_piece_matrix", counting, raising=False)
+    monkeypatch.setattr(homology, "assemble", recording)
     dump_dir = tmp_path / "mats"
     report = tmp_path / "report.json"
     code, out, _ = run(["table", "--algebra", "heis3", "--wmax", "2",
@@ -150,8 +154,8 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assert all(r["rank"] >= 0 and "pivots" in r for r in reports)
     # one assembly per cell, and the dump and the report cover the same cells
     cells = [(r["w"], r["m"]) for r in reports]
-    assert cells == sorted(cells) and set(calls.values()) == {1}
-    assert sorted(calls) == cells
+    assert cells == sorted(set(cells))
+    assert [(cell, r["rows"], r["cols"]) for cell, r in zip(cells, reports)] == assembled
     assert sorted(f"boundary_w{w}_m{m}.txt" for w, m in cells) == \
         sorted(f for f in dumped if f.startswith("boundary_"))
     # one piece: the eliminated matrix is the dumped one, and nothing is forced
@@ -161,16 +165,21 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         assert r["forced_rank"] == 0 and r["cell_rank"] == r["rank"]
 
     # gl2 is graded: only the torus-weight-0 piece is eliminated, the dump stays whole
-    calls.clear()
+    assembled.clear()
     gl2_dir = tmp_path / "gl2"
     gl2_report = tmp_path / "gl2.json"
     code, _, _ = run(["table", "--algebra", "gl2", "--wmax", "3", "--format", "csv",
                       "--dump-matrix", str(gl2_dir), "--report", str(gl2_report)])
     assert code == 0
-    assert calls and max(calls.values()) == 1
     gs = generator_system(catalog_get("gl2"))
     reports = json.loads(gl2_report.read_text())
-    assert sorted(calls) == [(r["w"], r["m"]) for r in reports]
+    # at most one assembly per cell: the i-th assembly made the i-th reported matrix,
+    # and its cell is that report's wherever a basis monomial names it
+    cells = [(r["w"], r["m"]) for r in reports]
+    assert cells and cells == sorted(set(cells)) and len(assembled) == len(reports)
+    for (cell, rows, cols), r, reported in zip(assembled, reports, cells):
+        assert cell in (None, reported) and (rows, cols) == (r["rows"], r["cols"])
+    assert any(cell for cell, _, _ in assembled)
     assert any(r["forced_rank"] for r in reports)
     for r in reports:
         w, m = r["w"], r["m"]
@@ -247,6 +256,20 @@ def test_file_algebra_of_dim_10(tmp_path):
     assert row["degrees"] == list(range(11))
     assert row["dims"] == [comb(10, m) for m in range(11)]
     assert row["betti"] == row["dims"]  # the boundary is zero
+
+
+def test_file_algebra_over_the_dim_cap_is_refused(tmp_path):
+    # 2^dim - 1 generators: dim 13 takes over 10 s and dim 40 runs out of memory
+    for dim in (13, 40):
+        path = tmp_path / f"abelian{dim}.json"
+        path.write_text(json.dumps({"dim": dim, "brackets": []}), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(["table", "--file", str(path), "--wmax", "0"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and f"dim {dim} needs 2^{dim} - 1 generators" in err and not out
+        # check-jacobi builds no generators
+        code, out, _ = run(["check-jacobi", "--file", str(path)])
+        assert code == 0 and "Jacobi identity holds" in out
 
 
 def test_file_source_with_params(tmp_path):

@@ -8,8 +8,9 @@ from math import comb
 
 import pytest
 
-from superhomology import (TableInvariantError, betti_row, betti_table,
-                           catalog_get, generator_system, homology, verify_table)
+from superhomology import (SuperMonomial, TableInvariantError, betti_row,
+                           betti_table, catalog_get, generator_system, homology,
+                           verify_table)
 
 from conftest import EXPECTED_DIR, REPO_ROOT
 from oracles import euler_check
@@ -131,7 +132,7 @@ def test_betti_invariant_under_random_alias_bases():
     rng = random.Random(424242)
 
     def random_invertible_basis(sc, level):
-        elements = [e.indices for e in wedge_basis(sc, level)]
+        elements = wedge_basis(sc, level)
         size = len(elements)
         perm = list(range(size))
         rng.shuffle(perm)
@@ -274,3 +275,27 @@ def test_wrong_rank_raises_instead_of_returning_row(monkeypatch):
     monkeypatch.setattr(homology, "rank_report", off_by_one)
     with pytest.raises(TableInvariantError):
         betti_table(generator_system(catalog_get("heis3")), 3)
+
+
+def _held_monomials(value) -> int:
+    """Chain monomials reachable from ``value`` through dicts, lists, tuples and sets."""
+    if isinstance(value, SuperMonomial):
+        return 1
+    if isinstance(value, dict):
+        return sum(_held_monomials(k) + _held_monomials(v) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(map(_held_monomials, value))
+    return 0
+
+
+@pytest.mark.parametrize("name, w_max", [("heis3", 25), ("gl2", 6)])
+def test_table_leaves_no_basis_on_the_generator_system(name, w_max):
+    # each weight's bases are listed by its row and dropped when the row returns
+    gs = generator_system(catalog_get(name))
+    betti_table(gs, w_max)
+    assert _held_monomials(vars(gs)) == 0
+    # what stays is the counting DP: {(degree, torus weight): count} per (w, graded)
+    assert set(gs._count_cache) <= {(w, graded) for w in range(w_max + 1)
+                                    for graded in (False, True)}
+    for counts in gs._count_cache.values():
+        assert all(type(n) is int for n in counts.values())

@@ -104,7 +104,7 @@ def test_gl2_w7_ranks_pinned():
 CORRUPT = """
 from superhomology import TableInvariantError, betti_row, catalog_get, generator_system, homology
 from superhomology.matrix import RationalMatrix
-real_pieces, real_matrix = homology.torus_pieces, homology.zero_piece_matrix
+real_pieces, real_assemble = homology.torus_pieces, homology.assemble
 
 def corrupted(move):
     def pieces(gs, w):
@@ -117,21 +117,21 @@ def corrupted(move):
         return out
     return pieces
 
-def padded(gs, m, w):  # one row more than the zero piece has
-    matrix = real_matrix(gs, m, w)
+def padded(gs, cols, rows):  # one row more than the zero piece has
+    matrix = real_assemble(gs, cols, rows)
     return RationalMatrix(matrix.rows + 1, matrix.cols,
                           [(r, c, v) for (r, c), v in matrix.entries.items()])
 
-for pieces, matrix in ((corrupted(False), real_matrix), (corrupted(True), real_matrix),
-                       (real_pieces, padded)):
-    homology.torus_pieces, homology.zero_piece_matrix = pieces, matrix
+for pieces, assemble in ((corrupted(False), real_assemble), (corrupted(True), real_assemble),
+                         (real_pieces, padded)):
+    homology.torus_pieces, homology.assemble = pieces, assemble
     try:
         betti_row(generator_system(catalog_get("gl2")), 3)
     except TableInvariantError as exc:
         print(exc)
     else:
         print("accepted")
-homology.torus_pieces, homology.zero_piece_matrix = real_pieces, real_matrix
+homology.torus_pieces, homology.assemble = real_pieces, real_assemble
 """
 
 
@@ -142,7 +142,7 @@ def _check_corruption_messages(lines):
 
 
 def test_corrupted_piece_count_raises(monkeypatch, capsys):
-    for name in ("torus_pieces", "zero_piece_matrix"):  # restored after the test
+    for name in ("torus_pieces", "assemble"):  # restored after the test
         monkeypatch.setattr(homology, name, getattr(homology, name))
     exec(compile(CORRUPT, "corrupt", "exec"), {})
     _check_corruption_messages(capsys.readouterr().out.splitlines())
