@@ -102,23 +102,34 @@ class StructureConstants:
 
 
 def check_jacobi(sc: StructureConstants) -> list[tuple[tuple[int, int, int], tuple[Fraction, ...]]]:
-    """All triples i < j < k where [[z_i,z_j],z_k] + cyclic != 0, with residuals."""
+    """All triples i < j < k where [[z_i,z_j],z_k] + cyclic != 0, with residuals.
+
+    Only stored brackets are visited: [[z_a,z_b],z_c] is the sum over t of
+    c_ab^t [z_t, z_c], so it needs a stored pair (a, b) and a stored pair of
+    t and c.  A stored a < b and a third index c add that term to the triple
+    sorted(a, b, c), whose cyclic sum holds [[z_a,z_b],z_c] itself unless
+    a < c < b, where it holds [[z_b,z_a],z_c] instead.  The triples come out
+    in lex order, each residual as the full coefficient vector.
+    """
     n = sc.dim
-    violations = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                residual = [Fraction(0)] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = sc.bracket(a, b)
-                    for t in range(n):
-                        if inner[t]:
-                            outer = sc.bracket(t + 1, c)
-                            for s in range(n):
-                                residual[s] += inner[t] * outer[s]
-                if any(residual):
-                    violations.append(((i, j, k), tuple(residual)))
-    return violations
+    partners: dict[int, dict[int, tuple[Fraction, ...]]] = {}  # t -> {c: [z_t, z_c]}
+    for (i, j), vec in sc.entries.items():
+        partners.setdefault(i, {})[j] = vec
+        partners.setdefault(j, {})[i] = tuple(-c for c in vec)
+    residuals: dict[tuple[int, int, int], list[Fraction]] = {}
+    for (a, b), inner in sc.entries.items():
+        for t, ct in enumerate(inner, 1):
+            if not ct:
+                continue
+            for c, outer in partners.get(t, {}).items():
+                if c == a or c == b:
+                    continue
+                coeff = -ct if a < c < b else ct
+                residual = residuals.setdefault(tuple(sorted((a, b, c))), [Fraction(0)] * n)
+                for s, x in enumerate(outer):
+                    if x:
+                        residual[s] += coeff * x
+    return [(triple, tuple(res)) for triple, res in sorted(residuals.items()) if any(res)]
 
 
 class AlgebraSpec:

@@ -32,10 +32,19 @@ two types gives the same term with the same sign:
 
 So the sign is taken at the first occurrences, with a, b, the passed letters
 and the letters the bracket letter crosses all read off prefix counts of e.
+
+The brackets come from ``GeneratorSystem.int_brackets(w)``: an int table
+{(i, j): ((D_w * c, k), ...)} of the nonzero pair brackets a weight-w
+boundary can take, with D_w the lcm of their denominators (1 for an integral
+algebra).  A pair missing from the table costs one dict lookup.  So the
+terms are ints and ``boundary_rows`` assembles D_w times the boundary as int
+row dicts, which is what the table eliminates; ``boundary_matrix`` is those
+rows divided by D_w, the exact rational matrix.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -173,13 +182,15 @@ def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
 # Boundary operator.
 # ---------------------------------------------------------------------------
 
-def _boundary_terms(gs: GeneratorSystem, exps: tuple[int, ...]) -> dict[tuple[int, ...], object]:
-    """Boundary of the monomial with exponent vector ``exps`` (evens + odds).
+def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]],
+                    n_even: int, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """D_w times the boundary of the monomial with exponent vector ``exps`` (evens + odds).
 
-    Returns {target exponent vector: coefficient}; coefficients are int where
-    the pair brackets are, and entries that cancel are left at 0.
+    ``brackets`` is ``GeneratorSystem.int_brackets(w)[1]`` for the weight w
+    of the monomial, and ``n_even`` the number of even generators.  Returns
+    {target exponent vector: int coefficient}; entries that cancel are left
+    at 0.
     """
-    n_even = len(gs.even_ids)
     start = []  # letters of the sorted word before each generator id
     total = 0
     for e in exps:
@@ -187,12 +198,14 @@ def _boundary_terms(gs: GeneratorSystem, exps: tuple[int, ...]) -> dict[tuple[in
         total += e
     even_letters = start[n_even] if n_even < len(exps) else total
     present = [g for g, e in enumerate(exps) if e]
-    cache = gs._pair_cache
-    out: dict[tuple[int, ...], object] = {}
+    out: dict[tuple[int, ...], int] = {}
     for x, i in enumerate(present):
         ei = exps[i]
         si = start[i]
         for j in present[x:]:
+            bracket = brackets.get((i, j))
+            if bracket is None:
+                continue
             # sign exponent and slot of [Y_i, Y_j] at the first position pair
             if j == i:
                 if ei < 2:
@@ -204,11 +217,6 @@ def _boundary_terms(gs: GeneratorSystem, exps: tuple[int, ...]) -> dict[tuple[in
                 slot = start[j] - 1
                 # an odd Y_i passes the odd letters between it and Y_j
                 sign_exp = slot if i >= n_even else si
-            bracket = cache.get((i, j))
-            if bracket is None:
-                bracket = gs.pair_bracket(i, j)
-            if not bracket:
-                continue
             even_left = even_letters - (i < n_even) - (j < n_even)
             reduced = list(exps)
             reduced[i] -= 1
@@ -232,30 +240,44 @@ def _boundary_terms(gs: GeneratorSystem, exps: tuple[int, ...]) -> dict[tuple[in
     return out
 
 
-def assemble(gs: GeneratorSystem, cols: list[SuperMonomial],
-             rows: list[SuperMonomial]) -> RationalMatrix:
-    """Boundary of each column monomial, written in the coordinates of ``rows``."""
-    matrix = RationalMatrix(len(rows), len(cols))
+def boundary_rows(gs: GeneratorSystem, w: int, cols: list[SuperMonomial],
+                  rows: list[SuperMonomial]) -> list[dict[int, int]]:
+    """D_w times the boundary from the weight-w ``cols`` to ``rows``, as int rows.
+
+    Row r is {column index: entry}, zeros not stored, one row per monomial
+    of ``rows``; D_w is ``gs.int_brackets(w)[0]``.
+    """
+    out: list[dict[int, int]] = [{} for _ in rows]
     if not cols or not rows:
-        return matrix
+        return out
+    brackets = gs.int_brackets(w)[1]
+    n_even = len(gs.even_ids)
     row_index = {mono.evens + mono.odds: r for r, mono in enumerate(rows)}
-    entries = matrix.entries
     for c, mono in enumerate(cols):
-        for target, coeff in _boundary_terms(gs, mono.evens + mono.odds).items():
+        for target, coeff in _boundary_terms(brackets, n_even, mono.evens + mono.odds).items():
             if coeff:
-                entries[(row_index[target], c)] = coeff
-    return matrix
+                out[row_index[target]][c] = coeff
+    return out
 
 
 def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     """Matrix of the boundary from degree m to degree m-1 at weight w.
 
     Columns index the degree-m basis, rows the degree-(m-1) basis, both in
-    chain_basis order.  Empty spaces give 0 x k / k x 0 matrices.
+    chain_basis order.  Empty spaces give 0 x k / k x 0 matrices.  The
+    entries are ``boundary_rows`` divided by D_w, so ints stay ints when D_w
+    is 1.
     """
     if m < 1:
         raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
-    return assemble(gs, chain_basis(gs, m, w), chain_basis(gs, m - 1, w))
+    cols, rows = chain_basis(gs, m, w), chain_basis(gs, m - 1, w)
+    matrix = RationalMatrix(len(rows), len(cols))
+    scale = gs.int_brackets(w)[0]
+    entries = matrix.entries
+    for r, row in enumerate(boundary_rows(gs, w, cols, rows)):
+        for c, v in row.items():
+            entries[r, c] = v if scale == 1 else Fraction(v, scale)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

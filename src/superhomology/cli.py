@@ -139,15 +139,13 @@ def _cmd_table(args, out) -> int:
     _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
     reports: list[dict] = []
 
-    def on_cell(w, m, matrix, report, forced_rank):
+    def on_cell(w, m, shape, report, forced_rank):
         if args.dump_matrix:
-            # with a torus grading only the weight-0 piece was assembled
-            whole = boundary_matrix(gs, m, w) if gs.torus else matrix
             path = os.path.join(args.dump_matrix, f"boundary_w{w}_m{m}.txt")
             with open(path, "w", encoding="utf-8") as fh:
-                whole.dump(fh)
+                boundary_matrix(gs, m, w).dump(fh)
         if args.report:
-            reports.append({"w": w, "m": m, "rows": matrix.rows, "cols": matrix.cols,
+            reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1],
                             **report.to_dict(), "forced_rank": forced_rank,
                             "cell_rank": report.rank + forced_rank})
 

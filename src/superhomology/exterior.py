@@ -297,6 +297,8 @@ class GeneratorSystem:
                     cols.append({self._canon_index[k][idx]: c for idx, c in mv.coeffs.items()})
                 self._expand_inverse[k] = _invert(cols, len(order))
         self._pair_cache: dict[tuple[int, int], tuple[tuple[Fraction, int], ...]] = {}
+        # owned by int_brackets: w -> (D_w, int bracket table)
+        self._int_cache: dict[int, tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]] = {}
         # owned by chain._counts: (w, graded) -> {(degree, torus weight): count};
         # bases are listed per call and never kept
         self._count_cache: dict[tuple[int, bool], dict[tuple[int, tuple[int, ...]], int]] = {}
@@ -360,8 +362,7 @@ class GeneratorSystem:
     def pair_bracket(self, gi: int, gj: int) -> tuple[tuple[Fraction, int], ...]:
         """[generator, generator] as a combination of generators, memoized.
 
-        Integral coefficients are stored as int (equal to and cheaper than
-        the corresponding Fraction in the boundary inner loop).
+        Integral coefficients are stored as int, the others as Fraction.
         """
         key = (gi, gj)
         cached = self._pair_cache.get(key)
@@ -379,6 +380,34 @@ class GeneratorSystem:
             key=lambda t: t[1]))
         self._pair_cache[key] = value
         return value
+
+    def int_brackets(self, w: int) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """(D_w, {(i, j): ((D_w * c, k), ...)}) for the pairs a weight-w boundary can bracket.
+
+        Those are the pairs i <= j with grade_i + grade_j <= w, leaving out an
+        even generator paired with itself (even letters never repeat).  D_w is
+        the lcm of the denominators of their bracket coefficients, so every
+        entry is an int; it is 1 for an integral algebra.  Zero brackets are
+        left out of the table.  Computed once per weight.
+        """
+        cached = self._int_cache.get(w)
+        if cached is not None:
+            return cached
+        grades = self.grades
+        # ids of grade <= b, for every budget b <= w
+        up_to = [[g for g, grade in enumerate(grades) if grade <= b] for b in range(w + 1)]
+        brackets = {}
+        for i in (up_to[w] if w >= 0 else ()):
+            for j in up_to[w - grades[i]]:
+                if j > i or (j == i and grades[i] % 2):
+                    bracket = self.pair_bracket(i, j)
+                    if bracket:
+                        brackets[i, j] = bracket
+        scale = lcm(*(c.denominator for bracket in brackets.values() for c, _ in bracket))
+        table = {pair: tuple((c.numerator * (scale // c.denominator), k) for c, k in bracket)
+                 for pair, bracket in brackets.items()}
+        self._int_cache[w] = scale, table
+        return scale, table
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .chain import assemble, chain_dim, support_degrees, torus_pieces, zero_piece_basis
+from .chain import boundary_rows, chain_dim, support_degrees, torus_pieces, zero_piece_basis
 from .exterior import GeneratorSystem
-from .matrix import RationalMatrix
-from .ranklin import EliminationReport, rank_report
+from .ranklin import EliminationReport, rank_rows
 from .rational import format_rational
 
-# (w, m, eliminated matrix, its report, rank forced by the acyclic pieces)
-CellCallback = Callable[[int, int, RationalMatrix, EliminationReport, int], None]
+# (w, m, (rows, cols) of the eliminated piece, its report, rank forced by the acyclic pieces)
+CellCallback = Callable[[int, int, tuple[int, int], EliminationReport, int], None]
 
 
 class TableInvariantError(RuntimeError):
@@ -174,10 +173,11 @@ def betti_row(gs: GeneratorSystem, w: int,
 
     The torus-weight-0 basis of each support degree is listed once and kept
     only while the row is computed.  Each support degree m >= 1 has its
-    piece assembled from those lists and ranked once (0 x k when m-1 is
-    empty); without a torus grading that piece is the whole cell.
-    ``on_cell(w, m, matrix, report, forced)`` receives what was eliminated
-    and the rank the other pieces add to it.
+    piece assembled from those lists as int rows of D_w times the boundary
+    (``chain.boundary_rows``) and ranked once (0 x k when m-1 is empty);
+    without a torus grading that piece is the whole cell.
+    ``on_cell(w, m, shape, report, forced)`` receives the (rows, cols) shape
+    of what was eliminated and the rank the other pieces add to it.
     """
     degrees = support_degrees(gs, w)
     if not degrees:
@@ -188,17 +188,18 @@ def betti_row(gs: GeneratorSystem, w: int,
     for m in degrees:
         if m < 1:
             continue
-        matrix = assemble(gs, bases[m], bases.get(m - 1, []))
-        shape = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
-        if (matrix.rows, matrix.cols) != shape:
+        rows = boundary_rows(gs, w, bases[m], bases.get(m - 1, []))
+        shape = (len(rows), len(bases[m]))
+        counted = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
+        if shape != counted:
             raise TableInvariantError(
-                f"matrix at w={w}, m={m} is {matrix.rows} x {matrix.cols}, "
-                f"its counted piece {shape[0]} x {shape[1]}")
-        report = rank_report(matrix)
+                f"matrix at w={w}, m={m} is {shape[0]} x {shape[1]}, "
+                f"its counted piece {counted[0]} x {counted[1]}")
+        report = rank_rows(rows)
         forced = ranks.get(m, 0)
         ranks[m] = forced + report.rank
         if on_cell is not None:
-            on_cell(w, m, matrix, report, forced)
+            on_cell(w, m, shape, report, forced)
 
     kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
     betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]

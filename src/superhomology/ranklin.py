@@ -1,16 +1,22 @@
 """Exact rank and kernel dimension of sparse rational matrices.
 
-Each row is cleared to integers, then eliminated fraction-free over Python
-integers in one echelon pass whose order is fixed before it starts: columns
-are ranked by (nonzero count, index), and each row is taken once, in
-(nonzero count, row index) order.  A pivot table maps a leading (lowest
-ranked) column to the row that owns it.  A row is reduced against the table,
+Rows are eliminated fraction-free over Python integers in one echelon pass
+whose order is fixed before it starts: columns are ranked by (nonzero count,
+index), and each row is taken once, in (nonzero count, row index) order.  A
+pivot table maps a leading (lowest ranked) column to the row that owns it.
+A row is reduced against the table,
 
     row <- (p // g) * row - (row[c] // g) * pivot_row,   g = gcd(p, row[c]),
 
 and its content (gcd) stripped, until it is zero or its leading column has
 no owner yet, which makes it that column's pivot row.  All arithmetic stays
 in arbitrary-precision integers, so the result is exact unconditionally.
+
+The table path hands its rows over as ints already: ``chain.boundary_rows``
+assembles D_w times the boundary, which has the same rank, and
+``rank_rows`` eliminates them as they are, with no row cleared on its own.
+``rank_report`` takes a :class:`RationalMatrix` and first clears each row to
+integers (multiplied by the lcm of its denominators).
 
 There is no modular/CRT path (that would be the natural extension for
 weights far beyond the tables computed here).
@@ -105,10 +111,15 @@ def eliminate(rows: list[dict[int, int]]) -> tuple[int, list[tuple[int, int]], i
     return len(pivots), pivots, fill
 
 
-def rank_report(matrix: RationalMatrix) -> EliminationReport:
-    """Exact rank over the rationals with the elimination trace."""
+def rank_rows(rows: list[dict[int, int]]) -> EliminationReport:
+    """Exact rank of int rows ({column: entry}, consumed) with the elimination trace."""
     start = time.perf_counter()
-    r, pivots, fill = eliminate(_integer_rows(matrix))
+    r, pivots, fill = eliminate(rows)
     return EliminationReport(rank=r, pivots=pivots, fill_in=fill,
                              elapsed=time.perf_counter() - start)
+
+
+def rank_report(matrix: RationalMatrix) -> EliminationReport:
+    """Exact rank over the rationals with the elimination trace."""
+    return rank_rows(_integer_rows(matrix))
 

@@ -11,8 +11,8 @@ product and transpose live here too: only tests use them.
 
 from fractions import Fraction
 
-from superhomology.chain import (SuperMonomial, _boundary_terms, assemble, boundary_matrix,
-                                 chain_basis, chain_dim, support_degrees, zero_piece_basis)
+from superhomology.chain import (SuperMonomial, _boundary_terms, boundary_matrix, chain_basis,
+                                 chain_dim, support_degrees, zero_piece_basis)
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.matrix import RationalMatrix
 from superhomology.ranklin import rank_report
@@ -126,8 +126,10 @@ class Chain:
 def boundary_monomial(gs, mono) -> Chain:
     """Boundary of one monomial as a ``Chain``, read off the package's term dict."""
     n_even = len(mono.evens)
-    return Chain({SuperMonomial(t[:n_even], t[n_even:]): c
-                  for t, c in _boundary_terms(gs, mono.evens + mono.odds).items()})
+    scale, brackets = gs.int_brackets(monomial_weight(gs, mono))
+    terms = _boundary_terms(brackets, n_even, mono.evens + mono.odds)
+    return Chain({SuperMonomial(t[:n_even], t[n_even:]): Fraction(c, scale)
+                  for t, c in terms.items()})
 
 
 def transpose(matrix) -> RationalMatrix:
@@ -190,8 +192,8 @@ def torus_weight(gs, mono) -> tuple:
 
 
 def zero_piece_matrix(gs, m, w) -> RationalMatrix:
-    """``boundary_matrix`` restricted to the torus-weight-0 piece, in ``zero_piece_basis`` order."""
-    return assemble(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
+    """The boundary on the torus-weight-0 piece, in ``zero_piece_basis`` order, by the word route."""
+    return _word_matrix(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
 
 
 def _positions(keys):
@@ -263,6 +265,26 @@ def naive_rank(matrix) -> int:
         if rank == matrix.rows:
             break
     return rank
+
+
+def dense_jacobi_violations(sc):
+    """``algebra.check_jacobi`` over every triple and coordinate, stored or not."""
+    n = sc.dim
+    violations = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                residual = [Fraction(0)] * n
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = sc.bracket(a, b)
+                    for t in range(n):
+                        if inner[t]:
+                            outer = sc.bracket(t + 1, c)
+                            for s in range(n):
+                                residual[s] += inner[t] * outer[s]
+                if any(residual):
+                    violations.append(((i, j, k), tuple(residual)))
+    return violations
 
 
 def adjoint_matrices(sc):
@@ -398,8 +420,11 @@ def _insert_terms(gs, out, reduced, slot, bracket, sign):
 
 def word_boundary_matrix(gs, m, w):
     """``boundary_matrix`` built from ``word_boundary_monomial``, same bases and order."""
-    cols = chain_basis(gs, m, w)
-    rows = chain_basis(gs, m - 1, w)
+    return _word_matrix(gs, chain_basis(gs, m, w), chain_basis(gs, m - 1, w))
+
+
+def _word_matrix(gs, cols, rows):
+    """Boundary of each column monomial by ``word_boundary_monomial``, in ``rows`` coordinates."""
     matrix = RationalMatrix(len(rows), len(cols))
     row_index = {mono: r for r, mono in enumerate(rows)}
     for c, mono in enumerate(cols):

@@ -11,7 +11,7 @@ from superhomology import (AlgebraError, CatalogError, JacobiError,
 from superhomology.cli import run_cli
 from superhomology.rational import format_rational
 
-from oracles import jacobi_holds_via_adjoint
+from oracles import dense_jacobi_violations, jacobi_holds_via_adjoint
 
 
 def test_parse_rational():
@@ -89,6 +89,31 @@ def test_check_jacobi_agrees_with_adjoint_oracle():
                     entries[(i, j)] = tuple(F(rng.randint(-2, 2)) for _ in range(n))
         sc = StructureConstants(n, entries)
         assert (check_jacobi(sc) == []) == jacobi_holds_via_adjoint(sc)
+
+
+def test_check_jacobi_equals_the_dense_route():
+    # the sparse check visits stored brackets only; the dense one every triple
+    binds = {"g3d2": {"alpha": F(7, 3)}, "g3d3": {"alpha": F(2, 3), "beta": F(-5, 7)}}
+    for name in catalog_names():
+        sc = catalog_get(name, binds.get(name))
+        assert check_jacobi(sc) == dense_jacobi_violations(sc) == []
+    rng = random.Random(20261018)
+    coeffs = [F(k, d) for k in range(-3, 4) for d in (1, 2, 5)]
+    broken = 0
+    for _ in range(80):
+        n = rng.randint(3, 6)
+        entries = {}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if rng.random() < 0.4:
+                    entries[(i, j)] = tuple(rng.choice(coeffs) if rng.random() < 0.4 else F(0)
+                                            for _ in range(n))
+        sc = StructureConstants(n, entries)
+        violations = check_jacobi(sc)
+        assert violations == dense_jacobi_violations(sc)
+        assert all(type(c) is F for _, res in violations for c in res)
+        broken += bool(violations)
+    assert broken > 40
 
 
 def test_catalog_jacobi_under_random_parameters():

@@ -118,20 +118,21 @@ def test_sweep_reports_kappa_jump():
 
 def test_dump_matrix_and_report(tmp_path, monkeypatch):
     # record the assemblies the table makes: betti_row assembles every cell through
-    # homology.assemble, and the whole matrices of --dump-matrix do not pass there
+    # homology.boundary_rows, and the whole matrices of --dump-matrix do not pass there
     assembled = []
-    real = homology.assemble
+    real = homology.boundary_rows
 
-    def recording(gs, cols, rows):
-        matrix = real(gs, cols, rows)
+    def recording(gs, w, cols, rows):
+        int_rows = real(gs, w, cols, rows)
         # the cell (w, m) read off a column or row monomial; None when both are empty
         mono, shift = next(((basis[0], s) for basis, s in ((cols, 0), (rows, 1)) if basis),
                            (None, 0))
         cell = None if mono is None else (monomial_weight(gs, mono), monomial_degree(mono) + shift)
-        assembled.append((cell, matrix.rows, matrix.cols))
-        return matrix
+        assert cell is None or cell[0] == w
+        assembled.append((cell, len(int_rows), len(cols)))
+        return int_rows
 
-    monkeypatch.setattr(homology, "assemble", recording)
+    monkeypatch.setattr(homology, "boundary_rows", recording)
     dump_dir = tmp_path / "mats"
     report = tmp_path / "report.json"
     code, out, _ = run(["table", "--algebra", "heis3", "--wmax", "2",
@@ -270,6 +271,21 @@ def test_file_algebra_over_the_dim_cap_is_refused(tmp_path):
         # check-jacobi builds no generators
         code, out, _ = run(["check-jacobi", "--file", str(path)])
         assert code == 0 and "Jacobi identity holds" in out
+
+
+def test_large_abelian_file_fails_fast(tmp_path):
+    # the Jacobi check visits stored brackets only, so a dim-100 document with none
+    # is checked at once and the table is refused by the dim cap
+    path = tmp_path / "abelian100.json"
+    path.write_text(json.dumps({"dim": 100, "brackets": []}), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(["check-jacobi", "--file", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "Jacobi identity holds" in out
+    start = time.perf_counter()
+    code, out, err = run(["table", "--file", str(path), "--wmax", "0"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "dim 100 needs 2^100 - 1 generators" in err and not out
 
 
 def test_file_source_with_params(tmp_path):

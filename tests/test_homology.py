@@ -265,14 +265,14 @@ def test_validate_raises_under_optimize():
 
 
 def test_wrong_rank_raises_instead_of_returning_row(monkeypatch):
-    real = homology.rank_report
+    real = homology.rank_rows
 
-    def off_by_one(matrix):
-        report = real(matrix)
+    def off_by_one(rows):
+        report = real(rows)
         report.rank += 1
         return report
 
-    monkeypatch.setattr(homology, "rank_report", off_by_one)
+    monkeypatch.setattr(homology, "rank_rows", off_by_one)
     with pytest.raises(TableInvariantError):
         betti_table(generator_system(catalog_get("heis3")), 3)
 

@@ -8,10 +8,11 @@ import sys
 import pytest
 
 from superhomology import (betti_row, betti_table, catalog_get, catalog_names,
-                           generator_system, homology, load_algebra, torus_pieces)
+                           generator_system, homology, load_algebra, ranklin, torus_pieces)
+from superhomology.chain import boundary_rows, zero_piece_basis
 
 from conftest import REPO_ROOT
-from oracles import piece_tables, whole_matrix_betti_table
+from oracles import piece_tables, whole_matrix_betti_table, zero_piece_matrix
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
           "g3d3": [{"alpha": "2/3", "beta": "5/7"}, {"alpha": "2/3", "beta": "-5/7"}]}
@@ -49,6 +50,58 @@ def test_tables_equal_the_whole_matrix_route(name, binds, basis):
     got = [r.to_dict() for r in betti_table(gs, wmax).rows]
     oracle = generator_system(catalog_get(name, binds), basis)
     assert got == [r.to_dict() for r in whole_matrix_betti_table(oracle, wmax).rows]
+
+
+@pytest.mark.parametrize("name,binds,basis", list(catalog_cases()))
+def test_int_rows_are_scaled_word_route_matrices(name, binds, basis):
+    # the table path's int rows are D_w times the boundary on the zero piece,
+    # checked entry by entry against the word route
+    gs = generator_system(catalog_get(name, binds), basis)
+    wmax = {"gl2": 3, "abelian5": 1, "abelian6": 1}.get(name, 5)
+    scales = set()
+    for w in range(wmax + 1):
+        scale = gs.int_brackets(w)[0]
+        scales.add(scale)
+        bases = {m: zero_piece_basis(gs, m, w) for m in range(w + gs.dim + 1)}
+        for m in range(1, w + gs.dim + 1):
+            rows = boundary_rows(gs, w, bases[m], bases[m - 1])
+            assert len(rows) == len(bases[m - 1])
+            got = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+            assert all(type(v) is int and v for v in got.values())
+            oracle = zero_piece_matrix(gs, m, w)
+            assert got == {key: scale * v for key, v in oracle.entries.items()}, (w, m)
+    # D_w is 1 exactly for the integral structure constants (in both bases here);
+    # g3d3's paper basis raises it from 21 to 105 at w = 2
+    integral = all(c.denominator == 1 for vec in gs.sc.entries.values() for c in vec)
+    assert (scales == {1}) == integral, scales
+
+
+def test_only_ints_reach_elimination(monkeypatch):
+    seen = []
+    real = ranklin.eliminate
+
+    def checking(rows):
+        seen.extend(type(v) for row in rows for v in row.values())
+        return real(rows)
+
+    monkeypatch.setattr(ranklin, "eliminate", checking)
+    for name, binds, basis, wmax in [("g3d3", {"alpha": "2/3", "beta": "-5/7"}, "paper", 8),
+                                     ("g3d3", {"alpha": "2/3", "beta": "5/7"}, "canonical", 8),
+                                     ("g3d2", {"alpha": "1/2"}, "canonical", 6),
+                                     ("gl2", {}, "canonical", 4)]:
+        gs = generator_system(catalog_get(name, binds), basis)
+        assert gs.int_brackets(wmax)[0] > 1 or name == "gl2"
+        betti_table(gs, wmax)
+    assert seen and set(seen) == {int}
+
+
+def test_int_brackets_bracket_only_pairs_the_weight_can_reach():
+    # at w = 0 only level-1 pairs are bracketed; the torus detection brackets
+    # each level-1 generator with all 1023 generators, as it did before
+    gs = generator_system(load_algebra({"name": "abelian10", "dim": 10, "brackets": []}))
+    betti_table(gs, 0)
+    assert len(gs._pair_cache) <= 10 * 1023
+    assert gs.int_brackets(0) == (1, {})
 
 
 def test_two_coordinate_grading_of_a_direct_sum():
@@ -103,8 +156,7 @@ def test_gl2_w7_ranks_pinned():
 
 CORRUPT = """
 from superhomology import TableInvariantError, betti_row, catalog_get, generator_system, homology
-from superhomology.matrix import RationalMatrix
-real_pieces, real_assemble = homology.torus_pieces, homology.assemble
+real_pieces, real_rows = homology.torus_pieces, homology.boundary_rows
 
 def corrupted(move):
     def pieces(gs, w):
@@ -117,21 +169,19 @@ def corrupted(move):
         return out
     return pieces
 
-def padded(gs, cols, rows):  # one row more than the zero piece has
-    matrix = real_assemble(gs, cols, rows)
-    return RationalMatrix(matrix.rows + 1, matrix.cols,
-                          [(r, c, v) for (r, c), v in matrix.entries.items()])
+def padded(gs, w, cols, rows):  # one row more than the zero piece has
+    return real_rows(gs, w, cols, rows) + [{}]
 
-for pieces, assemble in ((corrupted(False), real_assemble), (corrupted(True), real_assemble),
-                         (real_pieces, padded)):
-    homology.torus_pieces, homology.assemble = pieces, assemble
+for pieces, rows_of in ((corrupted(False), real_rows), (corrupted(True), real_rows),
+                        (real_pieces, padded)):
+    homology.torus_pieces, homology.boundary_rows = pieces, rows_of
     try:
         betti_row(generator_system(catalog_get("gl2")), 3)
     except TableInvariantError as exc:
         print(exc)
     else:
         print("accepted")
-homology.torus_pieces, homology.assemble = real_pieces, real_assemble
+homology.torus_pieces, homology.boundary_rows = real_pieces, real_rows
 """
 
 
@@ -142,7 +192,7 @@ def _check_corruption_messages(lines):
 
 
 def test_corrupted_piece_count_raises(monkeypatch, capsys):
-    for name in ("torus_pieces", "assemble"):  # restored after the test
+    for name in ("torus_pieces", "boundary_rows"):  # restored after the test
         monkeypatch.setattr(homology, name, getattr(homology, name))
     exec(compile(CORRUPT, "corrupt", "exec"), {})
     _check_corruption_messages(capsys.readouterr().out.splitlines())
