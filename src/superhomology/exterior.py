@@ -317,11 +317,16 @@ class GeneratorSystem:
         commute ([x, y] = c_y y = -c'_x x forces both to 0), so together
         they grade the chain spaces; a coordinate in the span of those kept
         before it (a central x gives the zero one) is dropped.  Empty when no
-        generator gives a coordinate.
+        generator gives a coordinate.  An x made of central letters (in no
+        stored bracket of the structure constants) gives the zero derivation,
+        so it is skipped before any bracket is taken.
         Computed on first use, not at construction.
         """
+        bracketed = {i for pair in self.sc.entries for i in pair}
         coords: list[tuple[int, ...]] = []
         for x in self.level_to_gens[1]:
+            if not any(i in bracketed for (i,) in self.generators[x].expansion.coeffs):
+                continue
             eigen = []
             for g in range(self.count):
                 bracket = self.pair_bracket(x, g)

@@ -13,14 +13,31 @@ with e(x) the wedge with x, it acts by zero on homology; theta(x) is the
 scalar torus weight on a piece, so every piece of nonzero torus weight is
 acyclic.  Its ranks follow from its dimensions: 0 at its lowest degree,
 then r_{m+1} = dim_m - r_m.  Only the torus-weight-0 piece is assembled and
-eliminated; without a grading it is the whole complex.  ``betti_row`` checks
-the piece dimensions, the forced ranks and every row it computes and raises
-:class:`TableInvariantError` when one breaks these identities.
+eliminated; without a grading it is the whole complex.
+
+Cells of one weight share their ranks through d o d = 0 ("clearing", as in
+persistent homology).  Let Q be the pivot columns of the cell (w, m): degree-m
+monomials, which index rows of the cell (w, m+1).  The row space of the
+boundary from degree m lies in the left kernel of the boundary from degree
+m+1 and projects onto the Q coordinates, so every row of the cell (w, m+1)
+indexed by Q is a combination of the rows outside Q.  Those rows are emptied
+before elimination: the rank is that of the other rows, and only about
+Betti-many rows reduce to zero.
+
+``betti_row`` checks the piece dimensions, the forced ranks and every row it
+computes and raises :class:`TableInvariantError` when one breaks these
+identities.  With clearing, a rank can no longer exceed dim_m - r_m, so
+"Betti >= 0" cannot catch an assembly fault any more; a Freivalds probe of
+d o d = 0 on every cell does instead.  Each cell's rows are multiplied by a
+random vector xi (30-bit entries, seeded by (w, m)) before they are emptied,
+and eta = xi^T d_m must satisfy eta^T d_{m+1} = 0 on every column of the
+next cell, in exact integers.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -167,6 +184,29 @@ def _piece_ranks(gs: GeneratorSystem, w: int) -> tuple[dict[int, int], dict[int,
     return forced, pieces.get(zero, {})
 
 
+def _probe(rows: list[dict[int, int]], cols: int, below: list[int], w: int, m: int) -> list[int]:
+    """xi^T times the int rows of the cell (w, m), for xi seeded by (w, m).
+
+    ``below`` is that vector of the cell (w, m-1), over its columns, which
+    index these rows (zeros when that cell was not ranked).  Raises
+    :class:`TableInvariantError` unless ``below``^T times these rows is zero,
+    as d o d = 0 makes it.
+    """
+    rng = random.Random(f"{w},{m}")
+    out = [0] * cols
+    check = [0] * cols
+    for row, e in zip(rows, below):
+        x = rng.getrandbits(30)
+        for c, v in row.items():
+            out[c] += x * v
+            check[c] += e * v
+    if any(check):
+        raise TableInvariantError(
+            f"dd = 0 probe fails at w={w}, m={m}: the boundary from degree {m} composed "
+            f"with the one below is nonzero at column {next(c for c, v in enumerate(check) if v)}")
+    return out
+
+
 def betti_row(gs: GeneratorSystem, w: int,
               on_cell: CellCallback | None = None) -> BettiRow:
     """Assemble and check one weight: supports by counting, ranks shared across cells.
@@ -174,10 +214,12 @@ def betti_row(gs: GeneratorSystem, w: int,
     The torus-weight-0 basis of each support degree is listed once and kept
     only while the row is computed.  Each support degree m >= 1 has its
     piece assembled from those lists as int rows of D_w times the boundary
-    (``chain.boundary_rows``) and ranked once (0 x k when m-1 is empty);
-    without a torus grading that piece is the whole cell.
-    ``on_cell(w, m, shape, report, forced)`` receives the (rows, cols) shape
-    of what was eliminated and the rank the other pieces add to it.
+    (``chain.boundary_rows``), probed for d o d = 0 against the cell below,
+    cleared of the rows that index that cell's pivot columns, and ranked
+    once (0 x k when m-1 is empty); without a torus grading that piece is
+    the whole cell.  ``on_cell(w, m, shape, report, forced)`` receives the
+    (rows, cols) shape of what was eliminated (cleared rows included) and
+    the rank the other pieces add to it.
     """
     degrees = support_degrees(gs, w)
     if not degrees:
@@ -185,6 +227,8 @@ def betti_row(gs: GeneratorSystem, w: int,
     dims = [chain_dim(gs, m, w) for m in degrees]
     ranks, piece_dims = _piece_ranks(gs, w)
     bases = {m: zero_piece_basis(gs, m, w) for m in degrees}
+    # the probe vector and the pivot columns of the last ranked cell, keyed by its degree
+    below: dict[int, tuple[list[int], set[int]]] = {}
     for m in degrees:
         if m < 1:
             continue
@@ -195,7 +239,12 @@ def betti_row(gs: GeneratorSystem, w: int,
             raise TableInvariantError(
                 f"matrix at w={w}, m={m} is {shape[0]} x {shape[1]}, "
                 f"its counted piece {counted[0]} x {counted[1]}")
+        eta, cleared = below.get(m - 1, ([0] * shape[0], ()))
+        eta = _probe(rows, shape[1], eta, w, m)
+        for r in cleared:
+            rows[r] = {}
         report = rank_rows(rows)
+        below = {m: (eta, {c for _, c in report.pivots})}
         forced = ranks.get(m, 0)
         ranks[m] = forced + report.rank
         if on_cell is not None:

@@ -15,6 +15,9 @@ in arbitrary-precision integers, so the result is exact unconditionally.
 The table path hands its rows over as ints already: ``chain.boundary_rows``
 assembles D_w times the boundary, which has the same rank, and
 ``rank_rows`` eliminates them as they are, with no row cleared on its own.
+Of those, only the uncleared rows carry entries: ``homology.betti_row``
+has already emptied the rows that the cell below proves dependent
+(d o d = 0, "clearing"), and an empty row costs nothing here.
 ``rank_report`` takes a :class:`RationalMatrix` and first clears each row to
 integers (multiplied by the lcm of its denominators).
 
@@ -37,19 +40,24 @@ BACKEND = "python"
 
 @dataclass
 class EliminationReport:
-    """What one elimination did: rank, pivots in order, fill-in, wall time."""
+    """What one elimination did: rank, pivots in order, fill-in, wall time.
+
+    ``nonzero_rows`` counts the rows that entered with entries.
+    """
 
     rank: int
     pivots: list[tuple[int, int]] = field(default_factory=list)
     fill_in: int = 0
     elapsed: float = 0.0
     backend: str = BACKEND
+    nonzero_rows: int = 0
 
     def to_dict(self) -> dict:
         return {
             "rank": self.rank,
             "pivots": [list(p) for p in self.pivots],
             "fill_in": self.fill_in,
+            "nonzero_rows": self.nonzero_rows,
             "elapsed": self.elapsed,
             "backend": self.backend,
         }
@@ -114,9 +122,10 @@ def eliminate(rows: list[dict[int, int]]) -> tuple[int, list[tuple[int, int]], i
 def rank_rows(rows: list[dict[int, int]]) -> EliminationReport:
     """Exact rank of int rows ({column: entry}, consumed) with the elimination trace."""
     start = time.perf_counter()
+    nonzero = sum(1 for row in rows if row)
     r, pivots, fill = eliminate(rows)
     return EliminationReport(rank=r, pivots=pivots, fill_in=fill,
-                             elapsed=time.perf_counter() - start)
+                             elapsed=time.perf_counter() - start, nonzero_rows=nonzero)
 
 
 def rank_report(matrix: RationalMatrix) -> EliminationReport:

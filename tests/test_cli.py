@@ -153,6 +153,10 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     reports = json.loads(report.read_text())
     assert any(r["w"] == 2 and r["m"] == 3 for r in reports)
     assert all(r["rank"] >= 0 and "pivots" in r for r in reports)
+    # the rows indexed by pivot columns of the cell below enter elimination empty
+    ranks = {(r["w"], r["m"]): r["rank"] for r in reports}
+    assert all(0 <= r["nonzero_rows"] <= r["rows"] - ranks.get((r["w"], r["m"] - 1), 0)
+               for r in reports)
     # one assembly per cell, and the dump and the report cover the same cells
     cells = [(r["w"], r["m"]) for r in reports]
     assert cells == sorted(set(cells))
@@ -191,6 +195,7 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         piece = zero_piece_matrix(gs, m, w)
         assert (r["rows"], r["cols"]) == (piece.rows, piece.cols)
         assert len(r["pivots"]) == r["rank"] <= min(piece.rows, piece.cols)
+        assert r["rank"] <= r["nonzero_rows"] <= r["rows"]
 
 
 def test_usage_errors_exit_2(tmp_path):

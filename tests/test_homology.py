@@ -9,8 +9,9 @@ from math import comb
 import pytest
 
 from superhomology import (SuperMonomial, TableInvariantError, betti_row,
-                           betti_table, catalog_get, generator_system, homology,
+                           betti_table, catalog_get, chain_basis, generator_system, homology,
                            verify_table)
+from superhomology.chain import boundary_rows
 
 from conftest import EXPECTED_DIR, REPO_ROOT
 from oracles import euler_check
@@ -299,3 +300,53 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max):
                                     for graded in (False, True)}
     for counts in gs._count_cache.values():
         assert all(type(n) is int for n in counts.values())
+
+
+@pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 10)])
+def test_clearing_empties_the_rows_the_cell_below_proves_dependent(name, w_max, monkeypatch):
+    # d o d = 0: the rows of the cell (w, m) indexed by pivot columns of the cell
+    # (w, m-1) enter elimination empty, so at most rows - rank(w, m-1) carry entries
+    real = homology.rank_rows
+    entered = []
+
+    def counting(rows):
+        entered.append(sum(1 for row in rows if row))
+        report = real(rows)
+        assert report.nonzero_rows == entered[-1]
+        return report
+
+    monkeypatch.setattr(homology, "rank_rows", counting)
+    cells = {}
+
+    def on_cell(w, m, shape, report, forced):
+        cells[w, m] = (shape[0], report.rank)
+
+    betti_table(generator_system(catalog_get(name)), w_max, on_cell=on_cell)
+    assert len(entered) == len(cells)
+    for ((w, m), (rows, _)), nonzero in zip(cells.items(), entered):
+        assert nonzero <= rows - cells.get((w, m - 1), (0, 0))[1], (w, m)
+
+
+def test_a_gap_in_the_support_clears_nothing(monkeypatch):
+    # hide a middle degree of heis3 at w = 3 from the support, the counts and the
+    # piece: the cell above the gap maps into an empty space, and the pivots of
+    # the cell below the gap clear no later cell
+    gs = generator_system(catalog_get("heis3"))
+    real_support, real_dim, real_pieces = (homology.support_degrees, homology.chain_dim,
+                                           homology.torus_pieces)
+    hidden = real_support(gs, 3)[2]
+    monkeypatch.setattr(homology, "support_degrees",
+                        lambda gs, w: [m for m in real_support(gs, w) if m != hidden])
+    monkeypatch.setattr(homology, "chain_dim",
+                        lambda gs, m, w: 0 if m == hidden else real_dim(gs, m, w))
+    monkeypatch.setattr(homology, "torus_pieces", lambda gs, w: {
+        key: {m: n for m, n in dims.items() if m != hidden}
+        for key, dims in real_pieces(gs, w).items()})
+    reports = {}
+    with pytest.raises(TableInvariantError, match="Euler sum"):  # the row lacks a degree
+        betti_row(gs, 3, on_cell=lambda w, m, shape, report, forced:
+                  reports.__setitem__(m, (shape, report)))
+    assert reports[hidden - 1][1].rank > 0
+    assert reports[hidden + 1][0][0] == 0
+    above = boundary_rows(gs, 3, chain_basis(gs, hidden + 2, 3), chain_basis(gs, hidden + 1, 3))
+    assert reports[hidden + 2][1].nonzero_rows == sum(1 for row in above if row)

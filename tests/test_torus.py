@@ -1,5 +1,5 @@
 """The torus split: grading detection, the whole-matrix second route,
-acyclic nonzero pieces and the checks on forced ranks."""
+acyclic nonzero pieces, clearing, and the checks on forced ranks and d o d = 0."""
 
 import os
 import subprocess
@@ -10,9 +10,10 @@ import pytest
 from superhomology import (betti_row, betti_table, catalog_get, catalog_names,
                            generator_system, homology, load_algebra, ranklin, torus_pieces)
 from superhomology.chain import boundary_rows, zero_piece_basis
+from superhomology.matrix import RationalMatrix
 
 from conftest import REPO_ROOT
-from oracles import piece_tables, whole_matrix_betti_table, zero_piece_matrix
+from oracles import naive_rank, piece_tables, whole_matrix_betti_table, zero_piece_matrix
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
           "g3d3": [{"alpha": "2/3", "beta": "5/7"}, {"alpha": "2/3", "beta": "-5/7"}]}
@@ -96,11 +97,11 @@ def test_only_ints_reach_elimination(monkeypatch):
 
 
 def test_int_brackets_bracket_only_pairs_the_weight_can_reach():
-    # at w = 0 only level-1 pairs are bracketed; the torus detection brackets
-    # each level-1 generator with all 1023 generators, as it did before
+    # at w = 0 only the 45 level-1 pairs are bracketed; the torus detection
+    # skips the central level-1 generators and brackets nothing
     gs = generator_system(load_algebra({"name": "abelian10", "dim": 10, "brackets": []}))
     betti_table(gs, 0)
-    assert len(gs._pair_cache) <= 10 * 1023
+    assert len(gs._pair_cache) == 45
     assert gs.int_brackets(0) == (1, {})
 
 
@@ -154,6 +155,32 @@ def test_gl2_w7_ranks_pinned():
     assert sum((-1) ** m * b for m, b in zip(row.degrees, row.betti)) == 0
 
 
+@pytest.mark.parametrize("name, w_max", [("gl2", 4), ("heis3", 6)])
+def test_table_pivots_are_nonsingular_in_the_uncleared_piece(name, w_max):
+    # cleared rows enter elimination empty, so the pivots still name rows and
+    # columns of the piece as assembled, and they span a nonsingular submatrix
+    gs = generator_system(catalog_get(name))
+
+    def on_cell(w, m, shape, report, forced):
+        piece = zero_piece_matrix(gs, m, w)
+        square = RationalMatrix(report.rank, report.rank)
+        for i, (r, _) in enumerate(report.pivots):
+            for j, (_, c) in enumerate(report.pivots):
+                square.set(i, j, piece.get(r, c))
+        assert naive_rank(square) == report.rank, (w, m)
+
+    betti_table(gs, w_max, on_cell=on_cell)
+
+
+def test_gl2_w8_ranks_pinned():
+    row = betti_row(generator_system(catalog_get("gl2")), 8)
+    ranks = dict(zip(row.degrees, (d - k for d, k in zip(row.dims, row.kernels))))
+    assert [ranks[m] for m in range(4, 13)] == [4, 69, 493, 2110, 5853, 10160, 10413, 5709, 1285]
+    assert not any(ranks.get(m, 0) for m in row.degrees if not 4 <= m <= 12)
+    assert row.euler() == 0
+    assert sum((-1) ** m * b for m, b in zip(row.degrees, row.betti)) == 0
+
+
 CORRUPT = """
 from superhomology import TableInvariantError, betti_row, catalog_get, generator_system, homology
 real_pieces, real_rows = homology.torus_pieces, homology.boundary_rows
@@ -172,8 +199,21 @@ def corrupted(move):
 def padded(gs, w, cols, rows):  # one row more than the zero piece has
     return real_rows(gs, w, cols, rows) + [{}]
 
+def flipped():  # one sign flipped in the first cell whose cell below has a nonzero column
+    below, done = set(), []  # the nonzero columns of the last cell index rows of the next
+    def rows_of(gs, w, cols, rows):
+        out = real_rows(gs, w, cols, rows)
+        hit = [r for r in sorted(below) if out[r]]
+        below.clear()
+        below.update(c for row in out for c in row)
+        if hit and not done:
+            out[hit[0]][min(out[hit[0]])] *= -1
+            done.append(hit[0])
+        return out
+    return rows_of
+
 for pieces, rows_of in ((corrupted(False), real_rows), (corrupted(True), real_rows),
-                        (real_pieces, padded)):
+                        (real_pieces, padded), (real_pieces, flipped())):
     homology.torus_pieces, homology.boundary_rows = pieces, rows_of
     try:
         betti_row(generator_system(catalog_get("gl2")), 3)
@@ -186,8 +226,8 @@ homology.torus_pieces, homology.boundary_rows = real_pieces, real_rows
 
 
 def _check_corruption_messages(lines):
-    assert len(lines) == 3, lines
-    for line, why in zip(lines, ["add up to", "forced rank", "counted piece"]):
+    assert len(lines) == 4, lines
+    for line, why in zip(lines, ["add up to", "forced rank", "counted piece", "dd = 0 probe"]):
         assert why in line, (why, line)
 
 
