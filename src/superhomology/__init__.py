@@ -14,8 +14,8 @@ from .algebra import (AlgebraError, AlgebraSpec, CatalogError, JacobiError,
                       StructureConstants, catalog_get, catalog_names,
                       catalog_spec, check_jacobi, load_algebra,
                       parse_algebra_document)
-from .chain import (SuperMonomial, boundary_matrix, chain_basis, chain_dim,
-                    format_monomial, support_degrees, torus_pieces)
+from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, support_degrees,
+                    torus_pieces)
 from .exterior import (GeneratorSystem, Multivector, bracket_table,
                        generator_system, paper_level2_basis,
                        render_bracket_table, schouten, wedge_basis)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraError", "AlgebraSpec", "BACKEND", "BettiRow", "BettiTable",
     "CatalogError", "EliminationReport", "GeneratorSystem", "JacobiError",
-    "Multivector", "RationalMatrix", "StructureConstants", "SuperMonomial",
+    "Multivector", "RationalMatrix", "StructureConstants",
     "TableDiff", "TableInvariantError", "betti_row", "betti_table",
     "boundary_matrix", "bracket_table", "catalog_get", "catalog_names",
     "catalog_spec", "chain_basis", "chain_dim", "check_jacobi",

@@ -2,9 +2,10 @@
 
 A chain monomial is a word of generators in canonical order: even-grade
 generators appear with exponent 0 or 1, odd-grade generators with arbitrary
-natural exponents.  Degree is the total exponent sum, weight the grade-
-weighted sum; the boundary operator preserves weight and lowers degree by 1,
-so each weight gives a finite complex.
+natural exponents; it is held as one exponent tuple over generator ids (see
+below), and bases list these tuples in lex order.  Degree is the exponent
+sum, weight the grade-weighted sum; the boundary operator preserves weight
+and lowers degree by 1, so each weight gives a finite complex.
 
 On a word Y_1 ^ ... ^ Y_m the boundary acts pair by pair,
 
@@ -47,18 +48,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
 from .matrix import RationalMatrix
-
-
-class SuperMonomial(NamedTuple):
-    """Exponent vectors over the even-grade and odd-grade generators."""
-
-    evens: tuple[int, ...]
-    odds: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +65,13 @@ def _counts(gs: GeneratorSystem, w: int, graded: bool) -> dict[tuple[int, tuple[
     torus weight, see ``GeneratorSystem.torus``): c letters of a group of
     size s add (c, grade * c, torus * c) to (degree, weight, torus weight)
     in C(s, c) ways for even grades and C(s + c - 1, c) for odd ones.
-    Ungraded counts carry the empty torus weight ().
+    Ungraded counts carry the empty torus weight (); the cache is keyed on
+    the coordinates used, so without a grading both share one DP.
     """
-    cache = gs._count_cache
-    if (w, graded) in cache:
-        return cache[w, graded]
     coords = gs.torus if graded else ()
+    cache = gs._count_cache
+    if (w, coords) in cache:
+        return cache[w, coords]
     groups: dict[tuple[int, tuple[int, ...]], int] = {}
     for gid, grade in enumerate(gs.grades):
         group = (grade, tuple(coord[gid] for coord in coords))
@@ -95,7 +89,7 @@ def _counts(gs: GeneratorSystem, w: int, graded: bool) -> dict[tuple[int, tuple[
                 c += 1
         states = nxt
     result = {(dm, dt): n for (dm, dw, dt), n in states.items() if dw == w}
-    cache[w, graded] = result
+    cache[w, coords] = result
     return result
 
 
@@ -137,8 +131,13 @@ def _odd_parts(grades: list[int], m: int, w: int) -> list[tuple[int, ...]]:
     return [o + (dm,) for o, dm, dw in parts if dw == dm * last]
 
 
-def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
-    """All monomials of degree m and weight w, ordered by (even bits, odd exponents) lex."""
+def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
+    """All monomials of degree m and weight w as exponent tuples over generator ids, in lex order.
+
+    Even parts (exponent 0 before 1) and odd parts (``_odd_parts``) are both
+    listed in lex order, so each even part followed by its odd parts, listed
+    once per leftover degree and weight, is the lex order of the whole tuples.
+    """
     if m < 0 or w < 0:
         return []
     n_even = len(gs.even_ids)
@@ -152,25 +151,20 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
     for g in evens:
         even_parts = [(e + (t,), dm - t, dw - t * g) for e, dm, dw in even_parts
                       for t in ((0, 1) if dm and dw >= g else (0,))]
-    # the odd parts depend only on what the even part leaves
-    by_rest: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    out: list[tuple[int, ...]] = []
     for e, dm, dw in even_parts:
-        by_rest.setdefault((dm, dw), []).append(e)
-    out: list[SuperMonomial] = []
-    for (dm, dw), even_exps in by_rest.items():
-        odd_exps = [o + odd_pad for o in _odd_parts(odds, dm, dw)]
-        if odd_exps:
-            for e in even_exps:
-                e += even_pad
-                out += [SuperMonomial(e, o) for o in odd_exps]
-    out.sort()
+        odd_exps = tails.get((dm, dw))
+        if odd_exps is None:
+            odd_exps = tails[dm, dw] = [even_pad + o + odd_pad for o in _odd_parts(odds, dm, dw)]
+        out += [e + o for o in odd_exps]
     return out
 
 
-def zero_piece_basis(gs: GeneratorSystem, m: int, w: int) -> list[SuperMonomial]:
+def zero_piece_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
     """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order."""
     return [mono for mono in chain_basis(gs, m, w)
-            if not any(sum(map(mul, mono.evens + mono.odds, coord)) for coord in gs.torus)]
+            if not any(sum(map(mul, mono, coord)) for coord in gs.torus)]
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
@@ -240,8 +234,8 @@ def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     return out
 
 
-def boundary_rows(gs: GeneratorSystem, w: int, cols: list[SuperMonomial],
-                  rows: list[SuperMonomial]) -> list[dict[int, int]]:
+def boundary_rows(gs: GeneratorSystem, w: int, cols: list[tuple[int, ...]],
+                  rows: list[tuple[int, ...]]) -> list[dict[int, int]]:
     """D_w times the boundary from the weight-w ``cols`` to ``rows``, as int rows.
 
     Row r is {column index: entry}, zeros not stored, one row per monomial
@@ -252,9 +246,9 @@ def boundary_rows(gs: GeneratorSystem, w: int, cols: list[SuperMonomial],
         return out
     brackets = gs.int_brackets(w)[1]
     n_even = len(gs.even_ids)
-    row_index = {mono.evens + mono.odds: r for r, mono in enumerate(rows)}
+    row_index = {mono: r for r, mono in enumerate(rows)}
     for c, mono in enumerate(cols):
-        for target, coeff in _boundary_terms(brackets, n_even, mono.evens + mono.odds).items():
+        for target, coeff in _boundary_terms(brackets, n_even, mono).items():
             if coeff:
                 out[row_index[target]][c] = coeff
     return out
@@ -284,22 +278,24 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
 # Pretty-printing in the notation of the printed tables.
 # ---------------------------------------------------------------------------
 
-def format_monomial(gs: GeneratorSystem, mono: SuperMonomial) -> str:
+def format_monomial(gs: GeneratorSystem, mono: tuple[int, ...]) -> str:
     """W^{1101} ^ U^{2,0,1} for dim <= 3; Z{1,2} ^ U{u1^2 u3} in general."""
+    n_even = len(gs.even_ids)
+    evens, odds = mono[:n_even], mono[n_even:]
     if gs.dim <= 3:
-        bits = "".join(str(b) for b in mono.evens)
-        exps = ",".join(str(e) for e in mono.odds)
-        if not any(mono.evens) and not any(mono.odds):
+        bits = "".join(str(b) for b in evens)
+        exps = ",".join(str(e) for e in odds)
+        if not any(evens) and not any(odds):
             return "1"
-        if not any(mono.odds):
+        if not any(odds):
             return f"W^{{{bits}}}"
-        if not any(mono.evens):
+        if not any(evens):
             return f"U^{{{exps}}}"
         return f"W^{{{bits}}} ∧ U^{{{exps}}}"
-    zpart = ",".join(str(i + 1) for i, b in enumerate(mono.evens) if b)
+    zpart = ",".join(str(i + 1) for i, b in enumerate(evens) if b)
     upart = " ".join(
         (f"u{i + 1}^{e}" if e > 1 else f"u{i + 1}")
-        for i, e in enumerate(mono.odds) if e)
+        for i, e in enumerate(odds) if e)
     if not zpart and not upart:
         return "1"
     if not upart:

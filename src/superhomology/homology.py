@@ -257,12 +257,11 @@ def betti_row(gs: GeneratorSystem, w: int,
     return row
 
 
-def betti_table(gs: GeneratorSystem, w_max: int, algebra: str = "",
-                params: dict[str, Fraction] | None = None,
+def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | None = None,
                 on_cell: CellCallback | None = None) -> BettiTable:
-    """Checked rows for every weight up to w_max, computed in order."""
+    """Checked rows for every weight up to w_max, computed in order, named from ``gs.sc.name``."""
     rows = [betti_row(gs, w, on_cell=on_cell) for w in range(w_max + 1)]
-    return BettiTable(algebra=algebra or gs.sc.name, params=dict(params or {}), rows=rows)
+    return BettiTable(algebra=gs.sc.name, params=dict(params or {}), rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ product and transpose live here too: only tests use them.
 
 from fractions import Fraction
 
-from superhomology.chain import (SuperMonomial, _boundary_terms, boundary_matrix, chain_basis,
-                                 chain_dim, support_degrees, zero_piece_basis)
+from superhomology.chain import (_boundary_terms, boundary_matrix, chain_basis, chain_dim,
+                                 support_degrees, zero_piece_basis)
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.matrix import RationalMatrix
 from superhomology.ranklin import rank_report
@@ -45,8 +45,8 @@ def sort_generator_word(gs, word):
     return sign, tuple(out)
 
 
-def word_to_monomial(gs, word) -> SuperMonomial:
-    """Canonical (sorted, even-square-free) word -> monomial."""
+def word_to_monomial(gs, word) -> tuple:
+    """Canonical (sorted, even-square-free) word -> exponent tuple (evens, then odds)."""
     even_pos = {gid: i for i, gid in enumerate(gs.even_ids)}
     odd_pos = {gid: i for i, gid in enumerate(gs.odd_ids)}
     evens = [0] * len(even_pos)
@@ -57,7 +57,7 @@ def word_to_monomial(gs, word) -> SuperMonomial:
             evens[pos] += 1
         else:
             odds[odd_pos[gid]] += 1
-    return SuperMonomial(tuple(evens), tuple(odds))
+    return tuple(evens + odds)
 
 
 def normalize_word(gs, word):
@@ -70,13 +70,12 @@ def normalize_word(gs, word):
 
 
 def monomial_degree(mono) -> int:
-    return sum(mono.evens) + sum(mono.odds)
+    return sum(mono)
 
 
 def monomial_weight(gs, mono) -> int:
     """Grade-weighted letter count, summed letter type by letter type."""
-    return sum(e * gs.grades[gid] for e, gid in zip(mono.evens + mono.odds,
-                                                    gs.even_ids + gs.odd_ids))
+    return sum(e * gs.grades[gid] for e, gid in zip(mono, gs.even_ids + gs.odd_ids))
 
 
 class Chain:
@@ -85,7 +84,7 @@ class Chain:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict[SuperMonomial, Fraction] = {}
+        self.terms: dict[tuple, Fraction] = {}
         if terms:
             for mono, c in dict(terms).items():
                 c = Fraction(c)
@@ -95,7 +94,7 @@ class Chain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, mono: SuperMonomial, c: Fraction) -> None:
+    def add_term(self, mono: tuple, c: Fraction) -> None:
         v = self.terms.get(mono, Fraction(0)) + c
         if v:
             self.terms[mono] = v
@@ -125,11 +124,9 @@ class Chain:
 
 def boundary_monomial(gs, mono) -> Chain:
     """Boundary of one monomial as a ``Chain``, read off the package's term dict."""
-    n_even = len(mono.evens)
     scale, brackets = gs.int_brackets(monomial_weight(gs, mono))
-    terms = _boundary_terms(brackets, n_even, mono.evens + mono.odds)
-    return Chain({SuperMonomial(t[:n_even], t[n_even:]): Fraction(c, scale)
-                  for t, c in terms.items()})
+    terms = _boundary_terms(brackets, len(gs.even_ids), mono)
+    return Chain({t: Fraction(c, scale) for t, c in terms.items()})
 
 
 def transpose(matrix) -> RationalMatrix:
@@ -326,10 +323,7 @@ def jacobi_holds_via_adjoint(sc) -> bool:
 
 def monomial_word(gs, mono):
     """The monomial as a sorted word of generator ids (odd letters repeated)."""
-    word = [gid for bit, gid in zip(mono.evens, gs.even_ids) if bit]
-    for e, gid in zip(mono.odds, gs.odd_ids):
-        word.extend([gid] * e)
-    return tuple(word)
+    return tuple(gid for e, gid in zip(mono, gs.even_ids + gs.odd_ids) for _ in range(e))
 
 
 def wedge_monomials(gs, a, b):

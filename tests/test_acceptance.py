@@ -160,10 +160,13 @@ def _check_dd_zero_full(gs, w):
 
 def _check_dd_zero_sampled(gs, w, rng, samples):
     degrees = support_degrees(gs, w)
+    bases = {}  # each degree is listed once, however often it is drawn
     picked = 0
     while picked < samples:
         m = rng.choice(degrees)
-        basis = chain_basis(gs, m, w)
+        if m not in bases:
+            bases[m] = chain_basis(gs, m, w)
+        basis = bases[m]
         if not basis:
             continue
         mono = basis[rng.randrange(len(basis))]

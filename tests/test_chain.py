@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from superhomology import (SuperMonomial, boundary_matrix, catalog_get,
+from superhomology import (boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
                            generator_system, support_degrees)
 from superhomology.matrix import RationalMatrix
@@ -17,7 +17,7 @@ from oracles import (Chain, boundary_monomial, induced_bracket, matmul,
 
 
 def mono(eps, odds):
-    return SuperMonomial(tuple(eps), tuple(odds))
+    return tuple(eps) + tuple(odds)
 
 
 def chain(*terms):
@@ -41,23 +41,35 @@ def test_chain_basis_examples():
     # lowest degree at w=4: z4 ^ U with two odd letters
     low = chain_basis(gs, 3, 4)
     assert len(low) == comb(4, 2) == 6
-    assert all(m.evens == (0, 0, 0, 1) and sum(m.odds) == 2 for m in low)
+    assert all(m[:4] == (0, 0, 0, 1) and sum(m[4:]) == 2 for m in low)
     # top degree at w=2: W^{1110} ^ U with two odd letters
     top = chain_basis(gs, 5, 2)
     assert len(top) == comb(4, 2) == 6
-    assert all(m.evens == (1, 1, 1, 0) for m in top)
+    assert all(m[:4] == (1, 1, 1, 0) for m in top)
     # degree 0, weight 0: the empty monomial
     assert chain_basis(gs, 0, 0) == [mono((0, 0, 0, 0), (0, 0, 0))]
     assert chain_dim(gs, 4, 3) == 3 * comb(3, 2) + 3 * comb(5, 2) == 39
     assert chain_basis(gs, 0, 1) == []
 
 
-def test_chain_basis_order_is_graded_lex_deterministic():
-    gs = generator_system(catalog_get("heis3"))
-    basis = chain_basis(gs, 2, 2)
-    assert basis == sorted(basis)
-    assert basis[0].evens == (0, 0, 0, 0)  # pure odd monomials come first
-    assert basis == chain_basis(gs, 2, 2)
+_ORDER_BINDS = {"g3d2": {"alpha": "3"}, "g3d3": {"alpha": "2", "beta": "3"}}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_chain_basis_order_is_graded_lex_deterministic(name):
+    # chain_basis emits lex order without sorting, so every cell must come out
+    # strictly increasing and complete
+    gs = generator_system(catalog_get(name, _ORDER_BINDS.get(name)))
+    w_max = 6 if name == "gl2" else 3 if name.startswith("abelian") else 8
+    for w in range(w_max + 1):
+        for m in support_degrees(gs, w):
+            basis = chain_basis(gs, m, w)
+            assert len(basis) == chain_dim(gs, m, w), (m, w)
+            assert all(a < b for a, b in zip(basis, basis[1:])), (m, w)
+    if name == "heis3":
+        basis = chain_basis(gs, 2, 2)
+        assert basis[0][:4] == (0, 0, 0, 0)  # pure odd monomials come first
+        assert basis == chain_basis(gs, 2, 2)
 
 
 def test_chain_dim_factors_through_grade_zero_part():
@@ -70,7 +82,7 @@ def test_chain_dim_factors_through_grade_zero_part():
 
         def restricted_dim(m, w):
             return sum(1 for mono in chain_basis(gs, m, w)
-                       if not any(mono.evens[i] for i in zero_ids))
+                       if not any(mono[i] for i in zero_ids))
 
         for w in range(0, 5):
             for m in range(0, 9):
@@ -489,5 +501,5 @@ def test_format_monomial_notation():
     assert format_monomial(gs, mono((0, 0, 0, 0), NOZ)) == "1"
     assert format_monomial(gs, mono((1, 0, 0, 0), NOZ)) == "W^{1000}"
     gl2 = generator_system(catalog_get("gl2"))
-    m = SuperMonomial((1, 1, 0, 1, 0, 0, 0, 0), (2, 0, 1, 0, 0, 0, 0))
+    m = mono((1, 1, 0, 1, 0, 0, 0, 0), (2, 0, 1, 0, 0, 0, 0))
     assert format_monomial(gl2, m) == "Z{1,2,4} ∧ U{u1^2 u3}"

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from superhomology import (SuperMonomial, TableInvariantError, betti_row,
+from superhomology import (TableInvariantError, betti_row,
                            betti_table, catalog_get, chain_basis, generator_system, homology,
                            verify_table)
 from superhomology.chain import boundary_rows
@@ -278,9 +278,13 @@ def test_wrong_rank_raises_instead_of_returning_row(monkeypatch):
         betti_table(generator_system(catalog_get("heis3")), 3)
 
 
+class _Listed(tuple):
+    """A monomial as the table listed it, told apart from the other tuples on ``gs``."""
+
+
 def _held_monomials(value) -> int:
-    """Chain monomials reachable from ``value`` through dicts, lists, tuples and sets."""
-    if isinstance(value, SuperMonomial):
+    """Listed monomials reachable from ``value`` through dicts, lists, tuples and sets."""
+    if isinstance(value, _Listed):
         return 1
     if isinstance(value, dict):
         return sum(_held_monomials(k) + _held_monomials(v) for k, v in value.items())
@@ -290,14 +294,26 @@ def _held_monomials(value) -> int:
 
 
 @pytest.mark.parametrize("name, w_max", [("heis3", 25), ("gl2", 6)])
-def test_table_leaves_no_basis_on_the_generator_system(name, w_max):
-    # each weight's bases are listed by its row and dropped when the row returns
+def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch):
+    # each weight's bases are listed by its row and dropped when the row returns;
+    # a monomial is a plain tuple, so the listed ones are marked to be found
+    real = homology.zero_piece_basis
+    listed = []
+
+    def marked(gs, m, w):
+        basis = [_Listed(mono) for mono in real(gs, m, w)]
+        listed.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(homology, "zero_piece_basis", marked)
     gs = generator_system(catalog_get(name))
     betti_table(gs, w_max)
+    assert sum(listed) > 0
     assert _held_monomials(vars(gs)) == 0
-    # what stays is the counting DP: {(degree, torus weight): count} per (w, graded)
-    assert set(gs._count_cache) <= {(w, graded) for w in range(w_max + 1)
-                                    for graded in (False, True)}
+    # what stays is the counting DP: {(degree, torus weight): count} per (w, torus
+    # coordinates used), one DP per weight without a grading
+    assert set(gs._count_cache) <= {(w, coords) for w in range(w_max + 1)
+                                    for coords in ((), gs.torus)}
     for counts in gs._count_cache.values():
         assert all(type(n) is int for n in counts.values())
 
