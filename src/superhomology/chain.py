@@ -7,6 +7,16 @@ below), and bases list these tuples in lex order.  Degree is the exponent
 sum, weight the grade-weighted sum; the boundary operator preserves weight
 and lowers degree by 1, so each weight gives a finite complex.
 
+Which monomials exist is recorded in one suffix table per generator id,
+built from the last id to the first: table i counts the ways the ids >= i
+reach each (degree, weight, torus weight) up to a weight bound, the torus
+weight being empty without a grading (``GeneratorSystem.torus``).  The
+counts are read off table 0.  A basis walks the ids in order and keeps an
+exponent only if the next table reaches what is left, so the walk meets no
+dead end, comes out in lex order, and lists the torus-weight-0 piece
+without touching another monomial.  One table per coordinate set is cached
+on the generator system and serves every weight up to its bound.
+
 On a word Y_1 ^ ... ^ Y_m the boundary acts pair by pair,
 
     sum_{a<b} (-1)^{a-1 + y_a (y_{a+1}+...+y_{b-1})}
@@ -46,8 +56,6 @@ rows divided by D_w, the exact rational matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from operator import mul
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
@@ -58,46 +66,44 @@ from .matrix import RationalMatrix
 # Basis enumeration.
 # ---------------------------------------------------------------------------
 
-def _counts(gs: GeneratorSystem, w: int, graded: bool) -> dict[tuple[int, tuple[int, ...]], int]:
-    """{(degree, torus weight): number of weight-w monomials}, by counting (no listing).
-
-    A DP over groups of letters of one grade (and, when ``graded``, one
-    torus weight, see ``GeneratorSystem.torus``): c letters of a group of
-    size s add (c, grade * c, torus * c) to (degree, weight, torus weight)
-    in C(s, c) ways for even grades and C(s + c - 1, c) for odd ones.
-    Ungraded counts carry the empty torus weight (); the cache is keyed on
-    the coordinates used, so without a grading both share one DP.
-    """
-    coords = gs.torus if graded else ()
-    cache = gs._count_cache
-    if (w, coords) in cache:
-        return cache[w, coords]
-    groups: dict[tuple[int, tuple[int, ...]], int] = {}
-    for gid, grade in enumerate(gs.grades):
-        group = (grade, tuple(coord[gid] for coord in coords))
-        groups[group] = groups.get(group, 0) + 1
-    states = {(0, 0, (0,) * len(coords)): 1}
-    for (grade, torus), size in groups.items():
-        nxt: dict[tuple[int, int, tuple[int, ...]], int] = {}
-        for (dm, dw, dt), ways in states.items():
-            c = 0
+def _suffix_tables(grades: tuple[int, ...], coords: tuple, w: int) -> list[dict[tuple, int]]:
+    """The suffix tables up to weight w; an id of grade above w shares the next id's table."""
+    tables = [{(0, 0) + (0,) * len(coords): 1}]
+    for i in reversed(range(len(grades))):
+        grade, below = grades[i], tables[-1]
+        vec, table = (1, grade) + tuple(coord[i] for coord in coords), {}
+        for key, ways in below.items() if grade <= w else ():
             # even letters square to zero; odd ones have grade >= 1
-            while dw + c * grade <= w and (grade % 2 or c <= size):
-                mult = comb(size + c - 1, c) if grade % 2 else comb(size, c)
-                key = (dm + c, dw + c * grade, tuple(a + c * b for a, b in zip(dt, torus)))
-                nxt[key] = nxt.get(key, 0) + ways * mult
-                c += 1
-        states = nxt
-    result = {(dm, dt): n for (dm, dw, dt), n in states.items() if dw == w}
-    cache[w, coords] = result
-    return result
+            for _ in range(w + 1 if grade % 2 else 2):
+                if key[1] > w:
+                    break
+                table[key] = table.get(key, 0) + ways
+                key = tuple(a + b for a, b in zip(key, vec))
+        tables.append(table if grade <= w else below)
+    return tables[::-1]
+
+
+def _tables(gs: GeneratorSystem, coords: tuple, w: int) -> tuple:
+    """The cached (weight bound >= w, suffix tables, exponent choices) of ``coords``.
+
+    A larger w rebuilds it at least twice as far: rows in order rebuild it O(log w) times.
+    """
+    entry = gs._count_cache.get(coords)
+    if entry is None or entry[0] < w:
+        w = max(w, 2 * entry[0]) if entry else w
+        entry = gs._count_cache[coords] = (w, _suffix_tables(gs.grades, coords, w), {})
+    return entry
+
+
+def count_up_to(gs: GeneratorSystem, w_max: int) -> None:
+    """Build the table of each coordinate set once for every weight up to w_max."""
+    for coords in {(), gs.torus}:
+        _tables(gs, coords, w_max)
 
 
 def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
     """dim of the weight-w degree-m chain space, by counting (no listing)."""
-    if m < 0 or w < 0:
-        return 0
-    return _counts(gs, w, False).get((m, ()), 0)
+    return _tables(gs, (), w)[1][0].get((m, w), 0) if w >= 0 else 0
 
 
 def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int, int]]:
@@ -107,64 +113,57 @@ def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int,
     Without a grading there is one piece, keyed ().
     """
     pieces: dict[tuple[int, ...], dict[int, int]] = {}
-    for (m, torus), n in sorted(_counts(gs, w, True).items()):
-        pieces.setdefault(torus, {})[m] = n
+    counts = _tables(gs, gs.torus, w)[1][0].items()
+    for (m, _, *torus), n in sorted(item for item in counts if item[0][1] == w):
+        pieces.setdefault(tuple(torus), {})[m] = n
     return pieces
 
 
-def _odd_parts(grades: list[int], m: int, w: int) -> list[tuple[int, ...]]:
-    """Exponent tuples over odd letters of these nondecreasing grades with degree m and weight w.
+def _walk(gs: GeneratorSystem, coords: tuple, entry: tuple, ids: list[int], parts: list) -> list:
+    """Extend each (exponents so far, state left) over ``ids``; each state's choices are kept."""
+    _, tables, choices = entry
+    for i in ids:
+        known, below = choices.setdefault(i, {}), tables[i + 1]
+        vec = (1, gs.grades[i]) + tuple(coord[i] for coord in coords)
+        for state in {state for _, state in parts} - known.keys():
+            known[state] = [(t, left) for t in range(state[0] + 1 if vec[1] % 2 else 2)
+                            if (left := tuple(a - t * b for a, b in zip(state, vec))) in below]
+        parts = [(e + (t,), left) for e, state in parts for t, left in known[state]]
+    return parts
 
-    Letters are placed one at a time; a partial tuple is kept only while the
-    letters after it, with grades in [next grade, last grade], can still take
-    up exactly the degree and weight left, and the last letter takes the rest.
+
+def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The exponent tuples reaching ``target`` = (degree, weight, *torus weight), in lex order.
+
+    Grades rise with the id within each parity, so the letters of grade above
+    the weight end each part and are padded with zeros, not walked.  The odd
+    tail of each state the even part leaves is listed once.
     """
-    if not grades:
-        return [()] if m == w == 0 else []
-    *head, last = grades
-    parts = [((), m, w)]
-    for pos, g in enumerate(head):
-        low = grades[pos + 1]
-        parts = [(o + (t,), dm - t, dw - t * g) for o, dm, dw in parts
-                 for t in range(min(dm, dw // g) + 1)
-                 if low * (dm - t) <= dw - t * g <= last * (dm - t)]
-    return [o + (dm,) for o, dm, dw in parts if dw == dm * last]
+    w = target[1]
+    if w < 0 or target not in (entry := _tables(gs, coords, w))[1][0]:
+        return []
+    evens = [i for i in gs.even_ids if gs.grades[i] <= w]
+    odds = [i for i in gs.odd_ids if gs.grades[i] <= w]
+    even_pad = (0,) * (len(gs.even_ids) - len(evens))
+    odd_pad = (0,) * (len(gs.odd_ids) - len(odds))
+    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    out: list[tuple[int, ...]] = []
+    for e, left in _walk(gs, coords, entry, evens, [((), target)]):
+        if left not in tails:
+            tails[left] = [even_pad + o + odd_pad
+                           for o, _ in _walk(gs, coords, entry, odds, [((), left)])]
+        out += [e + o for o in tails[left]]
+    return out
 
 
 def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
-    """All monomials of degree m and weight w as exponent tuples over generator ids, in lex order.
-
-    Even parts (exponent 0 before 1) and odd parts (``_odd_parts``) are both
-    listed in lex order, so each even part followed by its odd parts, listed
-    once per leftover degree and weight, is the lex order of the whole tuples.
-    """
-    if m < 0 or w < 0:
-        return []
-    n_even = len(gs.even_ids)
-    # a letter of grade above w never occurs, and grades rise with the id
-    # within each parity, so each part is listed over a prefix of its letters
-    evens = [g for g in gs.grades[:n_even] if g <= w]
-    odds = [g for g in gs.grades[n_even:] if g <= w]
-    even_pad = (0,) * (n_even - len(evens))
-    odd_pad = (0,) * (len(gs.odd_ids) - len(odds))
-    even_parts = [((), m, w)]  # (exponents so far, degree and weight left)
-    for g in evens:
-        even_parts = [(e + (t,), dm - t, dw - t * g) for e, dm, dw in even_parts
-                      for t in ((0, 1) if dm and dw >= g else (0,))]
-    tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    out: list[tuple[int, ...]] = []
-    for e, dm, dw in even_parts:
-        odd_exps = tails.get((dm, dw))
-        if odd_exps is None:
-            odd_exps = tails[dm, dw] = [even_pad + o + odd_pad for o in _odd_parts(odds, dm, dw)]
-        out += [e + o for o in odd_exps]
-    return out
+    """All monomials of degree m and weight w, as exponent tuples over ids in lex order."""
+    return _basis(gs, (), (m, w))
 
 
 def zero_piece_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
     """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order."""
-    return [mono for mono in chain_basis(gs, m, w)
-            if not any(sum(map(mul, mono, coord)) for coord in gs.torus)]
+    return _basis(gs, gs.torus, (m, w) + (0,) * len(gs.torus))
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:

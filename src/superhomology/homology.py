@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .chain import boundary_rows, chain_dim, support_degrees, torus_pieces, zero_piece_basis
+from .chain import (boundary_rows, chain_dim, count_up_to, support_degrees, torus_pieces,
+                    zero_piece_basis)
 from .exterior import GeneratorSystem
 from .ranklin import EliminationReport, rank_rows
 from .rational import format_rational
@@ -260,6 +261,7 @@ def betti_row(gs: GeneratorSystem, w: int,
 def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | None = None,
                 on_cell: CellCallback | None = None) -> BettiTable:
     """Checked rows for every weight up to w_max, computed in order, named from ``gs.sc.name``."""
+    count_up_to(gs, w_max)
     rows = [betti_row(gs, w, on_cell=on_cell) for w in range(w_max + 1)]
     return BettiTable(algebra=gs.sc.name, params=dict(params or {}), rows=rows)
 

@@ -2,7 +2,8 @@
 
 These are the second routes the main paths are checked against.  Each
 avoids the path it checks: ``naive_rank`` shares nothing with the
-elimination kernel, and the whole-matrix and per-piece Betti routes
+elimination kernel, ``brute_basis`` nothing with the suffix tables that
+count and list the bases, and the whole-matrix and per-piece Betti routes
 eliminate through the kernel (checked against ``naive_rank`` elsewhere) but
 never take a rank from the torus split.  The word layer (sorting words of
 generators with the super sign), ``Chain`` arithmetic and the matrix
@@ -183,9 +184,40 @@ def whole_matrix_betti_table(gs, w_max) -> BettiTable:
 
 
 def torus_weight(gs, mono) -> tuple:
-    """Torus weight of a monomial, summed letter by letter."""
+    """Torus weight of a monomial, summed letter by letter (() without a grading)."""
+    if not gs.torus:
+        return ()
     word = monomial_word(gs, mono)
     return tuple(sum(coord[gid] for gid in word) for coord in gs.torus)
+
+
+def brute_basis(gs, m, w, torus=None) -> list:
+    """Exponent tuples of degree m and weight w (and torus weight ``torus`` if given), sorted.
+
+    A plain depth-first search over generator ids, pruned only by the degree
+    and weight left; it shares nothing with the suffix tables of ``chain``.
+    """
+    out, exps = [], [0] * gs.count
+
+    def place(i, dm, dw):
+        while i < gs.count and gs.grades[i] > dw:
+            i += 1  # a letter heavier than the weight left takes exponent 0
+        if dm == 0 or i == gs.count:
+            if dm == dw == 0:
+                out.append(tuple(exps))
+            return
+        grade = gs.grades[i]
+        for t in range(dm + 1 if grade % 2 else min(dm, 1) + 1):
+            if t * grade > dw:
+                break
+            exps[i] = t
+            place(i + 1, dm - t, dw - t * grade)
+        exps[i] = 0
+
+    place(0, m, w)
+    if torus is not None:
+        out = [mono for mono in out if torus_weight(gs, mono) == tuple(torus)]
+    return sorted(out)
 
 
 def zero_piece_matrix(gs, m, w) -> RationalMatrix:

@@ -7,12 +7,13 @@ import pytest
 
 from superhomology import (boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
-                           generator_system, support_degrees)
+                           generator_system, support_degrees, torus_pieces)
+from superhomology.chain import zero_piece_basis
 from superhomology.matrix import RationalMatrix
 
-from oracles import (Chain, boundary_monomial, induced_bracket, matmul,
+from oracles import (Chain, boundary_monomial, brute_basis, induced_bracket, matmul,
                      monomial_degree, monomial_weight, monomial_word,
-                     naive_rank, normalize_word, wedge_chain,
+                     naive_rank, normalize_word, torus_weight, wedge_chain,
                      word_boundary_matrix, word_boundary_monomial)
 
 
@@ -98,7 +99,31 @@ def test_chain_dim_matches_enumeration():
         for _ in range(12):
             m = rng.randint(0, 7)
             w = rng.randint(0, 6)
-            assert chain_dim(gs, m, w) == len(chain_basis(gs, m, w))
+            assert chain_dim(gs, m, w) == len(chain_basis(gs, m, w)) == len(brute_basis(gs, m, w))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_bases_and_counts_match_brute_force(name):
+    # the suffix tables count and list every basis, so both are checked against
+    # a depth-first search that shares nothing with them
+    gs = generator_system(catalog_get(name, _ORDER_BINDS.get(name)))
+    zero = (0,) * len(gs.torus)
+    w_max = 4 if name == "gl2" else 3 if name.startswith("abelian") else 6
+    for w in range(w_max + 1):
+        pieces, support = {}, []
+        for m in range(-1, w + gs.dim + 2):
+            basis = brute_basis(gs, m, w)
+            assert chain_basis(gs, m, w) == basis, (m, w)
+            # without a grading the zero piece is the whole basis
+            zero_piece = brute_basis(gs, m, w, zero) if gs.torus else basis
+            assert zero_piece_basis(gs, m, w) == zero_piece, (m, w)
+            assert chain_dim(gs, m, w) == len(basis), (m, w)
+            support += [m] if basis else []
+            for mono in basis:
+                dims = pieces.setdefault(torus_weight(gs, mono), {})
+                dims[m] = dims.get(m, 0) + 1
+        assert torus_pieces(gs, w) == pieces, w
+        assert support_degrees(gs, w) == support, w
 
 
 def test_generic_3dim_dimension_table():

@@ -11,6 +11,7 @@ import pytest
 from superhomology import (TableInvariantError, betti_row,
                            betti_table, catalog_get, chain_basis, generator_system, homology,
                            verify_table)
+from superhomology import chain
 from superhomology.chain import boundary_rows
 
 from conftest import EXPECTED_DIR, REPO_ROOT
@@ -306,16 +307,24 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
         return basis
 
     monkeypatch.setattr(homology, "zero_piece_basis", marked)
+    real_build = chain._suffix_tables
+    built = []
+
+    def counted(grades, coords, w):
+        built.append((coords, w))
+        return real_build(grades, coords, w)
+
+    monkeypatch.setattr(chain, "_suffix_tables", counted)
     gs = generator_system(catalog_get(name))
     betti_table(gs, w_max)
     assert sum(listed) > 0
     assert _held_monomials(vars(gs)) == 0
-    # what stays is the counting DP: {(degree, torus weight): count} per (w, torus
-    # coordinates used), one DP per weight without a grading
-    assert set(gs._count_cache) <= {(w, coords) for w in range(w_max + 1)
-                                    for coords in ((), gs.torus)}
-    for counts in gs._count_cache.values():
-        assert all(type(n) is int for n in counts.values())
+    # what stays is one suffix-count table per torus coordinate set, built once at w_max
+    assert set(gs._count_cache) <= {(), gs.torus}
+    assert sorted(built) == sorted((coords, w_max) for coords in {(), gs.torus})
+    for bound, tables, _ in gs._count_cache.values():
+        assert bound == w_max
+        assert all(type(n) is int for table in tables for n in table.values())
 
 
 @pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 10)])
