@@ -243,6 +243,8 @@ def parse_algebra_document(doc) -> AlgebraSpec:
                 for f in ("i", "j"))
         if not (1 <= i < j <= dim):
             raise AlgebraError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
+        if (i, j) in brackets:
+            raise AlgebraError(f"bracket pair ({i}, {j}) is listed twice")
         out_doc = entry.get("out", {})
         if not isinstance(out_doc, dict):
             raise AlgebraError(f"bracket ({i}, {j}): 'out' must be an object, got {out_doc!r}")
@@ -251,6 +253,8 @@ def parse_algebra_document(doc) -> AlgebraSpec:
             k = _integer(k_str, f"bracket ({i}, {j}): output index must be an integer")
             if not (1 <= k <= dim):
                 raise AlgebraError(f"bracket output index {k} out of range")
+            if k in out:
+                raise AlgebraError(f"bracket ({i}, {j}): output index {k} is given twice")
             terms = value if isinstance(value, list) else [value]
             parsed = [_parse_coefficient(t) for t in terms]
             for _, param in parsed:

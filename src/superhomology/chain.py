@@ -41,8 +41,21 @@ two types gives the same term with the same sign:
   when that letter is even.  The bracket letter has the parity of
   y_i + y_j, so it is even exactly when Y_i is odd, and the flips cancel.
 
-So the sign is taken at the first occurrences, with a, b, the passed letters
-and the letters the bracket letter crosses all read off prefix counts of e.
+So the sign is taken at the first occurrences.  Let s(x) be the number of
+letters before the first Y_x: a = s(i) + 1, and Y_k of [Y_i, Y_j] lands at
+slot s(j) - 1 of the word without Y_a (s(i) when i = j).  A swap of grades
+x, y gives -(-1)^{xy}, so sorting Y_k back costs -1 per letter crossed when
+Y_k is even, per even letter crossed when it is odd.  Grades add under the
+bracket and ids sort evens first, so three cases remain:
+
+* A. Y_i even, Y_j odd: Y_k is odd, Y_i passes no sign, and Y_k moves
+  within the odd block for free.  Sign (-1)^{s(i)}.
+* B. Y_i, Y_j odd (i = j included): Y_k is even, so the term is zero if Y_k
+  is in the word.  a - 1 plus the letters Y_i passes is the slot, and Y_k
+  crosses slot - s(k) letters back: sign (-1)^{s(k)}.
+* C. Y_i, Y_j even: Y_k is even, so the term is zero if Y_k is left once
+  Y_i, Y_j are removed.  Y_i passes no sign and Y_k crosses only even
+  letters: sign (-1)^{s(i) + s(j) - 1 - s(k) + [i < k] + [j < k]}.
 
 The brackets come from ``GeneratorSystem.int_brackets(w)``: an int table
 {(i, j): ((D_w * c, k), ...)} of the nonzero pair brackets a weight-w
@@ -56,6 +69,7 @@ rows divided by D_w, the exact rational matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
@@ -180,16 +194,12 @@ def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     """D_w times the boundary of the monomial with exponent vector ``exps`` (evens + odds).
 
     ``brackets`` is ``GeneratorSystem.int_brackets(w)[1]`` for the weight w
-    of the monomial, and ``n_even`` the number of even generators.  Returns
-    {target exponent vector: int coefficient}; entries that cancel are left
-    at 0.
+    of the monomial, and ``n_even`` the number of even generators.  Each pair
+    of letter types gives its term once, times its position pairs, signed by
+    case A, B or C of the module docstring.  Returns {target exponent vector:
+    int coefficient}; entries that cancel are left at 0.
     """
-    start = []  # letters of the sorted word before each generator id
-    total = 0
-    for e in exps:
-        start.append(total)
-        total += e
-    even_letters = start[n_even] if n_even < len(exps) else total
+    start = list(accumulate(exps, initial=0))  # s(x): letters of the sorted word before id x
     present = [g for g, e in enumerate(exps) if e]
     out: dict[tuple[int, ...], int] = {}
     for x, i in enumerate(present):
@@ -199,37 +209,25 @@ def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
             bracket = brackets.get((i, j))
             if bracket is None:
                 continue
-            # sign exponent and slot of [Y_i, Y_j] at the first position pair
-            if j == i:
-                if ei < 2:
-                    continue
-                mult = ei * (ei - 1) // 2
-                slot = sign_exp = si
-            else:
-                mult = ei * exps[j]
-                slot = start[j] - 1
-                # an odd Y_i passes the odd letters between it and Y_j
-                sign_exp = slot if i >= n_even else si
-            even_left = even_letters - (i < n_even) - (j < n_even)
+            mult = ei * (ei - 1) // 2 if j == i else ei * exps[j]
+            if not mult:
+                continue  # a lone odd letter makes no pair
             reduced = list(exps)
             reduced[i] -= 1
             reduced[j] -= 1
             for coeff, k in bracket:
-                # move the bracket letter from the slot to its sorted place
-                lo = start[k] - (i < k) - (j < k)
-                if k < n_even:
-                    if reduced[k]:
-                        continue  # even letters square to zero
-                    flips = slot - lo
-                elif lo < slot:
-                    flips = min(slot, even_left) - min(lo, even_left)
+                if j >= n_even > i:
+                    s = si  # A: odd bracket letter
+                elif reduced[k]:
+                    continue  # even letters square to zero
+                elif i >= n_even:
+                    s = start[k]  # B
                 else:
-                    flips = min(lo, even_left) - min(slot, even_left)
+                    s = si + start[j] - 1 - start[k] + (i < k) + (j < k)  # C
                 reduced[k] += 1
                 target = tuple(reduced)
                 reduced[k] -= 1
-                value = coeff * mult if (sign_exp + flips) % 2 == 0 else -coeff * mult
-                out[target] = out.get(target, 0) + value
+                out[target] = out.get(target, 0) + (-coeff * mult if s % 2 else coeff * mult)
     return out
 
 

@@ -374,11 +374,7 @@ class GeneratorSystem:
             return cached
         a = self.generators[gi].expansion
         b = self.generators[gj].expansion
-        result = schouten(self.sc, a, b)
-        if result.level > self.sc.dim:
-            coords = {}
-        else:
-            coords = self.to_generator_coords(result)
+        coords = self.to_generator_coords(schouten(self.sc, a, b))
         value = tuple(sorted(
             ((c.numerator if c.denominator == 1 else c, g) for g, c in coords.items()),
             key=lambda t: t[1]))

@@ -271,25 +271,33 @@ def piece_tables(gs, w):
 
 
 def naive_rank(matrix) -> int:
-    """Dense rational Gaussian elimination, first-nonzero pivoting."""
-    rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
+    """Rational Gaussian elimination on sparse dict rows, first-nonzero pivoting."""
+    rows = [{} for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
-        rows[r][c] = Fraction(v)
+        if v:
+            rows[r][c] = Fraction(v)
     rank = 0
     for col in range(matrix.cols):
         pivot = None
         for r in range(rank, matrix.rows):
-            if rows[r][col]:
+            if col in rows[r]:
                 pivot = r
                 break
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
+        top = rows[rank]
+        pv = top[col]
         for r in range(rank + 1, matrix.rows):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            row = rows[r]
+            if col in row:
+                f = row[col] / pv
+                for c, b in top.items():
+                    v = row.get(c, 0) - f * b
+                    if v:
+                        row[c] = v
+                    else:
+                        row.pop(c, None)
         rank += 1
         if rank == matrix.rows:
             break

@@ -214,6 +214,12 @@ MALFORMED_DOCUMENTS = [
     ({"dim": True}, "integer 'dim', got True"),
     ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1.5": "1"}}]},
      "output index must be an integer, got '1.5'"),
+    # a second copy would silently win
+    ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": "1"}},
+                             {"i": 1, "j": 2, "out": {"2": "1"}}]},
+     "is listed twice"),
+    ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": "1", "01": "5"}}]},
+     "output index 1 is given twice"),
 ]
 
 
@@ -229,6 +235,8 @@ def test_load_algebra_errors():
     for doc, field in MALFORMED_DOCUMENTS:
         with pytest.raises(AlgebraError, match=field):
             load_algebra(doc)
+    with pytest.raises(AlgebraError, match=r"pair \(1, 2\) is listed twice"):
+        load_algebra({"dim": 2, "brackets": [{"i": 1, "j": 2}, {"i": 1, "j": 2}]})
     bad = {"dim": 3, "brackets": [
         {"i": 1, "j": 2, "out": {"3": "1"}},
         {"i": 1, "j": 3, "out": {"1": "1"}},

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -196,6 +197,46 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         assert (r["rows"], r["cols"]) == (piece.rows, piece.cols)
         assert len(r["pivots"]) == r["rank"] <= min(piece.rows, piece.cols)
         assert r["rank"] <= r["nonzero_rows"] <= r["rows"]
+
+
+# sha256 of every dump file (name and content, in sorted order) and of the
+# report's kernel-order-free fields; a change to the assembled boundary or to
+# a rank shows here.
+PINNED_DUMPS = [
+    (["--algebra", "heis3", "--wmax", "4"],
+     "3d52606cd7dcd65357b55568a6aaa1652476af38cae922c9d937c0ccfd3ef7a5",
+     "fab3b0f3f8eb3cdd9db52f2f9cfebbb3f08c97e5fc34de68908d434d8ed4d64a"),
+    (["--algebra", "g3d3", "--param", "alpha=2/3", "--param", "beta=-5/7", "--wmax", "4",
+      "--basis", "canonical"],
+     "01c6f7fb9f4fb891fe0666c1fea7ace7672169bc507c11e663e1d11641d965cb",
+     "48b63a80bd953c90290528e5d8a91bb5cdf74518cf5b48be1c584ddd53a3bcf7"),
+    (["--algebra", "g3d3", "--param", "alpha=2/3", "--param", "beta=-5/7", "--wmax", "4",
+      "--basis", "paper"],
+     "c510b43123bc23724a6eae1627895165d20396970832a8e04d6f990b0a67d674",
+     "48b63a80bd953c90290528e5d8a91bb5cdf74518cf5b48be1c584ddd53a3bcf7"),
+    (["--algebra", "gl2", "--wmax", "3"],
+     "5f1411677660ffdf6d771cb9f00a4cf3342ace45ee185f2afaf9e51545cc99d0",
+     "643356a25013ec801cb4ec099325cc1ca96223a547861c0da3bd8aaab915f2ae"),
+    (["--algebra", "sl2_efh", "--wmax", "8"],
+     "1057698ad62d3f89d96ef8e0f3705dedb0054fce32bd752c048bee78ca2cba3c",
+     "7aa60bcc85ba572367841572fb818d911aa170bae310675c7e3fa9ca371be6ea"),
+]
+
+
+def test_dump_and_report_digests_are_pinned(tmp_path):
+    # pivots, fill_in, nonzero_rows and elapsed depend on the kernel's order: left out
+    fields = ("w", "m", "rows", "cols", "rank", "cell_rank", "forced_rank")
+    for n, (argv, dump_sha, report_sha) in enumerate(PINNED_DUMPS):
+        dump_dir, report = tmp_path / f"d{n}", tmp_path / f"r{n}.json"
+        code, _, _ = run(["table", *argv, "--dump-matrix", str(dump_dir),
+                          "--report", str(report)])
+        assert code == 0
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(dump_dir)):
+            digest.update(name.encode() + b"\0" + (dump_dir / name).read_bytes() + b"\0")
+        cells = [[r[f] for f in fields] for r in json.loads(report.read_text())]
+        assert digest.hexdigest() == dump_sha, argv
+        assert hashlib.sha256(json.dumps(cells).encode()).hexdigest() == report_sha, argv
 
 
 def test_usage_errors_exit_2(tmp_path):
