@@ -100,7 +100,10 @@ def _suffix_tables(grades: tuple[int, ...], coords: tuple, w: int) -> list[dict[
 def _tables(gs: GeneratorSystem, coords: tuple, w: int) -> tuple:
     """The cached (weight bound >= w, suffix tables, exponent choices) of ``coords``.
 
-    A larger w rebuilds it at least twice as far: rows in order rebuild it O(log w) times.
+    A larger w rebuilds it at least twice as far, so rows in order rebuild it
+    O(log w) times.  That is what lets the CLI's size check walk the cells in
+    weight order and refuse a huge ``--wmax`` at the first cell too large,
+    having built the tables only to about twice that cell's weight.
     """
     entry = gs._count_cache.get(coords)
     if entry is None or entry[0] < w:
@@ -116,8 +119,12 @@ def count_up_to(gs: GeneratorSystem, w_max: int) -> None:
 
 
 def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
-    """dim of the weight-w degree-m chain space, by counting (no listing)."""
-    return _tables(gs, (), w)[1][0].get((m, w), 0) if w >= 0 else 0
+    """dim of the weight-w degree-m chain space, by counting (no listing).
+
+    No letter has grade above dim - 1, so a cell with w > (dim - 1) m is
+    empty, and is answered before any table is built to w.
+    """
+    return _tables(gs, (), w)[1][0].get((m, w), 0) if 0 <= w <= (gs.dim - 1) * m else 0
 
 
 def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int, int]]:
@@ -153,8 +160,9 @@ def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...]) -> list[
     the weight end each part and are padded with zeros, not walked.  The odd
     tail of each state the even part leaves is listed once.
     """
-    w = target[1]
-    if w < 0 or target not in (entry := _tables(gs, coords, w))[1][0]:
+    m, w = target[:2]
+    # a far cell is empty (see chain_dim), and is answered before a table is built to w
+    if not 0 <= w <= (gs.dim - 1) * m or target not in (entry := _tables(gs, coords, w))[1][0]:
         return []
     evens = [i for i in gs.even_ids if gs.grades[i] <= w]
     odds = [i for i in gs.odd_ids if gs.grades[i] <= w]

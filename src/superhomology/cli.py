@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .algebra import (AlgebraError, catalog_get, catalog_names, catalog_spec,
@@ -62,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_source(p)
     p.add_argument("--wmax", type=int, required=True)
     add_max_dim(p)
-    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
+    p.add_argument("--format", choices=("json", "csv", "md"),
+                   help="table format (default md; --sweep prints its own report)")
     p.add_argument("--dump-matrix", metavar="DIR",
                    help="write every boundary matrix as 'rows cols' + 'r c p/q' triplets")
     p.add_argument("--report", metavar="PATH",
@@ -84,9 +86,12 @@ def _parse_params(items) -> dict:
     out = {}
     for item in items:
         name, sep, value = item.partition("=")
+        name = name.strip()
         if not sep or not name:
             raise AlgebraError(f"bad --param {item!r}; want NAME=P/Q")
-        out[name.strip()] = parse_rational(value)
+        if name in out:
+            raise AlgebraError(f"--param {name} is given twice")
+        out[name] = parse_rational(value)
     return out
 
 
@@ -97,6 +102,10 @@ def _load_source(args, params, check: bool = True):
         return catalog_get(args.algebra, params)
     # --file is always a path, even one that starts with a brace
     return load_algebra(Path(args.file), params, check=check)
+
+
+def _system(args, params):
+    return generator_system(_load_source(args, params), args.basis)
 
 
 def _check_size(gs, cells, max_dim: int) -> None:
@@ -111,8 +120,11 @@ def _check_size(gs, cells, max_dim: int) -> None:
                              f"more than --max-dim {max_dim}")
 
 
-def _table_cells(gs, w_max: int):
-    return ((w, m) for w in range(w_max + 1) for m in support_degrees(gs, w))
+def _table(args, gs, params, on_cell=None):
+    """The Betti table to --wmax once its cells, in weight order, pass the size check."""
+    cells = ((w, m) for w in range(args.wmax + 1) for m in support_degrees(gs, w))
+    _check_size(gs, cells, args.max_dim)
+    return betti_table(gs, args.wmax, params=params, on_cell=on_cell)
 
 
 def _cmd_catalog(out) -> int:
@@ -130,29 +142,24 @@ def _cmd_catalog(out) -> int:
 def _cmd_table(args, out) -> int:
     params = _parse_params(args.param)
     if args.sweep:
-        if args.dump_matrix or args.report:
-            raise ValueError("--sweep writes no matrices or reports; "
-                             "drop --dump-matrix and --report")
         return _cmd_sweep(args, params, out)
-    sc = _load_source(args, params)
-    gs = generator_system(sc, args.basis)
-    _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
+    gs = _system(args, params)
     reports: list[dict] = []
 
     def on_cell(w, m, shape, report, forced_rank):
         if args.dump_matrix:
+            os.makedirs(args.dump_matrix, exist_ok=True)
             path = os.path.join(args.dump_matrix, f"boundary_w{w}_m{m}.txt")
             with open(path, "w", encoding="utf-8") as fh:
                 boundary_matrix(gs, m, w).dump(fh)
         if args.report:
             reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1],
-                            **report.to_dict(), "forced_rank": forced_rank,
+                            **asdict(report), "forced_rank": forced_rank,
                             "cell_rank": report.rank + forced_rank})
 
+    table = _table(args, gs, params, on_cell)
     if args.dump_matrix:
         os.makedirs(args.dump_matrix, exist_ok=True)
-    table = betti_table(gs, args.wmax, params=params, on_cell=on_cell)
-    if args.dump_matrix:
         for row in table.rows:
             # record the basis ordering the matrix files refer to
             basis_path = os.path.join(args.dump_matrix, f"basis_w{row.w}.txt")
@@ -174,19 +181,20 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_sweep(args, params, out) -> int:
+    for flag in ("--format", "--dump-matrix", "--report"):
+        if getattr(args, flag[2:].replace("-", "_")):
+            raise ValueError(f"--sweep prints its own text report; drop {flag}")
     name, sep, values = args.sweep.partition("=")
-    if not sep or not values:
-        raise AlgebraError(f"bad --sweep {args.sweep!r}; want NAME=V1,V2,...")
     name = name.strip()
+    if not sep or not name or not values:
+        raise AlgebraError(f"bad --sweep {args.sweep!r}; want NAME=V1,V2,...")
+    if name in params:
+        raise AlgebraError(f"--sweep {name} and --param {name} both bind {name}; drop one")
     bindings = [parse_rational(v) for v in values.split(",")]
     tables = []
     for value in bindings:
-        swept = dict(params)
-        swept[name] = value
-        sc = _load_source(args, swept)
-        gs = generator_system(sc, args.basis)
-        _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
-        tables.append(betti_table(gs, args.wmax, params=swept))
+        swept = {**params, name: value}
+        tables.append(_table(args, _system(args, swept), swept))
     labels = [format_rational(v) for v in bindings]
     differing = []
     for w in range(args.wmax + 1):
@@ -241,16 +249,11 @@ def run_cli(argv, out=None, err=None) -> int:
             return 1
 
         if args.command == "bracket-table":
-            params = _parse_params(args.param)
-            sc = _load_source(args, params)
-            gs = generator_system(sc, args.basis)
-            out.write(render_bracket_table(gs))
+            out.write(render_bracket_table(_system(args, _parse_params(args.param))))
             return 0
 
         if args.command == "basis":
-            params = _parse_params(args.param)
-            sc = _load_source(args, params)
-            gs = generator_system(sc, args.basis)
+            gs = _system(args, _parse_params(args.param))
             _check_size(gs, [(args.w, args.m)], args.max_dim)
             monos = chain_basis(gs, args.m, args.w)
             out.write(f"dim C_{args.m}^(w={args.w}) = {len(monos)}\n")
@@ -263,10 +266,7 @@ def run_cli(argv, out=None, err=None) -> int:
 
         if args.command == "verify":
             params = _parse_params(args.param)
-            sc = _load_source(args, params)
-            gs = generator_system(sc, args.basis)
-            _check_size(gs, _table_cells(gs, args.wmax), args.max_dim)
-            table = betti_table(gs, args.wmax, params=params)
+            table = _table(args, _system(args, params), params)
             diff = verify_table(table, load_expected(args.expected))
             out.write(diff.render())
             return 0 if diff.ok else 1

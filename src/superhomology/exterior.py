@@ -30,7 +30,7 @@ from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraError, StructureConstants
-from .ranklin import eliminate
+from .ranklin import rank_rows
 from .rational import format_rational
 
 
@@ -339,7 +339,7 @@ class GeneratorSystem:
                 scale = lcm(*(c.denominator for c in eigen))
                 coord = tuple(int(c * scale) for c in eigen)
                 rows = [{g: t for g, t in enumerate(v) if t} for v in coords + [coord]]
-                if eliminate(rows)[0] > len(coords):
+                if rank_rows(rows).rank > len(coords):
                     coords.append(coord)
         return tuple(coords)
 

@@ -47,12 +47,6 @@ class RationalMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def row_lists(self) -> list[dict[int, int | Fraction]]:
-        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

@@ -12,9 +12,12 @@ and its content (gcd) stripped, until it is zero or its leading column has
 no owner yet, which makes it that column's pivot row.  All arithmetic stays
 in arbitrary-precision integers, so the result is exact unconditionally.
 
-The table path hands its rows over as ints already: ``chain.boundary_rows``
-assembles D_w times the boundary, which has the same rank, and
-``rank_rows`` eliminates them as they are, with no row cleared on its own.
+``rank_rows`` is the kernel: it times the pass, counts the rows that enter
+with entries, and returns an :class:`EliminationReport` whose fields are in
+the order of the ``superhomology table --report`` keys.  The table path
+hands its rows over as ints already: ``chain.boundary_rows`` assembles D_w
+times the boundary, which has the same rank, and ``rank_rows`` eliminates
+them as they are, with no row cleared on its own.
 Of those, only the uncleared rows carry entries: ``homology.betti_row``
 has already emptied the rows that the cell below proves dependent
 (d o d = 0, "clearing"), and an empty row costs nothing here.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -40,41 +43,35 @@ BACKEND = "python"
 
 @dataclass
 class EliminationReport:
-    """What one elimination did: rank, pivots in order, fill-in, wall time.
+    """What one elimination did; the fields are in ``--report`` key order.
 
+    ``pivots`` are (row, column) in the order they were found, and
     ``nonzero_rows`` counts the rows that entered with entries.
     """
 
     rank: int
-    pivots: list[tuple[int, int]] = field(default_factory=list)
-    fill_in: int = 0
-    elapsed: float = 0.0
+    pivots: list[tuple[int, int]]
+    fill_in: int
+    nonzero_rows: int
+    elapsed: float
     backend: str = BACKEND
-    nonzero_rows: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "pivots": [list(p) for p in self.pivots],
-            "fill_in": self.fill_in,
-            "nonzero_rows": self.nonzero_rows,
-            "elapsed": self.elapsed,
-            "backend": self.backend,
-        }
 
 
 def _integer_rows(matrix: RationalMatrix) -> list[dict[int, int]]:
     """Clear each row to integers (multiply by the lcm of denominators)."""
-    rows: list[dict[int, Fraction]] = matrix.row_lists()
-    out: list[dict[int, int]] = []
-    for row in rows:
+    rows: list[dict[int, int | Fraction]] = [{} for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    for r, row in enumerate(rows):
         mult = lcm(*(v.denominator for v in row.values()))  # lcm() of no values is 1
-        out.append({c: int(v * mult) for c, v in row.items()})
-    return out
+        rows[r] = {c: int(v * mult) for c, v in row.items()}
+    return rows
 
 
-def eliminate(rows: list[dict[int, int]]) -> tuple[int, list[tuple[int, int]], int]:
-    """Return (rank, pivot sequence, fill-in count); ``rows`` is consumed."""
+def rank_rows(rows: list[dict[int, int]]) -> EliminationReport:
+    """Exact rank of int rows ({column: entry}, consumed) with the elimination trace."""
+    start = time.perf_counter()
+    nonzero = sum(1 for row in rows if row)
     counts = Counter(c for row in rows for c in row)
     order = sorted(counts, key=lambda c: (counts[c], c))
     rank_of = {c: i for i, c in enumerate(order)}
@@ -116,19 +113,9 @@ def eliminate(rows: list[dict[int, int]]) -> tuple[int, list[tuple[int, int]], i
             if content > 1:
                 for c in row:
                     row[c] //= content
-    return len(pivots), pivots, fill
-
-
-def rank_rows(rows: list[dict[int, int]]) -> EliminationReport:
-    """Exact rank of int rows ({column: entry}, consumed) with the elimination trace."""
-    start = time.perf_counter()
-    nonzero = sum(1 for row in rows if row)
-    r, pivots, fill = eliminate(rows)
-    return EliminationReport(rank=r, pivots=pivots, fill_in=fill,
-                             elapsed=time.perf_counter() - start, nonzero_rows=nonzero)
+    return EliminationReport(len(pivots), pivots, fill, nonzero, time.perf_counter() - start)
 
 
 def rank_report(matrix: RationalMatrix) -> EliminationReport:
     """Exact rank over the rationals with the elimination trace."""
     return rank_rows(_integer_rows(matrix))
-

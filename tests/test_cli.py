@@ -153,6 +153,10 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assert entries == sorted(entries, key=lambda e: (int(e[0]), int(e[1])))
     reports = json.loads(report.read_text())
     assert any(r["w"] == 2 and r["m"] == 3 for r in reports)
+    # the shape, then the elimination report's fields in order, then the forced ranks
+    assert all(list(r) == ["w", "m", "rows", "cols", "rank", "pivots", "fill_in",
+                           "nonzero_rows", "elapsed", "backend", "forced_rank", "cell_rank"]
+               for r in reports)
     assert all(r["rank"] >= 0 and "pivots" in r for r in reports)
     # the rows indexed by pivot columns of the cell below enter elimination empty
     ranks = {(r["w"], r["m"]): r["rank"] for r in reports}
@@ -274,6 +278,22 @@ def test_usage_errors_exit_2(tmp_path):
     assert code == 2 and "w=4, m=5 has 63 monomials" in err and not out
     code, out, err = run(["table", "--algebra", "heis3", "--wmax", "3", "--max-dim", "-1"])
     assert code == 2 and "--max-dim must be >= 0" in err and not out
+    # the cells are checked in weight order, so a huge --wmax is refused at once
+    start = time.perf_counter()
+    code, out, err = run(["table", "--algebra", "heis3", "--wmax", "100000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and "w=258, m=259 has 200469 monomials" in err and not out
+    # a parameter bound twice, or both swept and bound, is refused
+    code, out, err = run(["table", "--algebra", "g3d2", "--param", "alpha=-1",
+                          "--param", "alpha=1", "--wmax", "2"])
+    assert code == 2 and "--param alpha is given twice" in err and not out
+    code, out, err = run(["table", "--algebra", "g3d2", "--param", "alpha=-1",
+                          "--sweep", "alpha=1,2", "--wmax", "2"])
+    assert code == 2 and "--sweep alpha and --param alpha" in err and not out
+    # --sweep prints its own text report, so it refuses --format
+    code, out, err = run(["table", "--algebra", "g3d2", "--sweep", "alpha=1,2",
+                          "--wmax", "2", "--format", "md"])
+    assert code == 2 and "--sweep" in err and "--format" in err and not out
     # --sweep writes neither matrices nor reports, so it refuses both
     for flag, name in (("--dump-matrix", "mats"), ("--report", "report.json")):
         code, out, err = run(["table", "--algebra", "g3d2", "--sweep", "alpha=1,2",
@@ -290,6 +310,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert code == 2
     code, _, _ = run([])
     assert code == 2
+
+
+def test_far_empty_cell_is_answered_at_once():
+    # a degree-m monomial has weight <= (dim - 1) m, so these cells are empty, and
+    # no count table is built to their weight (gl2 at w = 1000 took over a minute)
+    for name, w in (("gl2", 1000), ("heis3", 10000)):
+        start = time.perf_counter()
+        code, out, err = run(["basis", "--algebra", name, "--m", "3", "--w", str(w)])
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == f"dim C_3^(w={w}) = 0\n", err
 
 
 def test_file_algebra_of_dim_10(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
@@ -132,7 +133,7 @@ def test_report_fields():
     assert len(set(pivot_rows)) == len(report.pivots)
     assert len(set(pivot_cols)) == len(report.pivots)
     assert report.fill_in >= 0 and report.elapsed >= 0.0
-    payload = report.to_dict()
+    payload = asdict(report)
     assert payload["rank"] == report.rank and "backend" in payload
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from superhomology import (betti_row, betti_table, catalog_get, catalog_names,
-                           generator_system, homology, load_algebra, ranklin, torus_pieces)
+                           generator_system, homology, load_algebra, torus_pieces)
 from superhomology.chain import boundary_rows, zero_piece_basis
 from superhomology.matrix import RationalMatrix
 
@@ -79,13 +79,13 @@ def test_int_rows_are_scaled_word_route_matrices(name, binds, basis):
 
 def test_only_ints_reach_elimination(monkeypatch):
     seen = []
-    real = ranklin.eliminate
+    real = homology.rank_rows
 
     def checking(rows):
         seen.extend(type(v) for row in rows for v in row.values())
         return real(rows)
 
-    monkeypatch.setattr(ranklin, "eliminate", checking)
+    monkeypatch.setattr(homology, "rank_rows", checking)
     for name, binds, basis, wmax in [("g3d3", {"alpha": "2/3", "beta": "-5/7"}, "paper", 8),
                                      ("g3d3", {"alpha": "2/3", "beta": "5/7"}, "canonical", 8),
                                      ("g3d2", {"alpha": "1/2"}, "canonical", 6),
