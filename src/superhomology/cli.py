@@ -120,6 +120,20 @@ def _check_size(gs, cells, max_dim: int) -> None:
                              f"more than --max-dim {max_dim}")
 
 
+def _check_basis_size(gs, m: int, w: int, max_dim: int) -> None:
+    """Refuse the cell (w, m) if it has more than max_dim monomials.
+
+    From dim 2 on, multiplying by a level-2 generator (odd, grade 1) embeds
+    each cell (m - k, w - k) in (m, w).  They are counted from the smallest
+    up, so a huge cell is refused before the count tables reach w.
+    """
+    for k in range(min(m, w), 0, -1) if gs.dim > 1 else ():
+        if (size := chain_dim(gs, m - k, w - k)) > max_dim:
+            raise ValueError(f"chain space at w={w}, m={m} has at least {size} monomials, "
+                             f"as many as at w={w - k}, m={m - k}; more than --max-dim {max_dim}")
+    _check_size(gs, [(w, m)], max_dim)
+
+
 def _table(args, gs, params, on_cell=None):
     """The Betti table to --wmax once its cells, in weight order, pass the size check."""
     cells = ((w, m) for w in range(args.wmax + 1) for m in support_degrees(gs, w))
@@ -254,7 +268,7 @@ def run_cli(argv, out=None, err=None) -> int:
 
         if args.command == "basis":
             gs = _system(args, _parse_params(args.param))
-            _check_size(gs, [(args.w, args.m)], args.max_dim)
+            _check_basis_size(gs, args.m, args.w, args.max_dim)
             monos = chain_basis(gs, args.m, args.w)
             out.write(f"dim C_{args.m}^(w={args.w}) = {len(monos)}\n")
             for mono in monos:

@@ -332,7 +332,7 @@ class GeneratorSystem:
                 if not bracket:
                     eigen.append(Fraction(0))
                 elif len(bracket) == 1 and bracket[0][1] == g:
-                    eigen.append(Fraction(bracket[0][0]))
+                    eigen.append(bracket[0][0])
                 else:
                     break
             else:
@@ -348,8 +348,6 @@ class GeneratorSystem:
         if mv.is_zero():
             return {}
         k = mv.level
-        if k > self.sc.dim:
-            return {}
         gens = self.level_to_gens[k]
         if k not in self._expand_inverse:
             return {gens[self._canon_index[k][idx]]: c for idx, c in mv.coeffs.items()}
@@ -364,10 +362,7 @@ class GeneratorSystem:
         return {g: v for g, v in out.items() if v}
 
     def pair_bracket(self, gi: int, gj: int) -> tuple[tuple[Fraction, int], ...]:
-        """[generator, generator] as a combination of generators, memoized.
-
-        Integral coefficients are stored as int, the others as Fraction.
-        """
+        """[generator, generator] as ((coefficient, generator id), ...) by id, memoized."""
         key = (gi, gj)
         cached = self._pair_cache.get(key)
         if cached is not None:
@@ -375,9 +370,7 @@ class GeneratorSystem:
         a = self.generators[gi].expansion
         b = self.generators[gj].expansion
         coords = self.to_generator_coords(schouten(self.sc, a, b))
-        value = tuple(sorted(
-            ((c.numerator if c.denominator == 1 else c, g) for g, c in coords.items()),
-            key=lambda t: t[1]))
+        value = tuple((c, g) for g, c in sorted(coords.items()))
         self._pair_cache[key] = value
         return value
 

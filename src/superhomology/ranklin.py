@@ -1,10 +1,10 @@
 """Exact rank and kernel dimension of sparse rational matrices.
 
 Rows are eliminated fraction-free over Python integers in one echelon pass
-whose order is fixed before it starts: columns are ranked by (nonzero count,
-index), and each row is taken once, in (nonzero count, row index) order.  A
-pivot table maps a leading (lowest ranked) column to the row that owns it.
-A row is reduced against the table,
+whose order is fixed before it starts: each row is taken once, in (nonzero
+count, row index) order, and its leading column is its lowest column index
+(for a boundary matrix, the lex order of the column basis).  A pivot table
+maps a leading column to the row that owns it.  A row is reduced against it,
 
     row <- (p // g) * row - (row[c] // g) * pivot_row,   g = gcd(p, row[c]),
 
@@ -14,13 +14,10 @@ in arbitrary-precision integers, so the result is exact unconditionally.
 
 ``rank_rows`` is the kernel: it times the pass, counts the rows that enter
 with entries, and returns an :class:`EliminationReport` whose fields are in
-the order of the ``superhomology table --report`` keys.  The table path
-hands its rows over as ints already: ``chain.boundary_rows`` assembles D_w
-times the boundary, which has the same rank, and ``rank_rows`` eliminates
-them as they are, with no row cleared on its own.
-Of those, only the uncleared rows carry entries: ``homology.betti_row``
-has already emptied the rows that the cell below proves dependent
-(d o d = 0, "clearing"), and an empty row costs nothing here.
+the order of the ``superhomology table --report`` keys.  The table hands
+it int rows of D_w times the boundary (``chain.boundary_rows``, same rank),
+already emptied where the cell below proves them dependent (d o d = 0,
+"clearing", in ``homology.betti_row``); an empty row costs nothing here.
 ``rank_report`` takes a :class:`RationalMatrix` and first clears each row to
 integers (multiplied by the lcm of its denominators).
 
@@ -31,7 +28,6 @@ weights far beyond the tables computed here).
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -45,7 +41,7 @@ BACKEND = "python"
 class EliminationReport:
     """What one elimination did; the fields are in ``--report`` key order.
 
-    ``pivots`` are (row, column) in the order they were found, and
+    ``pivots`` are (row, column) of the input in the order they were found, and
     ``nonzero_rows`` counts the rows that entered with entries.
     """
 
@@ -72,23 +68,17 @@ def rank_rows(rows: list[dict[int, int]]) -> EliminationReport:
     """Exact rank of int rows ({column: entry}, consumed) with the elimination trace."""
     start = time.perf_counter()
     nonzero = sum(1 for row in rows if row)
-    counts = Counter(c for row in rows for c in row)
-    order = sorted(counts, key=lambda c: (counts[c], c))
-    rank_of = {c: i for i, c in enumerate(order)}
-    for r, row in enumerate(rows):
-        rows[r] = {rank_of[c]: v for c, v in row.items()}
-
     # leading column -> (pivot entry, rest of its pivot row)
     pivot_rows: dict[int, tuple[int, dict[int, int]]] = {}
     pivots: list[tuple[int, int]] = []
     fill = 0
-    for r in sorted(range(len(rows)), key=lambda r: (len(rows[r]), r)):
+    for r in sorted(range(len(rows)), key=lambda r: len(rows[r])):
         row = rows[r]
         while row:
             pc = min(row)
             if pc not in pivot_rows:
                 pivot_rows[pc] = (row.pop(pc), row)
-                pivots.append((r, order[pc]))
+                pivots.append((r, pc))
                 break
             p, prow = pivot_rows[pc]
             q = row.pop(pc)

@@ -1,9 +1,8 @@
 """Exact rational scalars.
 
-Every coefficient in this package is exact.  Structure constants and
-multivectors hold ``fractions.Fraction`` values (reduced, positive
-denominator, arbitrary precision); pair brackets and boundary matrix entries
-are ``int`` where they are integral and ``Fraction`` otherwise.  This module
+Every coefficient in this package is exact.  Structure constants,
+multivectors and pair brackets hold ``fractions.Fraction`` values (reduced,
+positive denominator, arbitrary precision).  This module
 only adds the string form used by every file format: ``"p/q"`` or ``"p"``,
 no decimals.
 """

@@ -52,6 +52,43 @@ def test_bracket_table_output():
     assert any(line.startswith("z1") and "-u2" in line for line in lines)
 
 
+BRACKET_TABLE_PARAMS = {"g3d2": ["--param", "alpha=2/3"],
+                        "g3d3": ["--param", "alpha=2/3", "--param", "beta=-5/7"]}
+BRACKET_TABLE_SHA256 = {
+    ("abelian1", "canonical"): "36e810dae8c9081fb1b93f92458d466b65a8025accfc17b25b4115c8b58afe1d",
+    ("abelian2", "canonical"): "1f72ef0b69bd85e4ebf0d598e740f02d1bccd0cb1d27baa8c678610c0345d033",
+    ("abelian3", "canonical"): "2a2ef033c44d1692d59c2e30a3e9f647cec3b82dfa9446b0a8c1c849b32c963d",
+    ("abelian4", "canonical"): "162dba9dc80a63ea52ae3471a1abeb23e5282dedb66a611b5008e87bf8e2f698",
+    ("abelian5", "canonical"): "a2e49a71edcba955a88edfef53f6dff576f825d2de8906eb0209511628f6478d",
+    ("abelian6", "canonical"): "6390906f5dfc7db51a75581d3fccb02498643594b72c6b59870c2c878d4521ae",
+    ("aff1", "canonical"): "40ebaf0c9db79a63fdbeda3689d5a86da5144dee756be4c5c5dc6a985cb86d5d",
+    ("aff1", "paper"): "40ebaf0c9db79a63fdbeda3689d5a86da5144dee756be4c5c5dc6a985cb86d5d",
+    ("g3d1n", "canonical"): "580492c88e005c0e9712acfdaf3aba9bf4332176b29552dc8933fb77022a15c9",
+    ("g3d1n", "paper"): "768d0743f5de5c74d5d55745c11d823fe8031bc891d41973ce742a6b1587b093",
+    ("g3d2", "canonical"): "727c62de4bd9a903db6595ab1298c5368a8b8e6a8ea7c4f4b7e825d3d24d6862",
+    ("g3d2", "paper"): "727c62de4bd9a903db6595ab1298c5368a8b8e6a8ea7c4f4b7e825d3d24d6862",
+    ("g3d3", "canonical"): "d544d58c1952919d031d5f0cf5f7ade58ab7a6fd994efd9f3ad8cdfadad04d81",
+    ("g3d3", "paper"): "d1d631d250ef3ea342a31ba978cdeb930d254d05cbc2b3e1c4413d743d4a4d6c",
+    ("gl2", "canonical"): "44474d4d5f0543674d67278b51b3d085ec3a264a0ecee1756277801e4706d1c9",
+    ("heis3", "canonical"): "c99d6e55549aa3fb2375af48bd800cb2f6722b4a7c147b72dae6ee85db62ed32",
+    ("heis3", "paper"): "3c5babe41cadfe9b670f8cd65d5b1a93cb676e22ccbb1e2917df4f97ad6704f8",
+    ("sl2_efh", "canonical"): "a44bbf0a93169a1fda217e635f4cab4e5de6611f11c32ac4b3d83b0e8bcd69ad",
+    ("sl2_efh", "paper"): "0b65596fd86a02b9456e543f6b7e19b4154bda38d8e5aaff266962090b9b5033",
+}
+
+
+def test_bracket_table_text_is_pinned():
+    # every catalog algebra, in the canonical basis and in the printed-table one
+    # where it exists; g3d2 and g3d3 are bound to non-integer parameters
+    for (name, basis), sha in BRACKET_TABLE_SHA256.items():
+        code, out, err = run(["bracket-table", "--algebra", name,
+                              *BRACKET_TABLE_PARAMS.get(name, []), "--basis", basis])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, (name, basis)
+    code, out, _ = run(["catalog"])
+    assert {line.split()[0] for line in out.splitlines()} == {n for n, _ in BRACKET_TABLE_SHA256}
+
+
 def test_basis_listing():
     code, out, _ = run(["basis", "--algebra", "heis3", "--m", "3", "--w", "4"])
     assert code == 0
@@ -268,8 +305,13 @@ def test_usage_errors_exit_2(tmp_path):
     code, out, err = run(["table", "--algebra", "gl2", "--wmax", "40"])
     assert code == 2 and "w=13, m=13 has 205626 monomials" in err and not out
     code, out, err = run(["basis", "--algebra", "gl2", "--m", "7", "--w", "6",
-                          "--max-dim", "100"])
+                          "--max-dim", "3000"])
     assert code == 2 and "w=6, m=7 has 5628 monomials" in err and not out
+    # a basis cell holds u times the cell (m - 1, w - 1), which is counted first
+    code, out, err = run(["basis", "--algebra", "gl2", "--m", "7", "--w", "6",
+                          "--max-dim", "100"])
+    assert code == 2 and not out
+    assert "w=6, m=7 has at least 108 monomials, as many as at w=2, m=3" in err
     code, out, err = run(["verify", "--algebra", "heis3", "--wmax", "6", "--max-dim", "50",
                           "--expected", os.path.join(EXPECTED_DIR, "g3d1_central.json")])
     assert code == 2 and "more than --max-dim 50" in err and not out
@@ -320,6 +362,25 @@ def test_far_empty_cell_is_answered_at_once():
         code, out, err = run(["basis", "--algebra", name, "--m", "3", "--w", str(w)])
         assert time.perf_counter() - start < 1
         assert code == 0 and out == f"dim C_3^(w={w}) = 0\n", err
+
+
+def test_huge_basis_cell_is_refused_at_once():
+    # the cells (m - k, w - k) embed in (m, w) and are counted first, so the
+    # count tables are built only to about w = 13, not to w = 1000
+    start = time.perf_counter()
+    code, out, err = run(["basis", "--algebra", "gl2", "--m", "1000", "--w", "1000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert "w=1000, m=1000 has at least 205626 monomials, as many as at w=13, m=13" in err
+    code, out, err = run(["basis", "--algebra", "heis3", "--m", "1000", "--w", "1000"])
+    assert code == 2 and "w=1000, m=1000 has at least" in err and not out
+    # dim 1 has no level-2 generator, so only the requested (empty) cell is counted
+    code, out, err = run(["basis", "--algebra", "abelian1", "--m", "1", "--w", "1",
+                          "--max-dim", "0"])
+    assert code == 0 and out == "dim C_1^(w=1) = 0\n", err
+    code, out, err = run(["basis", "--algebra", "abelian2", "--m", "1", "--w", "1",
+                          "--max-dim", "0"])
+    assert code == 2 and "w=1, m=1 has at least 1 monomials" in err and not out
 
 
 def test_file_algebra_of_dim_10(tmp_path):

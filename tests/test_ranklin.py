@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from superhomology import (boundary_matrix, catalog_get, generator_system,
                            rank_report, support_degrees)
 from superhomology.matrix import RationalMatrix
+from superhomology.ranklin import rank_rows
 
 from oracles import kernel_dim, matmul, naive_rank, rank, transpose
 
@@ -135,6 +136,16 @@ def test_report_fields():
     assert report.fill_in >= 0 and report.elapsed >= 0.0
     payload = asdict(report)
     assert payload["rank"] == report.rank and "backend" in payload
+
+
+def test_pivot_is_the_lowest_column_of_the_input():
+    # columns keep their input numbering, so row 1 takes column 1, and row 2,
+    # reduced by row 1, takes column 2 with one fill-in; a ranking of the
+    # columns by nonzero count would have given (1, 2), (2, 3) and no fill-in
+    report = rank_rows([{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 1, 3: 1}])
+    assert report.rank == 3
+    assert report.pivots == [(0, 0), (1, 1), (2, 2)]
+    assert report.fill_in == 1
 
 
 @pytest.mark.parametrize("name,binds,w_max", [
