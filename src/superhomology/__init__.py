@@ -12,18 +12,16 @@ Typical use::
 
 from .algebra import (AlgebraError, AlgebraSpec, CatalogError, JacobiError,
                       StructureConstants, catalog_get, catalog_names,
-                      catalog_spec, check_jacobi, load_algebra,
-                      parse_algebra_document)
+                      catalog_spec, check_jacobi, format_rational, load_algebra,
+                      parse_algebra_document, parse_rational)
 from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, support_degrees,
                     torus_pieces)
 from .exterior import (GeneratorSystem, Multivector, bracket_table,
                        generator_system, paper_level2_basis,
                        render_bracket_table, schouten, wedge_basis)
 from .homology import (BettiRow, BettiTable, TableDiff, TableInvariantError,
-                       betti_row, betti_table, load_expected, verify_table)
-from .matrix import RationalMatrix
-from .rational import format_rational, parse_rational
-from .ranklin import BACKEND, EliminationReport, rank_report
+                       betti_row, betti_table, verify_table)
+from .ranklin import BACKEND, EliminationReport, RationalMatrix, rank_report
 
 __version__ = "0.1.0"
 
@@ -35,7 +33,7 @@ __all__ = [
     "boundary_matrix", "bracket_table", "catalog_get", "catalog_names",
     "catalog_spec", "chain_basis", "chain_dim", "check_jacobi",
     "format_monomial", "format_rational", "generator_system", "load_algebra",
-    "load_expected", "paper_level2_basis", "parse_algebra_document",
+    "paper_level2_basis", "parse_algebra_document",
     "parse_rational", "rank_report", "render_bracket_table", "schouten",
     "support_degrees", "torus_pieces", "verify_table", "wedge_basis",
 ]

@@ -5,10 +5,12 @@ coefficients c_{ij}^k of [z_i, z_j] = sum_k c_{ij}^k z_k for i < j; the
 bracket for j > i is the negation of the stored value.  Generator indices
 are 1-based throughout the public surface.
 
-The module also carries the catalog of named algebras used by the homology
-tables (2- and 3-dimensional families plus gl(2)), parameter substitution for
-families like the one with [z_2, z_3] = alpha * z_2, and the Jacobi-identity
-check that guards every construction.
+The module also carries the algebra file format, the catalog of named
+algebras used by the homology tables (2- and 3-dimensional families plus
+gl(2)) written in that format, parameter substitution for families like the
+one with [z_2, z_3] = alpha * z_2, and the Jacobi-identity check that guards
+every construction.  Every coefficient in this package is an exact
+``Fraction``, written as decimal-free ``"p/q"`` or ``"p"`` text in every file format.
 """
 
 from __future__ import annotations
@@ -18,7 +20,27 @@ import os
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rational import format_rational, parse_rational
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``"p"`` or ``"p/q"`` (q > 0 after reduction) into a Fraction."""
+    if isinstance(text, int):
+        return Fraction(text)
+    s = str(text).strip()
+    if not s or "." in s or "e" in s.lower():
+        raise ValueError(f"not a decimal-free rational: {text!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def format_rational(value: Fraction) -> str:
+    """Inverse of :func:`parse_rational`; integers print without ``/1``."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 class AlgebraError(ValueError):
@@ -91,15 +113,6 @@ class StructureConstants:
         label = self.name or f"dim{self.dim}"
         return f"StructureConstants({label}, {len(self.entries)} brackets)"
 
-    def to_document(self) -> dict:
-        """Serialize to the JSON algebra-description document."""
-        brackets = []
-        for (i, j) in sorted(self.entries):
-            vec = self.entries[(i, j)]
-            out = {str(k + 1): format_rational(c) for k, c in enumerate(vec) if c}
-            brackets.append({"i": i, "j": j, "out": out})
-        return {"name": self.name, "dim": self.dim, "brackets": brackets}
-
 
 def check_jacobi(sc: StructureConstants) -> list[tuple[tuple[int, int, int], tuple[Fraction, ...]]]:
     """All triples i < j < k where [[z_i,z_j],z_k] + cyclic != 0, with residuals.
@@ -147,8 +160,7 @@ class AlgebraSpec:
         self.params = tuple(params)
         self.constraints = tuple(constraints)  # (param, "nonzero")
 
-    def bind(self, bindings: Mapping[str, Fraction | str] | None = None,
-             check: bool = True) -> StructureConstants:
+    def bind(self, bindings: Mapping[str, Fraction | str] | None = None) -> StructureConstants:
         """Substitute the parameters (``Fraction`` or ``"p/q"`` text) and Jacobi-check."""
         bindings = {k: v if isinstance(v, Fraction) else parse_rational(v)
                     for k, v in (bindings or {}).items()}
@@ -172,10 +184,9 @@ class AlgebraSpec:
                 vec[k - 1] += total
             entries[(i, j)] = vec
         sc = StructureConstants(self.dim, entries, name=self.name)
-        if check:
-            violations = check_jacobi(sc)
-            if violations:
-                raise JacobiError(violations)
+        violations = check_jacobi(sc)
+        if violations:
+            raise JacobiError(violations)
         return sc
 
 
@@ -265,8 +276,7 @@ def parse_algebra_document(doc) -> AlgebraSpec:
     return AlgebraSpec(name, dim, brackets, params, constraints)
 
 
-def load_algebra(source, bindings: Mapping[str, Fraction] | None = None,
-                 check: bool = True) -> StructureConstants:
+def load_algebra(source, bindings: Mapping[str, Fraction] | None = None) -> StructureConstants:
     """Load an algebra document (dict, JSON text, or path) and bind parameters.
 
     A ``dict`` is the document itself and an ``os.PathLike`` is a path.  A
@@ -274,55 +284,47 @@ def load_algebra(source, bindings: Mapping[str, Fraction] | None = None,
     path otherwise, so paths may contain braces.
 
     The result is Jacobi-checked; a violation raises :class:`JacobiError`
-    with the offending triples and exact residual vectors.  ``check=False``
-    skips the gate so a suspect bracket can still be inspected.
+    with the offending triples and exact residual vectors.
     """
     if isinstance(source, os.PathLike) or (
             isinstance(source, str) and not source.lstrip().startswith("{")):
         with open(source, "r", encoding="utf-8") as fh:
             source = fh.read()
-    return parse_algebra_document(source).bind(bindings, check=check)
+    return parse_algebra_document(source).bind(bindings)
 
 
 # ---------------------------------------------------------------------------
-# Catalog: the algebras whose homology tables this package reproduces.
+# Catalog: the algebras whose homology tables this package reproduces, written
+# as algebra documents and parsed like a --file one when asked for.
 # ---------------------------------------------------------------------------
 
-def _spec(name, dim, brackets, params=(), constraints=()):
-    parsed = {}
-    for (i, j), out in brackets.items():
-        parsed[(i, j)] = {k: [_parse_coefficient(t) for t in (v if isinstance(v, list) else [v])]
-                          for k, v in out.items()}
-    return AlgebraSpec(name, dim, parsed, params, constraints)
-
-
-_CATALOG: dict[str, AlgebraSpec] = {}
-
-for _n in range(1, 7):
-    _CATALOG[f"abelian{_n}"] = _spec(f"abelian{_n}", _n, {})
-
-_CATALOG["aff1"] = _spec("aff1", 2, {(1, 2): {1: "1"}})
-_CATALOG["heis3"] = _spec("heis3", 3, {(1, 2): {3: "1"}})
-_CATALOG["g3d1n"] = _spec("g3d1n", 3, {(1, 2): {2: "1"}})
-_CATALOG["g3d2"] = _spec(
-    "g3d2", 3,
-    {(1, 3): {1: "1"}, (2, 3): {2: "alpha"}},
-    params=("alpha",), constraints=(("alpha", "nonzero"),))
-_CATALOG["g3d3"] = _spec(
-    "g3d3", 3,
-    {(1, 2): {3: "1"}, (1, 3): {2: {"coef": "-1", "param": "beta"}},
-     (2, 3): {1: "alpha"}},
-    params=("alpha", "beta"),
-    constraints=(("alpha", "nonzero"), ("beta", "nonzero")))
-_CATALOG["sl2_efh"] = _spec(
-    "sl2_efh", 3,
-    {(1, 2): {3: "1"}, (1, 3): {1: "2"}, (2, 3): {2: "-2"}})
-
-# gl(2): basis E11, E12, E21, E22 with [E_ab, E_cd] = d_bc E_ad - d_da E_cb.
-_CATALOG["gl2"] = _spec(
-    "gl2", 4,
-    {(1, 2): {2: "1"}, (1, 3): {3: "-1"},
-     (2, 3): {1: "1", 4: "-1"}, (2, 4): {2: "1"}, (3, 4): {3: "-1"}})
+_CATALOG: dict[str, dict] = {doc["name"]: doc for doc in [
+    *({"name": f"abelian{n}", "dim": n} for n in range(1, 7)),
+    {"name": "aff1", "dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": "1"}}]},
+    {"name": "heis3", "dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": "1"}}]},
+    {"name": "g3d1n", "dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"2": "1"}}]},
+    {"name": "g3d2", "dim": 3,
+     "brackets": [{"i": 1, "j": 3, "out": {"1": "1"}},
+                  {"i": 2, "j": 3, "out": {"2": "alpha"}}],
+     "params": ["alpha"], "constraints": [{"param": "alpha", "nonzero": True}]},
+    {"name": "g3d3", "dim": 3,
+     "brackets": [{"i": 1, "j": 2, "out": {"3": "1"}},
+                  {"i": 1, "j": 3, "out": {"2": "-beta"}},
+                  {"i": 2, "j": 3, "out": {"1": "alpha"}}],
+     "params": ["alpha", "beta"],
+     "constraints": [{"param": "alpha", "nonzero": True}, {"param": "beta", "nonzero": True}]},
+    {"name": "sl2_efh", "dim": 3,
+     "brackets": [{"i": 1, "j": 2, "out": {"3": "1"}},
+                  {"i": 1, "j": 3, "out": {"1": "2"}},
+                  {"i": 2, "j": 3, "out": {"2": "-2"}}]},
+    # gl(2): basis E11, E12, E21, E22 with [E_ab, E_cd] = d_bc E_ad - d_da E_cb.
+    {"name": "gl2", "dim": 4,
+     "brackets": [{"i": 1, "j": 2, "out": {"2": "1"}},
+                  {"i": 1, "j": 3, "out": {"3": "-1"}},
+                  {"i": 2, "j": 3, "out": {"1": "1", "4": "-1"}},
+                  {"i": 2, "j": 4, "out": {"2": "1"}},
+                  {"i": 3, "j": 4, "out": {"3": "-1"}}]},
+]}
 
 
 def catalog_names() -> list[str]:
@@ -330,11 +332,13 @@ def catalog_names() -> list[str]:
 
 
 def catalog_spec(name: str) -> AlgebraSpec:
+    """The named catalog document, parsed by :func:`parse_algebra_document`."""
     try:
-        return _CATALOG[name]
+        doc = _CATALOG[name]
     except KeyError:
         raise CatalogError(f"unknown catalog algebra {name!r}; "
                            f"known: {', '.join(catalog_names())}") from None
+    return parse_algebra_document(doc)
 
 
 def catalog_get(name: str, bindings: Mapping[str, Fraction] | None = None) -> StructureConstants:

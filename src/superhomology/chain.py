@@ -73,7 +73,7 @@ from itertools import accumulate
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
-from .matrix import RationalMatrix
+from .ranklin import RationalMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +118,32 @@ def count_up_to(gs: GeneratorSystem, w_max: int) -> None:
         _tables(gs, coords, w_max)
 
 
+def max_weight(gs: GeneratorSystem, m: int) -> int:
+    """The largest weight of a degree-m monomial, from the grades (-1 when m < 0, 0 if none).
+
+    Even letters appear at most once and odd ones repeat, so the heaviest
+    monomial takes the even letters of grade above the top odd grade, largest
+    first, and fills the rest with the top odd grade.
+    """
+    if m < 0:
+        return -1
+    top = gs.grades[gs.odd_ids[-1]] if gs.odd_ids else 0
+    weight = 0
+    for i in reversed(gs.even_ids):  # grades rise with the id within each parity
+        if not m or gs.grades[i] <= top:
+            break
+        weight += gs.grades[i]
+        m -= 1
+    return weight + m * top
+
+
 def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
     """dim of the weight-w degree-m chain space, by counting (no listing).
 
-    No letter has grade above dim - 1, so a cell with w > (dim - 1) m is
-    empty, and is answered before any table is built to w.
+    A cell with w > ``max_weight(gs, m)`` is empty, and is answered before
+    any table is built to w.
     """
-    return _tables(gs, (), w)[1][0].get((m, w), 0) if 0 <= w <= (gs.dim - 1) * m else 0
+    return _tables(gs, (), w)[1][0].get((m, w), 0) if 0 <= w <= max_weight(gs, m) else 0
 
 
 def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int, int]]:
@@ -162,7 +181,7 @@ def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...]) -> list[
     """
     m, w = target[:2]
     # a far cell is empty (see chain_dim), and is answered before a table is built to w
-    if not 0 <= w <= (gs.dim - 1) * m or target not in (entry := _tables(gs, coords, w))[1][0]:
+    if not 0 <= w <= max_weight(gs, m) or target not in (entry := _tables(gs, coords, w))[1][0]:
         return []
     evens = [i for i in gs.even_ids if gs.grades[i] <= w]
     odds = [i for i in gs.odd_ids if gs.grades[i] <= w]

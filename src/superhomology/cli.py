@@ -14,13 +14,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .algebra import (AlgebraError, catalog_get, catalog_names, catalog_spec,
-                      check_jacobi, load_algebra)
-from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial,
+from .algebra import (AlgebraError, JacobiError, catalog_get, catalog_names, catalog_spec,
+                      format_rational, load_algebra, parse_rational)
+from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, max_weight,
                     support_degrees)
 from .exterior import generator_system, render_bracket_table
-from .homology import betti_table, load_expected, verify_table
-from .rational import format_rational, parse_rational
+from .homology import betti_table, verify_table
 
 # admits the largest chain spaces of gl2 to w=8 (20,576) and heis3 to w=40
 DEFAULT_MAX_DIM = 200_000
@@ -37,6 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file", help="path to an algebra JSON document")
         p.add_argument("--param", action="append", default=[], metavar="NAME=P/Q",
                        help="bind a parameter (repeatable)")
+
+    def add_system(p):
+        add_source(p)
         p.add_argument("--basis", choices=("canonical", "paper"), default="canonical",
                        help="level-2 basis: canonical wedge order or the printed-table basis")
 
@@ -51,16 +53,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_source(p)
 
     p = sub.add_parser("bracket-table", help="print the multiplication tables")
-    add_source(p)
+    add_system(p)
 
     p = sub.add_parser("basis", help="list the monomial basis of one chain space")
-    add_source(p)
+    add_system(p)
     p.add_argument("--m", type=int, required=True, help="degree")
     p.add_argument("--w", type=int, required=True, help="weight")
     add_max_dim(p)
 
     p = sub.add_parser("table", help="compute the Betti table up to a weight")
-    add_source(p)
+    add_system(p)
     p.add_argument("--wmax", type=int, required=True)
     add_max_dim(p)
     p.add_argument("--format", choices=("json", "csv", "md"),
@@ -74,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run the table per parameter value and report differing cells")
 
     p = sub.add_parser("verify", help="compare a computed table against an expected file")
-    add_source(p)
+    add_system(p)
     p.add_argument("--wmax", type=int, required=True)
     add_max_dim(p)
     p.add_argument("--expected", required=True, metavar="PATH")
@@ -95,13 +97,13 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _load_source(args, params, check: bool = True):
+def _load_source(args, params):
     if bool(args.algebra) == bool(args.file):
         raise AlgebraError("exactly one of --algebra or --file is required")
     if args.algebra:
         return catalog_get(args.algebra, params)
     # --file is always a path, even one that starts with a brace
-    return load_algebra(Path(args.file), params, check=check)
+    return load_algebra(Path(args.file), params)
 
 
 def _system(args, params):
@@ -123,14 +125,20 @@ def _check_size(gs, cells, max_dim: int) -> None:
 def _check_basis_size(gs, m: int, w: int, max_dim: int) -> None:
     """Refuse the cell (w, m) if it has more than max_dim monomials.
 
-    From dim 2 on, multiplying by a level-2 generator (odd, grade 1) embeds
-    each cell (m - k, w - k) in (m, w).  They are counted from the smallest
-    up, so a huge cell is refused before the count tables reach w.
+    Multiplying by an odd letter is injective, and the odd grades are 1, 3,
+    ..., top (levels 2, 4, ...), so (m - dm, w - dw) embeds in (m, w) when
+    dw - dm is even and 0 <= dw - dm <= (top - 1) dm.  They are counted by
+    ascending weight, then degree, so a huge cell is refused before the
+    count tables reach w.
     """
-    for k in range(min(m, w), 0, -1) if gs.dim > 1 else ():
-        if (size := chain_dim(gs, m - k, w - k)) > max_dim:
-            raise ValueError(f"chain space at w={w}, m={m} has at least {size} monomials, "
-                             f"as many as at w={w - k}, m={m - k}; more than --max-dim {max_dim}")
+    top = gs.grades[gs.odd_ids[-1]] if gs.odd_ids else 0
+    # an empty cell holds no other; a degree is at most the weight plus the dim letters of grade 0
+    for w2 in range(w) if top and w <= max_weight(gs, m) else ():
+        for m2 in range(max(0, m - w + w2), min(m, w2 + gs.dim) + 1):
+            dm, dw = m - m2, w - w2
+            if not (dw - dm) % 2 and dw <= top * dm and (size := chain_dim(gs, m2, w2)) > max_dim:
+                raise ValueError(f"chain space at w={w}, m={m} has at least {size} monomials, "
+                                 f"as many as at w={w2}, m={m2}; more than --max-dim {max_dim}")
     _check_size(gs, [(w, m)], max_dim)
 
 
@@ -252,15 +260,15 @@ def run_cli(argv, out=None, err=None) -> int:
 
         if args.command == "check-jacobi":
             # the file's Jacobi violations are the report, not a load error
-            sc = _load_source(args, _parse_params(args.param), check=False)
-            violations = check_jacobi(sc)
-            if not violations:
-                out.write(f"{sc.name or 'algebra'}: Jacobi identity holds\n")
-                return 0
-            for triple, residual in violations:
-                res = ", ".join(format_rational(c) for c in residual)
-                out.write(f"violation at {triple}: residual ({res})\n")
-            return 1
+            try:
+                sc = _load_source(args, _parse_params(args.param))
+            except JacobiError as exc:
+                for triple, residual in exc.violations:
+                    res = ", ".join(format_rational(c) for c in residual)
+                    out.write(f"violation at {triple}: residual ({res})\n")
+                return 1
+            out.write(f"{sc.name or 'algebra'}: Jacobi identity holds\n")
+            return 0
 
         if args.command == "bracket-table":
             out.write(render_bracket_table(_system(args, _parse_params(args.param))))
@@ -281,7 +289,8 @@ def run_cli(argv, out=None, err=None) -> int:
         if args.command == "verify":
             params = _parse_params(args.param)
             table = _table(args, _system(args, params), params)
-            diff = verify_table(table, load_expected(args.expected))
+            with open(args.expected, encoding="utf-8") as fh:
+                diff = verify_table(table, json.load(fh))
             out.write(diff.render())
             return 0 if diff.ok else 1
 

@@ -29,9 +29,8 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraError, StructureConstants
+from .algebra import AlgebraError, StructureConstants, format_rational
 from .ranklin import rank_rows
-from .rational import format_rational
 
 
 def wedge_basis(sc: StructureConstants, k: int) -> list[tuple[int, ...]]:
@@ -461,7 +460,7 @@ def generator_system(sc: StructureConstants, basis: str = "canonical") -> Genera
 # Pairwise bracket tables in the layout of the printed multiplication tables.
 # ---------------------------------------------------------------------------
 
-def bracket_table(sc: StructureConstants, gs: GeneratorSystem) -> dict[tuple[str, str], dict[str, Fraction]]:
+def bracket_table(gs: GeneratorSystem) -> dict[tuple[str, str], dict[str, Fraction]]:
     """Complete pairwise table {(row name, col name): {gen name: coeff}}."""
     table = {}
     for gi in gs.generators:
@@ -487,7 +486,7 @@ def _entry_text(coords: dict[str, Fraction]) -> str:
 
 def render_bracket_table(gs: GeneratorSystem) -> str:
     """Two text matrices: grade-0 rows x all generators, odd rows x (odd + higher even)."""
-    table = bracket_table(gs.sc, gs)
+    table = bracket_table(gs)
     names = [g.name for g in gs.generators]
     zero_rows = [gs.generators[i].name for i in gs.even_ids if gs.generators[i].grade == 0]
     odd_names = [gs.generators[i].name for i in gs.odd_ids]

@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from .algebra import format_rational
 from .chain import (boundary_rows, chain_dim, count_up_to, support_degrees, torus_pieces,
                     zero_piece_basis)
 from .exterior import GeneratorSystem
 from .ranklin import EliminationReport, rank_rows
-from .rational import format_rational
 
 # (w, m, (rows, cols) of the eliminated piece, its report, rank forced by the acyclic pieces)
 CellCallback = Callable[[int, int, tuple[int, int], EliminationReport, int], None]
@@ -300,15 +300,13 @@ class TableDiff:
 _FIELD_NAMES = (("dims", 0), ("kernels", 1), ("betti", 2))
 
 
-def verify_table(computed: BettiTable, expected) -> TableDiff:
+def verify_table(computed: BettiTable, expected: dict) -> TableDiff:
     """Cell-by-cell comparison where the expected document provides values.
 
-    The expected document mirrors the table JSON; ``dims``, ``kernels`` and
-    ``betti`` are each optional per row.  Degrees absent from the computed
-    support compare as empty cells (0, 0, 0).
+    The expected document (parsed JSON) mirrors the table JSON; ``dims``,
+    ``kernels`` and ``betti`` are each optional per row.  Degrees absent from
+    the computed support compare as empty cells (0, 0, 0).
     """
-    if isinstance(expected, (str, bytes)):
-        expected = json.loads(expected)
     if not isinstance(expected, dict) or not isinstance(expected.get("rows"), list):
         raise ValueError("expected-table document needs a 'rows' list")
     diff = TableDiff()
@@ -344,8 +342,3 @@ def verify_table(computed: BettiTable, expected) -> TableDiff:
                         "w": w, "degree": m, "field": name,
                         "expected": want, "computed": got})
     return diff
-
-
-def load_expected(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

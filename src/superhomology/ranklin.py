@@ -1,4 +1,4 @@
-"""Exact rank and kernel dimension of sparse rational matrices.
+"""Exact rank of sparse rational matrices, and the sparse rational matrix type.
 
 Rows are eliminated fraction-free over Python integers in one echelon pass
 whose order is fixed before it starts: each row is taken once, in (nonzero
@@ -18,8 +18,10 @@ the order of the ``superhomology table --report`` keys.  The table hands
 it int rows of D_w times the boundary (``chain.boundary_rows``, same rank),
 already emptied where the cell below proves them dependent (d o d = 0,
 "clearing", in ``homology.betti_row``); an empty row costs nothing here.
-``rank_report`` takes a :class:`RationalMatrix` and first clears each row to
-integers (multiplied by the lcm of its denominators).
+``rank_report`` takes a :class:`RationalMatrix` (the whole boundary matrix
+of a cell, as ``chain.boundary_matrix`` gives it and ``--dump-matrix`` writes
+it) and first clears each row to integers (multiplied by the lcm of its
+denominators).
 
 There is no modular/CRT path (that would be the natural extension for
 weights far beyond the tables computed here).
@@ -31,10 +33,61 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable, TextIO
 
-from .matrix import RationalMatrix
+from .algebra import format_rational
 
 BACKEND = "python"
+
+
+class RationalMatrix:
+    """A rows x cols sparse matrix over the rationals; zeros are not stored.
+
+    Entries are ``int`` or ``Fraction``: the boundary assembly stores the
+    ints that integral brackets give as they are, and ``set`` stores a
+    ``Fraction``.  Both compare and hash equal when their values are equal.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int,
+                 entries: Iterable[tuple[int, int, int | Fraction]] | None = None):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"bad shape {rows} x {cols}")
+        self.rows = rows
+        self.cols = cols
+        self.entries: dict[tuple[int, int], int | Fraction] = {}
+        if entries:
+            for r, c, v in entries:
+                self.set(r, c, v)
+
+    def set(self, r: int, c: int, value) -> None:
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r}, {c}) outside {self.rows} x {self.cols}")
+        value = Fraction(value)
+        if value:
+            self.entries[(r, c)] = value
+        else:
+            self.entries.pop((r, c), None)
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def nnz(self) -> int:
+        return len(self.entries)
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self.entries == other.entries)
+
+    def __repr__(self):
+        return f"RationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+
+    def dump(self, fh: TextIO) -> None:
+        """Header "rows cols", then "r c p/q" sorted by (r, c)."""
+        fh.write(f"{self.rows} {self.cols}\n")
+        for (r, c) in sorted(self.entries):
+            fh.write(f"{r} {c} {format_rational(self.entries[(r, c)])}\n")
 
 
 @dataclass

@@ -6,17 +6,44 @@ elimination kernel, ``brute_basis`` nothing with the suffix tables that
 count and list the bases, and the whole-matrix and per-piece Betti routes
 eliminate through the kernel (checked against ``naive_rank`` elsewhere) but
 never take a rank from the torus split.  The word layer (sorting words of
-generators with the super sign), ``Chain`` arithmetic and the matrix
-product and transpose live here too: only tests use them.
+generators with the super sign), ``Chain`` arithmetic, the matrix
+product and transpose, ``load_matrix`` (reads a ``--dump-matrix`` file) and
+``algebra_document`` (writes a ``--file`` document) live here too: only
+tests use them.
 """
 
 from fractions import Fraction
 
+from superhomology.algebra import format_rational, parse_rational
 from superhomology.chain import (_boundary_terms, boundary_matrix, chain_basis, chain_dim,
                                  support_degrees, zero_piece_basis)
 from superhomology.homology import BettiRow, BettiTable
-from superhomology.matrix import RationalMatrix
-from superhomology.ranklin import rank_report
+from superhomology.ranklin import RationalMatrix, rank_report
+
+
+def load_matrix(fh) -> RationalMatrix:
+    """Read back what ``RationalMatrix.dump`` wrote: "rows cols", then "r c p/q" lines."""
+    header = fh.readline().split()
+    if len(header) != 2:
+        raise ValueError("matrix dump must start with 'rows cols'")
+    out = RationalMatrix(int(header[0]), int(header[1]))
+    for line in fh:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"bad matrix dump line: {line!r}")
+        out.set(int(parts[0]), int(parts[1]), parse_rational(parts[2]))
+    return out
+
+
+def algebra_document(sc) -> dict:
+    """The algebra document (the ``--file`` format) of bound structure constants."""
+    brackets = []
+    for (i, j) in sorted(sc.entries):
+        out = {str(k + 1): format_rational(c) for k, c in enumerate(sc.entries[(i, j)]) if c}
+        brackets.append({"i": i, "j": j, "out": out})
+    return {"name": sc.name, "dim": sc.dim, "brackets": brackets}
 
 
 def sort_generator_word(gs, word):

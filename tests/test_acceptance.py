@@ -265,7 +265,7 @@ def test_criterion_8_bracket_identities_1000_triples():
 def test_criterion_8_rank_oracle_200_matrices():
     start = time.perf_counter()
     rng = random.Random(271828)
-    from superhomology.matrix import RationalMatrix
+    from superhomology.ranklin import RationalMatrix
     for trial in range(200):
         rows = rng.randint(1, 40)
         cols = rng.randint(1, 40)

@@ -8,10 +8,9 @@ import pytest
 from superhomology import (boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
                            generator_system, support_degrees, torus_pieces)
-from superhomology.chain import zero_piece_basis
-from superhomology.matrix import RationalMatrix
+from superhomology.chain import max_weight, zero_piece_basis
 
-from oracles import (Chain, boundary_monomial, brute_basis, induced_bracket, matmul,
+from oracles import (Chain, boundary_monomial, brute_basis, induced_bracket, load_matrix, matmul,
                      monomial_degree, monomial_weight, monomial_word,
                      naive_rank, normalize_word, torus_weight, wedge_chain,
                      word_boundary_matrix, word_boundary_monomial)
@@ -124,6 +123,18 @@ def test_bases_and_counts_match_brute_force(name):
                 dims[m] = dims.get(m, 0) + 1
         assert torus_pieces(gs, w) == pieces, w
         assert support_degrees(gs, w) == support, w
+
+
+def test_max_weight_is_the_heaviest_monomial():
+    # no letter has grade above dim - 1, so the search stops at (dim - 1) m; the
+    # even top letter of an odd dim makes heis3's bound m + 1, not 2 m
+    for name in catalog_names():
+        gs = generator_system(catalog_get(name, _ORDER_BINDS.get(name)))
+        for m in range(6 if gs.dim < 5 else 4):
+            weights = [w for w in range((gs.dim - 1) * m + 1) if brute_basis(gs, m, w)]
+            # dim 1 has no monomial of degree above 1, and 0 bounds that empty set
+            assert max_weight(gs, m) == max(weights, default=0), (name, m)
+        assert max_weight(gs, -1) == -1
 
 
 def test_generic_3dim_dimension_table():
@@ -507,7 +518,7 @@ def test_matrix_dump_round_trip():
     lines = text.splitlines()
     assert lines[0] == f"{matrix.rows} {matrix.cols}"
     assert lines[1:] == sorted(lines[1:], key=lambda s: (int(s.split()[0]), int(s.split()[1])))
-    again = RationalMatrix.load(io.StringIO(text))
+    again = load_matrix(io.StringIO(text))
     assert again == matrix
 
 

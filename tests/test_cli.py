@@ -7,10 +7,9 @@ from math import comb
 
 from superhomology import catalog_get, chain_dim, generator_system, homology
 from superhomology.cli import run_cli
-from superhomology.matrix import RationalMatrix
 
 from conftest import EXPECTED_DIR
-from oracles import monomial_degree, monomial_weight, naive_rank, zero_piece_matrix
+from oracles import load_matrix, monomial_degree, monomial_weight, naive_rank, zero_piece_matrix
 from test_algebra import MALFORMED_DOCUMENTS
 
 
@@ -42,6 +41,30 @@ def test_check_jacobi_ok_and_violation(tmp_path):
     assert code == 1
     assert "violation at (1, 2, 3)" in out
     assert "residual (0, 0, -1)" in out
+
+
+def test_check_jacobi_prints_every_violation(tmp_path):
+    # JacobiError's message names five triples; the report lists all eight
+    doc = {"name": "many", "dim": 5, "brackets": [
+        {"i": 1, "j": 2, "out": {"3": "1"}}, {"i": 1, "j": 3, "out": {"1": "1"}},
+        {"i": 2, "j": 4, "out": {"5": "2/3"}}, {"i": 3, "j": 5, "out": {"4": "1"}},
+        {"i": 4, "j": 5, "out": {"1": "-1"}}, {"i": 1, "j": 4, "out": {"2": "1"}},
+    ]}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["check-jacobi", "--file", str(path)])
+    assert code == 1 and not err
+    assert out == ("violation at (1, 2, 3): residual (0, 0, -1, 0, 0)\n"
+                   "violation at (1, 2, 5): residual (0, 0, 0, 1, 0)\n"
+                   "violation at (1, 3, 4): residual (0, 1, 0, 0, 0)\n"
+                   "violation at (1, 3, 5): residual (0, -1, 0, 0, 0)\n"
+                   "violation at (2, 3, 4): residual (0, 0, 0, 2/3, 0)\n"
+                   "violation at (2, 3, 5): residual (0, 0, 0, 0, -2/3)\n"
+                   "violation at (2, 4, 5): residual (0, 0, -1, 0, 0)\n"
+                   "violation at (3, 4, 5): residual (-1, 0, 0, 0, 0)\n")
+    # check-jacobi builds no generators, so it takes no level-2 basis
+    code, out, err = run(["check-jacobi", "--algebra", "heis3", "--basis", "paper"])
+    assert code == 2 and not out
 
 
 def test_bracket_table_output():
@@ -231,7 +254,7 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     for r in reports:
         w, m = r["w"], r["m"]
         with open(gl2_dir / f"boundary_w{w}_m{m}.txt", encoding="utf-8") as fh:
-            whole = RationalMatrix.load(fh)
+            whole = load_matrix(fh)
         assert (whole.rows, whole.cols) == (chain_dim(gs, m - 1, w), chain_dim(gs, m, w))
         assert r["cell_rank"] == r["rank"] + r["forced_rank"] == naive_rank(whole)
         piece = zero_piece_matrix(gs, m, w)
@@ -381,6 +404,27 @@ def test_huge_basis_cell_is_refused_at_once():
     code, out, err = run(["basis", "--algebra", "abelian2", "--m", "1", "--w", "1",
                           "--max-dim", "0"])
     assert code == 2 and "w=1, m=1 has at least 1 monomials" in err and not out
+
+
+def test_cell_beyond_the_tightest_weight_is_answered_at_once():
+    # on dim 3 the even top letter appears at most once, so a degree-m monomial
+    # weighs at most m + 1, not 2 m; counting these cells up to their weight took
+    # about 4 s for w = 790 and over a minute for w = 3990
+    for name, m, w in (("heis3", 2000, 3990), ("heis3", 400, 790), ("g3d1n", 400, 790)):
+        start = time.perf_counter()
+        code, out, err = run(["basis", "--algebra", name, "--m", str(m), "--w", str(w)])
+        assert time.perf_counter() - start < 1, (name, m, w)
+        assert code == 0 and out == f"dim C_{m}^(w={w}) = 0\n", err
+
+
+def test_huge_basis_cell_off_the_diagonal_is_refused_at_once():
+    # gl2's odd grades 1 and 3 embed (13, 13) in (400, 1000); the diagonal cells
+    # (400 - k, 1000 - k) are empty until the count tables reach about w = 900
+    start = time.perf_counter()
+    code, out, err = run(["basis", "--algebra", "gl2", "--m", "400", "--w", "1000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert "w=1000, m=400 has at least 205626 monomials, as many as at w=13, m=13" in err
 
 
 def test_file_algebra_of_dim_10(tmp_path):

@@ -175,7 +175,7 @@ def test_grade_additivity():
 def _table_case(name, binds):
     sc = catalog_get(name, binds)
     gs = generator_system(sc, "paper")
-    return bracket_table(sc, gs)
+    return bracket_table(gs)
 
 
 def _check_block(table, rows, cols, expected):

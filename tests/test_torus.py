@@ -10,7 +10,7 @@ import pytest
 from superhomology import (betti_row, betti_table, catalog_get, catalog_names,
                            generator_system, homology, load_algebra, torus_pieces)
 from superhomology.chain import boundary_rows, zero_piece_basis
-from superhomology.matrix import RationalMatrix
+from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
 from oracles import naive_rank, piece_tables, whole_matrix_betti_table, zero_piece_matrix
@@ -166,7 +166,7 @@ def test_table_pivots_are_nonsingular_in_the_uncleared_piece(name, w_max):
         square = RationalMatrix(report.rank, report.rank)
         for i, (r, _) in enumerate(report.pivots):
             for j, (_, c) in enumerate(report.pivots):
-                square.set(i, j, piece.get(r, c))
+                square.set(i, j, piece.entries.get((r, c), 0))
         assert naive_rank(square) == report.rank, (w, m)
 
     betti_table(gs, w_max, on_cell=on_cell)
