@@ -61,9 +61,10 @@ The brackets come from ``GeneratorSystem.int_brackets(w)``: an int table
 {(i, j): ((D_w * c, k), ...)} of the nonzero pair brackets a weight-w
 boundary can take, with D_w the lcm of their denominators (1 for an integral
 algebra).  A pair missing from the table costs one dict lookup.  So the
-terms are ints and ``boundary_rows`` assembles D_w times the boundary as int
-row dicts, which is what the table eliminates; ``boundary_matrix`` is those
-rows divided by D_w, the exact rational matrix.
+terms are ints and ``boundary_columns`` assembles D_w times the boundary as
+int column dicts, one per chosen column monomial, which is what the table
+eliminates; ``boundary_matrix`` is every column divided by D_w, the exact
+rational matrix.
 """
 
 from __future__ import annotations
@@ -258,24 +259,23 @@ def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     return out
 
 
-def boundary_rows(gs: GeneratorSystem, w: int, cols: list[tuple[int, ...]],
-                  rows: list[tuple[int, ...]]) -> list[dict[int, int]]:
-    """D_w times the boundary from the weight-w ``cols`` to ``rows``, as int rows.
+def boundary_columns(gs: GeneratorSystem, w: int, cols: list[tuple[int, ...]],
+                     rows: list[tuple[int, ...]]) -> list[dict[int, int]]:
+    """D_w times the boundary of each weight-w monomial of ``cols``, as int columns.
 
-    Row r is {column index: entry}, zeros not stored, one row per monomial
-    of ``rows``; D_w is ``gs.int_brackets(w)[0]``.
+    Column c is {index in ``rows``: entry}, zeros not stored; D_w is
+    ``gs.int_brackets(w)[0]``.  The caller picks the columns and numbers the
+    rows: ``boundary_matrix`` takes every column, the table only those the
+    cell above does not prove dependent.  Nothing is assembled into an empty
+    ``rows``.
     """
-    out: list[dict[int, int]] = [{} for _ in rows]
-    if not cols or not rows:
-        return out
+    if not rows:
+        return [{} for _ in cols]
     brackets = gs.int_brackets(w)[1]
     n_even = len(gs.even_ids)
     row_index = {mono: r for r, mono in enumerate(rows)}
-    for c, mono in enumerate(cols):
-        for target, coeff in _boundary_terms(brackets, n_even, mono).items():
-            if coeff:
-                out[row_index[target]][c] = coeff
-    return out
+    return [{row_index[t]: v for t, v in _boundary_terms(brackets, n_even, mono).items() if v}
+            for mono in cols]
 
 
 def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
@@ -283,8 +283,8 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
 
     Columns index the degree-m basis, rows the degree-(m-1) basis, both in
     chain_basis order.  Empty spaces give 0 x k / k x 0 matrices.  The
-    entries are ``boundary_rows`` divided by D_w, so ints stay ints when D_w
-    is 1.
+    entries are ``boundary_columns`` of every column divided by D_w, so ints
+    stay ints when D_w is 1.
     """
     if m < 1:
         raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
@@ -292,8 +292,8 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     matrix = RationalMatrix(len(rows), len(cols))
     scale = gs.int_brackets(w)[0]
     entries = matrix.entries
-    for r, row in enumerate(boundary_rows(gs, w, cols, rows)):
-        for c, v in row.items():
+    for c, column in enumerate(boundary_columns(gs, w, cols, rows)):
+        for r, v in column.items():
             entries[r, c] = v if scale == 1 else Fraction(v, scale)
     return matrix
 

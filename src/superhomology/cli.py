@@ -19,7 +19,7 @@ from .algebra import (AlgebraError, JacobiError, catalog_get, catalog_names, cat
 from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, max_weight,
                     support_degrees)
 from .exterior import generator_system, render_bracket_table
-from .homology import betti_table, verify_table
+from .homology import BettiTable, betti_table, verify_table
 
 # admits the largest chain spaces of gl2 to w=8 (20,576) and heis3 to w=40
 DEFAULT_MAX_DIM = 200_000
@@ -191,7 +191,8 @@ def _cmd_table(args, out) -> int:
                         fh.write(f"m={m} {i} {format_monomial(gs, mono)}\n")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(reports, fh, indent=2)
+            # each weight's cells arrive from the top degree down
+            json.dump(sorted(reports, key=lambda r: (r["w"], r["m"])), fh, indent=2)
             fh.write("\n")
     if args.format == "json":
         out.write(table.to_json())
@@ -288,9 +289,11 @@ def run_cli(argv, out=None, err=None) -> int:
 
         if args.command == "verify":
             params = _parse_params(args.param)
-            table = _table(args, _system(args, params), params)
             with open(args.expected, encoding="utf-8") as fh:
-                diff = verify_table(table, json.load(fh))
+                expected = json.load(fh)
+            # a malformed document is refused by comparing it with an empty table first
+            verify_table(BettiTable(""), expected)
+            diff = verify_table(_table(args, _system(args, params), params), expected)
             out.write(diff.render())
             return 0 if diff.ok else 1
 

@@ -3,8 +3,9 @@
 Rows are eliminated fraction-free over Python integers in one echelon pass
 whose order is fixed before it starts: each row is taken once, in (nonzero
 count, row index) order, and its leading column is its lowest column index
-(for a boundary matrix, the lex order of the column basis).  A pivot table
-maps a leading column to the row that owns it.  A row is reduced against it,
+(for the table's input, the first monomial of a boundary column in the
+numbering ``homology.betti_row`` gives the rows).  A pivot table maps a
+leading column to the row that owns it.  A row is reduced against it,
 
     row <- (p // g) * row - (row[c] // g) * pivot_row,   g = gcd(p, row[c]),
 
@@ -14,10 +15,11 @@ in arbitrary-precision integers, so the result is exact unconditionally.
 
 ``rank_rows`` is the kernel: it times the pass, counts the rows that enter
 with entries, and returns an :class:`EliminationReport` whose fields are in
-the order of the ``superhomology table --report`` keys.  The table hands
-it int rows of D_w times the boundary (``chain.boundary_rows``, same rank),
-already emptied where the cell below proves them dependent (d o d = 0,
-"clearing", in ``homology.betti_row``); an empty row costs nothing here.
+the order of the ``superhomology table --report`` keys.  The table hands it
+the columns of D_w times the boundary (``chain.boundary_columns``, same rank)
+as its input rows, only those the cell above does not prove dependent (d o d
+= 0, the "twist", in ``homology.betti_row``), with the rows of the boundary
+numbered odd letters first, so that a pivot is the lowest one of its column.
 ``rank_report`` takes a :class:`RationalMatrix` (the whole boundary matrix
 of a cell, as ``chain.boundary_matrix`` gives it and ``--dump-matrix`` writes
 it) and first clears each row to integers (multiplied by the lcm of its
@@ -94,7 +96,8 @@ class RationalMatrix:
 class EliminationReport:
     """What one elimination did; the fields are in ``--report`` key order.
 
-    ``pivots`` are (row, column) of the input in the order they were found, and
+    ``pivots`` are (row, column) of the input in the order they were found
+    (``homology.betti_row`` maps them to (row, column) of the boundary), and
     ``nonzero_rows`` counts the rows that entered with entries.
     """
 

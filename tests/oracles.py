@@ -5,18 +5,21 @@ avoids the path it checks: ``naive_rank`` shares nothing with the
 elimination kernel, ``brute_basis`` nothing with the suffix tables that
 count and list the bases, and the whole-matrix and per-piece Betti routes
 eliminate through the kernel (checked against ``naive_rank`` elsewhere) but
-never take a rank from the torus split.  The word layer (sorting words of
+never take a rank from the torus split.  ``dd_probe_every_column`` is the
+d o d = 0 probe over every column, of which the table pushes a sample.
+The word layer (sorting words of
 generators with the super sign), ``Chain`` arithmetic, the matrix
 product and transpose, ``load_matrix`` (reads a ``--dump-matrix`` file) and
 ``algebra_document`` (writes a ``--file`` document) live here too: only
 tests use them.
 """
 
+import random
 from fractions import Fraction
 
 from superhomology.algebra import format_rational, parse_rational
-from superhomology.chain import (_boundary_terms, boundary_matrix, chain_basis, chain_dim,
-                                 support_degrees, zero_piece_basis)
+from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix, chain_basis,
+                                 chain_dim, support_degrees, zero_piece_basis)
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.ranklin import RationalMatrix, rank_report
 
@@ -208,6 +211,29 @@ def whole_matrix_betti_table(gs, w_max) -> BettiTable:
         betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]
         rows.append(BettiRow(w, degrees, dims, kernels, betti))
     return BettiTable(algebra=gs.sc.name, rows=rows)
+
+
+def dd_probe_every_column(gs, w) -> list[tuple[int, int]]:
+    """(m, column) wherever xi^T d_{m-1} d_m is nonzero on the weight-w zero piece.
+
+    The full-strength Freivalds probe: every column of every cell is
+    assembled (``boundary_columns``, nothing skipped) and the composite is
+    taken on all of them, with xi seeded by (w, m).  The table's probe only
+    pushes a sample of each cell's kept columns.
+    """
+    bases = {m: zero_piece_basis(gs, m, w) for m in support_degrees(gs, w)}
+    bad: list[tuple[int, int]] = []
+    eta: dict[int, int] = {}  # xi^T d_{m-1}, over the degree-(m-1) monomials
+    for m in sorted(bases):
+        rows = bases.get(m - 1, [])
+        rng = random.Random(f"{w},{m}")
+        xi = [rng.getrandbits(30) for _ in rows]
+        columns = boundary_columns(gs, w, bases[m], rows) if m >= 1 else []
+        bad += [(m, c) for c, column in enumerate(columns)
+                if sum(eta.get(r, 0) * v for r, v in column.items())]
+        eta = {c: x for c, column in enumerate(columns)
+               if (x := sum(xi[r] * v for r, v in column.items()))}
+    return bad
 
 
 def torus_weight(gs, mono) -> tuple:

@@ -5,7 +5,7 @@ import os
 import time
 from math import comb
 
-from superhomology import catalog_get, chain_dim, generator_system, homology
+from superhomology import catalog_get, chain_dim, cli, generator_system, homology
 from superhomology.cli import run_cli
 
 from conftest import EXPECTED_DIR
@@ -169,6 +169,22 @@ def test_verify_pass_and_fail(tmp_path):
     assert "mismatching" in out
 
 
+def test_verify_refuses_a_bad_expected_file_before_the_table(tmp_path, monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "_table", lambda *args: computed.append(args))
+    bad_json, no_rows, bad_row = (tmp_path / "bad.json", tmp_path / "no_rows.json",
+                                  tmp_path / "bad_row.json")
+    bad_json.write_text('{"rows": [', encoding="utf-8")
+    no_rows.write_text('{"algebra": "gl2"}', encoding="utf-8")
+    bad_row.write_text('{"rows": [{"w": 1, "degrees": [1, 2], "betti": [0]}]}', encoding="utf-8")
+    for path, why in ((tmp_path / "missing.json", "No such file"), (bad_json, "Expecting"),
+                      (no_rows, "'rows' list"), (bad_row, "length differs")):
+        code, out, err = run(["verify", "--algebra", "gl2", "--wmax", "8",
+                              "--expected", str(path)])
+        assert (code, out) == (2, "") and why in err, (path, err)
+    assert computed == []
+
+
 def test_sweep_reports_kappa_jump():
     code, out, _ = run(["table", "--algebra", "g3d2", "--wmax", "3",
                         "--sweep", "alpha=-1,1,2"])
@@ -178,22 +194,27 @@ def test_sweep_reports_kappa_jump():
 
 
 def test_dump_matrix_and_report(tmp_path, monkeypatch):
-    # record the assemblies the table makes: betti_row assembles every cell through
-    # homology.boundary_rows, and the whole matrices of --dump-matrix do not pass there
+    # record the assemblies the table makes: betti_row assembles each cell's columns through
+    # homology.boundary_columns, and the whole matrices of --dump-matrix do not pass there
     assembled = []
-    real = homology.boundary_rows
+    real = homology.boundary_columns
 
     def recording(gs, w, cols, rows):
-        int_rows = real(gs, w, cols, rows)
+        columns = real(gs, w, cols, rows)
         # the cell (w, m) read off a column or row monomial; None when both are empty
         mono, shift = next(((basis[0], s) for basis, s in ((cols, 0), (rows, 1)) if basis),
                            (None, 0))
         cell = None if mono is None else (monomial_weight(gs, mono), monomial_degree(mono) + shift)
         assert cell is None or cell[0] == w
-        assembled.append((cell, len(int_rows), len(cols)))
-        return int_rows
+        assembled.append((w, cell, len(rows), len(cols)))
+        return columns
 
-    monkeypatch.setattr(homology, "boundary_rows", recording)
+    def in_report_order():
+        # each weight's cells are assembled from the top degree down, and reported sorted
+        weights = sorted({w for w, *_ in assembled})
+        return [a[1:] for w in weights for a in reversed([a for a in assembled if a[0] == w])]
+
+    monkeypatch.setattr(homology, "boundary_columns", recording)
     dump_dir = tmp_path / "mats"
     report = tmp_path / "report.json"
     code, out, _ = run(["table", "--algebra", "heis3", "--wmax", "2",
@@ -218,14 +239,18 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
                            "nonzero_rows", "elapsed", "backend", "forced_rank", "cell_rank"]
                for r in reports)
     assert all(r["rank"] >= 0 and "pivots" in r for r in reports)
-    # the rows indexed by pivot columns of the cell below enter elimination empty
+    # the columns indexed by pivot rows of the cell above are never assembled
     ranks = {(r["w"], r["m"]): r["rank"] for r in reports}
-    assert all(0 <= r["nonzero_rows"] <= r["rows"] - ranks.get((r["w"], r["m"] - 1), 0)
+    assert all(0 <= r["nonzero_rows"] <= r["cols"] - ranks.get((r["w"], r["m"] + 1), 0)
                for r in reports)
-    # one assembly per cell, and the dump and the report cover the same cells
+    assert any(ranks.get((r["w"], r["m"] + 1)) for r in reports)
+    # one assembly per cell, of its kept columns and those the probe reaches, and the
+    # dump and the report cover the same cells
     cells = [(r["w"], r["m"]) for r in reports]
-    assert cells == sorted(set(cells))
-    assert [(cell, r["rows"], r["cols"]) for cell, r in zip(cells, reports)] == assembled
+    assert cells == sorted(set(cells)) and len(assembled) == len(reports)
+    for (cell, rows, cols), r, reported in zip(in_report_order(), reports, cells):
+        assert (cell, rows) == (reported, r["rows"])
+        assert r["cols"] - ranks.get((r["w"], r["m"] + 1), 0) <= cols <= r["cols"]
     assert sorted(f"boundary_w{w}_m{m}.txt" for w, m in cells) == \
         sorted(f for f in dumped if f.startswith("boundary_"))
     # one piece: the eliminated matrix is the dumped one, and nothing is forced
@@ -243,13 +268,13 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assert code == 0
     gs = generator_system(catalog_get("gl2"))
     reports = json.loads(gl2_report.read_text())
-    # at most one assembly per cell: the i-th assembly made the i-th reported matrix,
-    # and its cell is that report's wherever a basis monomial names it
+    # one assembly per cell: the i-th assembly in report order made the i-th reported
+    # matrix, and its cell is that report's wherever a basis monomial names it
     cells = [(r["w"], r["m"]) for r in reports]
     assert cells and cells == sorted(set(cells)) and len(assembled) == len(reports)
-    for (cell, rows, cols), r, reported in zip(assembled, reports, cells):
-        assert cell in (None, reported) and (rows, cols) == (r["rows"], r["cols"])
-    assert any(cell for cell, _, _ in assembled)
+    for (cell, rows, cols), r, reported in zip(in_report_order(), reports, cells):
+        assert cell in (None, reported) and rows == r["rows"] and cols <= r["cols"]
+    assert any(cell for _, cell, _, _ in assembled)
     assert any(r["forced_rank"] for r in reports)
     for r in reports:
         w, m = r["w"], r["m"]
@@ -260,7 +285,7 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         piece = zero_piece_matrix(gs, m, w)
         assert (r["rows"], r["cols"]) == (piece.rows, piece.cols)
         assert len(r["pivots"]) == r["rank"] <= min(piece.rows, piece.cols)
-        assert r["rank"] <= r["nonzero_rows"] <= r["rows"]
+        assert r["rank"] <= r["nonzero_rows"] <= r["cols"]
 
 
 # sha256 of every dump file (name and content, in sorted order) and of the

@@ -1,6 +1,9 @@
 import copy
+import importlib.util
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,13 +12,12 @@ from math import comb
 import pytest
 
 from superhomology import (TableInvariantError, betti_row,
-                           betti_table, catalog_get, chain_basis, generator_system, homology,
+                           betti_table, catalog_get, generator_system, homology,
                            verify_table)
 from superhomology import chain
-from superhomology.chain import boundary_rows
 
 from conftest import EXPECTED_DIR, REPO_ROOT
-from oracles import euler_check
+from oracles import dd_probe_every_column, euler_check
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,16 @@ def test_closed_forms_hold_beyond_the_published_range():
         assert row.betti == [0, w, 3 * w + 1, 3 * w + 2, w + 1]
     aff = generator_system(catalog_get("aff1"))
     assert betti_row(aff, 40).betti == [0, 0, 0]
+
+
+def test_heis3_to_w40_equals_the_closed_form():
+    # rows 1-40, dims and kernels included: the twist on cells up to heis3's largest tracked size
+    spec = importlib.util.spec_from_file_location(
+        "gen_expected", os.path.join(REPO_ROOT, "tools", "gen_expected.py"))
+    gen_expected = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_expected)
+    table = betti_table(generator_system(catalog_get("heis3")), 40)
+    assert [row.to_dict() for row in table.rows[1:]] == gen_expected.central_rows(40)
 
 
 def test_betti_invariant_under_random_alias_bases():
@@ -328,34 +340,40 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
 
 
 @pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 10)])
-def test_clearing_empties_the_rows_the_cell_below_proves_dependent(name, w_max, monkeypatch):
-    # d o d = 0: the rows of the cell (w, m) indexed by pivot columns of the cell
-    # (w, m-1) enter elimination empty, so at most rows - rank(w, m-1) carry entries
+def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, monkeypatch):
+    # d o d = 0: the columns of the cell (w, m) indexed by pivots of the cell (w, m+1)
+    # are never assembled, so cols - rank(w, m+1) columns enter elimination
     real = homology.rank_rows
     entered = []
 
     def counting(rows):
-        entered.append(sum(1 for row in rows if row))
+        entered.append((len(rows), sum(1 for row in rows if row)))
         report = real(rows)
-        assert report.nonzero_rows == entered[-1]
+        assert report.nonzero_rows == entered[-1][1]
         return report
 
     monkeypatch.setattr(homology, "rank_rows", counting)
     cells = {}
 
     def on_cell(w, m, shape, report, forced):
-        cells[w, m] = (shape[0], report.rank)
+        cells[w, m] = (shape[1], report.rank)
 
     betti_table(generator_system(catalog_get(name)), w_max, on_cell=on_cell)
     assert len(entered) == len(cells)
-    for ((w, m), (rows, _)), nonzero in zip(cells.items(), entered):
-        assert nonzero <= rows - cells.get((w, m - 1), (0, 0))[1], (w, m)
+    # each weight from its top degree down
+    assert list(cells) == sorted(cells, key=lambda cell: (cell[0], -cell[1]))
+    skipped = 0
+    for ((w, m), (cols, _)), (kept, nonzero) in zip(cells.items(), entered):
+        above = cells.get((w, m + 1), (0, 0))[1]
+        assert nonzero <= kept == cols - above, (w, m)
+        skipped += above
+    assert skipped > 0
 
 
-def test_a_gap_in_the_support_clears_nothing(monkeypatch):
+def test_a_gap_in_the_support_skips_nothing(monkeypatch):
     # hide a middle degree of heis3 at w = 3 from the support, the counts and the
-    # piece: the cell above the gap maps into an empty space, and the pivots of
-    # the cell below the gap clear no later cell
+    # piece: the cell above the gap maps into an empty space, and the cell below
+    # the gap keeps every column
     gs = generator_system(catalog_get("heis3"))
     real_support, real_dim, real_pieces = (homology.support_degrees, homology.chain_dim,
                                            homology.torus_pieces)
@@ -367,11 +385,74 @@ def test_a_gap_in_the_support_clears_nothing(monkeypatch):
     monkeypatch.setattr(homology, "torus_pieces", lambda gs, w: {
         key: {m: n for m, n in dims.items() if m != hidden}
         for key, dims in real_pieces(gs, w).items()})
+    real_rank = homology.rank_rows
+    entered = []
+    monkeypatch.setattr(homology, "rank_rows",
+                        lambda rows: entered.append(len(rows)) or real_rank(rows))
     reports = {}
     with pytest.raises(TableInvariantError, match="Euler sum"):  # the row lacks a degree
         betti_row(gs, 3, on_cell=lambda w, m, shape, report, forced:
-                  reports.__setitem__(m, (shape, report)))
-    assert reports[hidden - 1][1].rank > 0
-    assert reports[hidden + 1][0][0] == 0
-    above = boundary_rows(gs, 3, chain_basis(gs, hidden + 2, 3), chain_basis(gs, hidden + 1, 3))
-    assert reports[hidden + 2][1].nonzero_rows == sum(1 for row in above if row)
+                  reports.__setitem__(m, (shape, report, entered[-1])))
+    assert reports[hidden + 2][1].rank > 0
+    shape, report, kept = reports[hidden + 1]
+    assert shape[0] == 0 and report.rank == 0
+    assert kept == shape[1] - reports[hidden + 2][1].rank
+    assert reports[hidden - 1][2] == reports[hidden - 1][0][1] > 0
+
+
+@pytest.mark.parametrize("name, binds, w_max", [
+    ("gl2", {}, 6), ("heis3", {}, 25), ("g3d3", {"alpha": "2/3", "beta": "5/7"}, 16),
+    ("sl2_efh", {}, 30), ("aff1", {}, 30)])
+def test_assembly_passes_the_probe_over_every_column(name, binds, w_max):
+    # the table's probe samples; this one reads every column the assembly can give
+    gs = generator_system(catalog_get(name, binds))
+    assert not [(w, bad) for w in range(w_max + 1) if (bad := dd_probe_every_column(gs, w))]
+
+
+# the sign exponent of each case of chain._boundary_terms, as its source writes it
+SIGN_CASES = {"A": ["si"], "B": ["start[k]"],
+              "C": ["si", "+ start[j]", "- 1", "- start[k]", "+ (i < k)", "+ (j < k)"]}
+
+
+def _sign_faults():
+    """(label, source of _boundary_terms with one sign fault) for every fault tried.
+
+    Each case has every one of its terms negated (its sign exponent plus 1),
+    then each summand of its exponent dropped in turn: negating a summand
+    keeps its parity, so dropping it is the fault that moves a sign.
+    """
+    source = inspect.getsource(chain._boundary_terms)
+    for case, summands in SIGN_CASES.items():
+        line = re.search(rf"s = (.*)  # {case}\b", source)
+        assert line and line[1] == " ".join(summands), (case, line)
+        variants = [(f"{case} negated", line[1] + " + 1")]
+        variants += [(f"{case} without {summands[n]}",
+                      " ".join(summands[:n] + summands[n + 1:]).lstrip("+ ") or "0")
+                     for n in range(len(summands))]
+        for label, exponent in variants:
+            yield label, source.replace(line[0], f"s = {exponent}  # {case}")
+
+
+@pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 25)])
+def test_systematic_sign_faults_make_the_probe_raise(name, w_max, monkeypatch):
+    # a fault the sampled probe lets through must be one no d o d = 0 probe can see:
+    # the full-strength probe passes it (to w = 10) and the table is unchanged
+    truth = betti_table(generator_system(catalog_get(name)), w_max).to_dict()
+    faults, raised = list(_sign_faults()), set()
+    for label, source in faults:
+        namespace = dict(vars(chain))
+        exec(source, namespace)
+        monkeypatch.setattr(chain, "_boundary_terms", namespace["_boundary_terms"])
+        gs = generator_system(catalog_get(name))
+        try:
+            table = betti_table(gs, w_max)
+        except TableInvariantError as exc:
+            assert "dd = 0 probe" in str(exc), (label, exc)
+            raised.add(label)
+        else:
+            assert table.to_dict() == truth, label
+            assert not any(dd_probe_every_column(gs, w) for w in range(min(w_max, 10) + 1)), label
+    # every fault that drops a summand of case A or B moves a sign that d o d = 0 sees
+    assert {"A without si", "B without start[k]"} <= raised
+    if name == "gl2":
+        assert len(raised) == len(faults) - 1  # all but "B negated"

@@ -1,5 +1,5 @@
 """The torus split: grading detection, the whole-matrix second route,
-acyclic nonzero pieces, clearing, and the checks on forced ranks and d o d = 0."""
+acyclic nonzero pieces, the twist, and the checks on forced ranks and d o d = 0."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ import pytest
 
 from superhomology import (betti_row, betti_table, catalog_get, catalog_names,
                            generator_system, homology, load_algebra, torus_pieces)
-from superhomology.chain import boundary_rows, zero_piece_basis
+from superhomology.chain import boundary_columns, zero_piece_basis
 from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
@@ -55,7 +55,7 @@ def test_tables_equal_the_whole_matrix_route(name, binds, basis):
 
 @pytest.mark.parametrize("name,binds,basis", list(catalog_cases()))
 def test_int_rows_are_scaled_word_route_matrices(name, binds, basis):
-    # the table path's int rows are D_w times the boundary on the zero piece,
+    # the table path's int columns are D_w times the boundary on the zero piece,
     # checked entry by entry against the word route
     gs = generator_system(catalog_get(name, binds), basis)
     wmax = {"gl2": 3, "abelian5": 1, "abelian6": 1}.get(name, 5)
@@ -65,9 +65,9 @@ def test_int_rows_are_scaled_word_route_matrices(name, binds, basis):
         scales.add(scale)
         bases = {m: zero_piece_basis(gs, m, w) for m in range(w + gs.dim + 1)}
         for m in range(1, w + gs.dim + 1):
-            rows = boundary_rows(gs, w, bases[m], bases[m - 1])
-            assert len(rows) == len(bases[m - 1])
-            got = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+            columns = boundary_columns(gs, w, bases[m], bases[m - 1])
+            assert len(columns) == len(bases[m])
+            got = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
             assert all(type(v) is int and v for v in got.values())
             oracle = zero_piece_matrix(gs, m, w)
             assert got == {key: scale * v for key, v in oracle.entries.items()}, (w, m)
@@ -183,7 +183,8 @@ def test_gl2_w8_ranks_pinned():
 
 CORRUPT = """
 from superhomology import TableInvariantError, betti_row, catalog_get, generator_system, homology
-real_pieces, real_rows = homology.torus_pieces, homology.boundary_rows
+real_pieces, real_basis, real_columns = (homology.torus_pieces, homology.zero_piece_basis,
+                                         homology.boundary_columns)
 
 def corrupted(move):
     def pieces(gs, w):
@@ -196,32 +197,36 @@ def corrupted(move):
         return out
     return pieces
 
-def padded(gs, w, cols, rows):  # one row more than the zero piece has
-    return real_rows(gs, w, cols, rows) + [{}]
+def padded(gs, m, w):  # one monomial listed twice
+    basis = real_basis(gs, m, w)
+    return basis + basis[:1]
 
-def flipped():  # one sign flipped in the first cell whose cell below has a nonzero column
-    below, done = set(), []  # the nonzero columns of the last cell index rows of the next
-    def rows_of(gs, w, cols, rows):
-        out = real_rows(gs, w, cols, rows)
-        hit = [r for r in sorted(below) if out[r]]
-        below.clear()
-        below.update(c for row in out for c in row)
-        if hit and not done:
-            out[hit[0]][min(out[hit[0]])] *= -1
-            done.append(hit[0])
+def flipped():  # one sign flipped in each column of the second cell from the top
+    calls = []
+    def columns_of(gs, w, cols, rows):
+        out = real_columns(gs, w, cols, rows)
+        calls.append(w)
+        if calls.count(w) == 2:
+            for column in out:
+                if column:
+                    column[min(column)] *= -1
         return out
-    return rows_of
+    return columns_of
 
-for pieces, rows_of in ((corrupted(False), real_rows), (corrupted(True), real_rows),
-                        (real_pieces, padded), (real_pieces, flipped())):
-    homology.torus_pieces, homology.boundary_rows = pieces, rows_of
+for pieces, basis, columns in ((corrupted(False), real_basis, real_columns),
+                               (corrupted(True), real_basis, real_columns),
+                               (real_pieces, padded, real_columns),
+                               (real_pieces, real_basis, flipped())):
+    homology.torus_pieces, homology.zero_piece_basis, homology.boundary_columns = (
+        pieces, basis, columns)
     try:
         betti_row(generator_system(catalog_get("gl2")), 3)
     except TableInvariantError as exc:
         print(exc)
     else:
         print("accepted")
-homology.torus_pieces, homology.boundary_rows = real_pieces, real_rows
+homology.torus_pieces, homology.zero_piece_basis, homology.boundary_columns = (
+    real_pieces, real_basis, real_columns)
 """
 
 
@@ -232,7 +237,7 @@ def _check_corruption_messages(lines):
 
 
 def test_corrupted_piece_count_raises(monkeypatch, capsys):
-    for name in ("torus_pieces", "boundary_rows"):  # restored after the test
+    for name in ("torus_pieces", "zero_piece_basis", "boundary_columns"):  # restored after
         monkeypatch.setattr(homology, name, getattr(homology, name))
     exec(compile(CORRUPT, "corrupt", "exec"), {})
     _check_corruption_messages(capsys.readouterr().out.splitlines())
