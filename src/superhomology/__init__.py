@@ -10,10 +10,9 @@ Typical use::
     table = betti_table(gs, w_max=6)
 """
 
-from .algebra import (AlgebraError, AlgebraSpec, CatalogError, JacobiError,
-                      StructureConstants, catalog_get, catalog_names,
-                      catalog_spec, check_jacobi, format_rational, load_algebra,
-                      parse_algebra_document, parse_rational)
+from .algebra import (AlgebraError, CatalogError, JacobiError, StructureConstants,
+                      catalog_get, catalog_names, check_jacobi, format_rational,
+                      load_algebra, parse_algebra_document, parse_rational)
 from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, support_degrees,
                     torus_pieces)
 from .exterior import (GeneratorSystem, Multivector, bracket_table,
@@ -26,12 +25,12 @@ from .ranklin import BACKEND, EliminationReport, RationalMatrix, rank_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraError", "AlgebraSpec", "BACKEND", "BettiRow", "BettiTable",
+    "AlgebraError", "BACKEND", "BettiRow", "BettiTable",
     "CatalogError", "EliminationReport", "GeneratorSystem", "JacobiError",
     "Multivector", "RationalMatrix", "StructureConstants",
     "TableDiff", "TableInvariantError", "betti_row", "betti_table",
     "boundary_matrix", "bracket_table", "catalog_get", "catalog_names",
-    "catalog_spec", "chain_basis", "chain_dim", "check_jacobi",
+    "chain_basis", "chain_dim", "check_jacobi",
     "format_monomial", "format_rational", "generator_system", "load_algebra",
     "paper_level2_basis", "parse_algebra_document",
     "parse_rational", "rank_report", "render_bracket_table", "schouten",

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` (q > 0 after reduction) into a Fraction."""
     if isinstance(text, int):
@@ -145,51 +144,6 @@ def check_jacobi(sc: StructureConstants) -> list[tuple[tuple[int, int, int], tup
     return [(triple, tuple(res)) for triple, res in sorted(residuals.items()) if any(res)]
 
 
-class AlgebraSpec:
-    """An algebra description whose coefficients may reference named parameters.
-
-    Coefficient expressions are (coef, param) pairs with ``param`` optional;
-    binding the parameters produces a :class:`StructureConstants`.
-    """
-
-    def __init__(self, name: str, dim: int, brackets, params=(), constraints=()):
-        self.name = name
-        self.dim = dim
-        # brackets: {(i, j): {k: [(coef, param-or-None), ...]}}
-        self.brackets = brackets
-        self.params = tuple(params)
-        self.constraints = tuple(constraints)  # (param, "nonzero")
-
-    def bind(self, bindings: Mapping[str, Fraction | str] | None = None) -> StructureConstants:
-        """Substitute the parameters (``Fraction`` or ``"p/q"`` text) and Jacobi-check."""
-        bindings = {k: v if isinstance(v, Fraction) else parse_rational(v)
-                    for k, v in (bindings or {}).items()}
-        for p in self.params:
-            if p not in bindings:
-                raise AlgebraError(f"{self.name}: unbound parameter {p!r}")
-        for name in bindings:
-            if name not in self.params:
-                raise AlgebraError(f"{self.name}: unknown parameter {name!r} "
-                                   f"(takes {list(self.params) or 'none'})")
-        for (p, kind) in self.constraints:
-            if kind == "nonzero" and bindings[p] == 0:
-                raise CatalogError(f"{self.name}: parameter {p} must be nonzero")
-        entries = {}
-        for (i, j), out in self.brackets.items():
-            vec = [Fraction(0)] * self.dim
-            for k, terms in out.items():
-                total = Fraction(0)
-                for coef, param in terms:
-                    total += coef * (bindings[param] if param else 1)
-                vec[k - 1] += total
-            entries[(i, j)] = vec
-        sc = StructureConstants(self.dim, entries, name=self.name)
-        violations = check_jacobi(sc)
-        if violations:
-            raise JacobiError(violations)
-        return sc
-
-
 def _parse_coefficient(value) -> tuple[Fraction, str | None]:
     """One term of a coefficient expression: rational, param, or coef*param."""
     if isinstance(value, dict):
@@ -229,8 +183,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def parse_algebra_document(doc) -> AlgebraSpec:
-    """Parse the JSON algebra-description document into an :class:`AlgebraSpec`."""
+def parse_algebra_document(doc, bindings: Mapping[str, Fraction | str] | None = None
+                           ) -> StructureConstants:
+    """Validate an algebra document, bind its parameters and Jacobi-check the result.
+
+    The whole document is checked before any binding: then every parameter
+    must be bound (``Fraction`` or ``"p/q"`` text), no other name may be,
+    and the parameters the constraints name must be nonzero.
+    """
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -241,14 +201,14 @@ def parse_algebra_document(doc) -> AlgebraSpec:
     dim = _integer(doc.get("dim"), "algebra document needs an integer 'dim'")
     name = str(doc.get("name", ""))
     params = _list_field(doc, "params", str, "strings")
-    constraints = []
+    nonzero = []
     for entry in _list_field(doc, "constraints", dict, "objects"):
         p = entry.get("param")
         if p not in params:
             raise AlgebraError(f"constraint references unknown parameter {p!r}")
         if entry.get("nonzero"):
-            constraints.append((p, "nonzero"))
-    brackets = {}
+            nonzero.append(p)
+    brackets = {}  # {(i, j): {k: [(coef, param or None), ...]}}
     for entry in _list_field(doc, "brackets", dict, "objects"):
         i, j = (_integer(entry.get(f), f"bad bracket entry {entry!r}: {f!r} must be an integer")
                 for f in ("i", "j"))
@@ -273,7 +233,28 @@ def parse_algebra_document(doc) -> AlgebraSpec:
                     raise AlgebraError(f"coefficient references unbound parameter {param!r}")
             out[k] = parsed
         brackets[(i, j)] = out
-    return AlgebraSpec(name, dim, brackets, params, constraints)
+
+    values = {k: parse_rational(v) for k, v in (bindings or {}).items()}
+    for p in params:
+        if p not in values:
+            raise AlgebraError(f"{name}: unbound parameter {p!r}")
+    for p in values:
+        if p not in params:
+            raise AlgebraError(f"{name}: unknown parameter {p!r} (takes {params or 'none'})")
+    for p in nonzero:
+        if values[p] == 0:
+            raise CatalogError(f"{name}: parameter {p} must be nonzero")
+    entries = {}
+    for (i, j), out in brackets.items():
+        vec = [Fraction(0)] * dim
+        for k, terms in out.items():
+            vec[k - 1] = sum(coef * (values[param] if param else 1) for coef, param in terms)
+        entries[(i, j)] = vec
+    sc = StructureConstants(dim, entries, name=name)
+    violations = check_jacobi(sc)
+    if violations:
+        raise JacobiError(violations)
+    return sc
 
 
 def load_algebra(source, bindings: Mapping[str, Fraction] | None = None) -> StructureConstants:
@@ -290,7 +271,7 @@ def load_algebra(source, bindings: Mapping[str, Fraction] | None = None) -> Stru
             isinstance(source, str) and not source.lstrip().startswith("{")):
         with open(source, "r", encoding="utf-8") as fh:
             source = fh.read()
-    return parse_algebra_document(source).bind(bindings)
+    return parse_algebra_document(source, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +312,21 @@ def catalog_names() -> list[str]:
     return sorted(_CATALOG)
 
 
-def catalog_spec(name: str) -> AlgebraSpec:
-    """The named catalog document, parsed by :func:`parse_algebra_document`."""
+def catalog_entry(name: str) -> dict:
+    """The named catalog document; an unknown name raises :class:`CatalogError`."""
     try:
-        doc = _CATALOG[name]
+        return _CATALOG[name]
     except KeyError:
         raise CatalogError(f"unknown catalog algebra {name!r}; "
                            f"known: {', '.join(catalog_names())}") from None
-    return parse_algebra_document(doc)
 
 
 def catalog_get(name: str, bindings: Mapping[str, Fraction] | None = None) -> StructureConstants:
     """The named catalog algebra with parameters substituted and Jacobi-checked."""
-    spec = catalog_spec(name)
+    doc = catalog_entry(name)
     try:
-        return spec.bind(bindings)
+        return parse_algebra_document(doc, bindings)
+    except CatalogError:
+        raise
     except AlgebraError as exc:
-        if isinstance(exc, CatalogError):
-            raise
         raise CatalogError(str(exc)) from exc

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .algebra import (AlgebraError, JacobiError, catalog_get, catalog_names, catalog_spec,
+from .algebra import (AlgebraError, JacobiError, catalog_entry, catalog_get, catalog_names,
                       format_rational, load_algebra, parse_rational)
 from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, max_weight,
                     support_degrees)
@@ -151,11 +151,11 @@ def _table(args, gs, params, on_cell=None):
 
 def _cmd_catalog(out) -> int:
     for name in catalog_names():
-        spec = catalog_spec(name)
-        desc = f"{name}  dim={spec.dim}"
-        if spec.params:
-            constrained = {p for p, kind in spec.constraints if kind == "nonzero"}
-            parts = [p + (" != 0" if p in constrained else "") for p in spec.params]
+        doc = catalog_entry(name)
+        desc = f"{name}  dim={doc['dim']}"
+        if doc.get("params"):
+            nonzero = {c["param"] for c in doc.get("constraints", []) if c.get("nonzero")}
+            parts = [p + (" != 0" if p in nonzero else "") for p in doc["params"]]
             desc += "  params: " + ", ".join(parts)
         out.write(desc + "\n")
     return 0
@@ -214,10 +214,11 @@ def _cmd_sweep(args, params, out) -> int:
     if name in params:
         raise AlgebraError(f"--sweep {name} and --param {name} both bind {name}; drop one")
     bindings = [parse_rational(v) for v in values.split(",")]
-    tables = []
-    for value in bindings:
-        swept = {**params, name: value}
-        tables.append(_table(args, _system(args, swept), swept))
+    swept = [{**params, name: value} for value in bindings]
+    # every value is bound and Jacobi-checked before the first table
+    algebras = [_load_source(args, binds) for binds in swept]
+    tables = [_table(args, generator_system(sc, args.basis), binds)
+              for sc, binds in zip(algebras, swept)]
     labels = [format_rational(v) for v in bindings]
     differing = []
     for w in range(args.wmax + 1):

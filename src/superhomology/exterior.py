@@ -107,9 +107,6 @@ class Multivector:
                 out.pop(k, None)
         return Multivector(self.level, out)
 
-    def __neg__(self):
-        return self.scaled(-1)
-
     def __sub__(self, other):
         return self + other.scaled(-1)
 
@@ -203,14 +200,16 @@ class Generator:
         return f"Generator({self.name})"
 
 
-def _invert(columns: list[dict[int, Fraction]], size: int) -> list[list[Fraction]]:
-    """Dense Gauss-Jordan inverse of a small exact matrix given by columns."""
-    aug = [[Fraction(0)] * size + [Fraction(0)] * size for _ in range(size)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            aug[r][c] = v
-    for r in range(size):
-        aug[r][size + r] = Fraction(1)
+def _invert(expansions: dict[int, Multivector],
+            order: list[tuple[int, ...]]) -> dict[tuple[int, ...], dict[int, Fraction]]:
+    """Canonical wedge -> {generator id: coefficient}, inverting an alias level's expansions."""
+    size = len(order)
+    row = {idx: r for r, idx in enumerate(order)}
+    aug = [[Fraction(0)] * (2 * size) for _ in range(size)]
+    for c, mv in enumerate(expansions.values()):
+        for idx, v in mv.coeffs.items():
+            aug[row[idx]][c] = v
+        aug[c][size + c] = Fraction(1)
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col]), None)
         if pivot is None:
@@ -222,7 +221,8 @@ def _invert(columns: list[dict[int, Fraction]], size: int) -> list[list[Fraction
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+    return {idx: {g: aug[pos][size + r] for pos, g in enumerate(expansions) if aug[pos][size + r]}
+            for r, idx in enumerate(order)}
 
 
 # Generators are built eagerly, 2^dim - 1 of them, and every chain monomial
@@ -283,18 +283,15 @@ class GeneratorSystem:
         self.grades = tuple(g.grade for g in self.generators)
         self.count = len(self.generators)
 
-        # Inverse change of basis per level: canonical coords -> generator coords.
-        self._expand_inverse: dict[int, list[list[Fraction]]] = {}
-        self._canon_index: dict[int, dict[tuple[int, ...], int]] = {}
-        for k in range(1, n + 1):
-            order = wedge_basis(sc, k)
-            self._canon_index[k] = {idx: r for r, idx in enumerate(order)}
+        # per level, canonical wedge -> {generator id: coefficient}: the identity on a
+        # canonical level, the inverse change of basis on an alias one
+        self._coords: dict[int, dict[tuple[int, ...], dict[int, Fraction | int]]] = {}
+        for k, gens in self.level_to_gens.items():
             if k in level_bases:
-                cols = []
-                for gid in self.level_to_gens[k]:
-                    mv = self.generators[gid].expansion
-                    cols.append({self._canon_index[k][idx]: c for idx, c in mv.coeffs.items()})
-                self._expand_inverse[k] = _invert(cols, len(order))
+                self._coords[k] = _invert({g: self.generators[g].expansion for g in gens},
+                                          wedge_basis(sc, k))
+            else:
+                self._coords[k] = {idx: {g: 1} for idx, g in zip(wedge_basis(sc, k), gens)}
         self._pair_cache: dict[tuple[int, int], tuple[tuple[Fraction, int], ...]] = {}
         # owned by int_brackets: w -> (D_w, int bracket table)
         self._int_cache: dict[int, tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]] = {}
@@ -344,20 +341,10 @@ class GeneratorSystem:
 
     def to_generator_coords(self, mv: Multivector) -> dict[int, Fraction]:
         """Express a multivector in the active basis of its level."""
-        if mv.is_zero():
-            return {}
-        k = mv.level
-        gens = self.level_to_gens[k]
-        if k not in self._expand_inverse:
-            return {gens[self._canon_index[k][idx]]: c for idx, c in mv.coeffs.items()}
-        inv = self._expand_inverse[k]
         out: dict[int, Fraction] = {}
         for idx, c in mv.coeffs.items():
-            r = self._canon_index[k][idx]
-            for pos, gid in enumerate(gens):
-                v = inv[pos][r] * c
-                if v:
-                    out[gid] = out.get(gid, Fraction(0)) + v
+            for g, v in self._coords[mv.level][idx].items():
+                out[g] = out.get(g, 0) + v * c
         return {g: v for g, v in out.items() if v}
 
     def pair_bracket(self, gi: int, gj: int) -> tuple[tuple[Fraction, int], ...]:

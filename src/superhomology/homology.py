@@ -166,7 +166,8 @@ class BettiTable:
         return "\n".join(out)
 
 
-def _piece_ranks(gs: GeneratorSystem, w: int) -> tuple[dict[int, int], dict[int, int]]:
+def _piece_ranks(gs: GeneratorSystem, w: int,
+                 degrees: list[int]) -> tuple[dict[int, int], dict[int, int]]:
     """Ranks forced by the nonzero torus pieces, and the dimensions of the zero piece.
 
     Returns ({m: summed rank of the boundary from degree m over the nonzero
@@ -176,7 +177,7 @@ def _piece_ranks(gs: GeneratorSystem, w: int) -> tuple[dict[int, int], dict[int,
     piece, which at one past the top degree means the recurrence ends at 0.
     """
     pieces = torus_pieces(gs, w)
-    for m in set(support_degrees(gs, w)).union(*pieces.values()):
+    for m in set(degrees).union(*pieces.values()):
         total = sum(dims.get(m, 0) for dims in pieces.values())
         if total != chain_dim(gs, m, w):
             raise TableInvariantError(
@@ -221,7 +222,7 @@ def betti_row(gs: GeneratorSystem, w: int,
     if not degrees:
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
-    ranks, piece_dims = _piece_ranks(gs, w)
+    ranks, piece_dims = _piece_ranks(gs, w, degrees)
     bases = {m: zero_piece_basis(gs, m, w) for m in degrees}
     n_even = len(gs.even_ids)
     # the pivot monomials of the last ranked cell and its probe vector over them, keyed by degree

@@ -9,15 +9,15 @@ never take a rank from the torus split.  ``dd_probe_every_column`` is the
 d o d = 0 probe over every column, of which the table pushes a sample.
 The word layer (sorting words of
 generators with the super sign), ``Chain`` arithmetic, the matrix
-product and transpose, ``load_matrix`` (reads a ``--dump-matrix`` file) and
-``algebra_document`` (writes a ``--file`` document) live here too: only
-tests use them.
+product and transpose, ``load_matrix`` (reads a ``--dump-matrix`` file),
+``algebra_document`` (writes a ``--file`` document) and ``change_basis``
+(the same algebra in another basis) live here too: only tests use them.
 """
 
 import random
 from fractions import Fraction
 
-from superhomology.algebra import format_rational, parse_rational
+from superhomology.algebra import StructureConstants, format_rational, parse_rational
 from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix, chain_basis,
                                  chain_dim, support_degrees, zero_piece_basis)
 from superhomology.homology import BettiRow, BettiTable
@@ -47,6 +47,56 @@ def algebra_document(sc) -> dict:
         out = {str(k + 1): format_rational(c) for k, c in enumerate(sc.entries[(i, j)]) if c}
         brackets.append({"i": i, "j": j, "out": out})
     return {"name": sc.name, "dim": sc.dim, "brackets": brackets}
+
+
+def _inverse(matrix):
+    """Dense Gauss-Jordan inverse of a square rational matrix (a list of rows), or None."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+           for r, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def random_invertible(n, rng):
+    """A random invertible n x n matrix with entries k / d, -2 <= k <= 2 and d in {1, 2}."""
+    while True:
+        matrix = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+                  for _ in range(n)]
+        if _inverse(matrix) is not None:
+            return matrix
+
+
+def change_basis(sc, B):
+    """The structure constants of ``sc`` in the basis f_i = B e_i.
+
+    Column i of the invertible matrix ``B`` (a list of rows) holds f_i, and
+    [f_i, f_j] = B^-1 [B e_i, B e_j] in f-coordinates.  The name is kept.
+    """
+    n = sc.dim
+    inverse = _inverse(B)
+    if inverse is None:
+        raise ValueError("change of basis is singular")
+    entries = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = [Fraction(0)] * n  # [B e_i, B e_j] in e-coordinates
+            for a in range(n):
+                for b in range(n):
+                    if B[a][i] and B[b][j]:
+                        for c, x in enumerate(sc.bracket(a + 1, b + 1)):
+                            image[c] += B[a][i] * B[b][j] * x
+            entries[(i + 1, j + 1)] = [sum(row[c] * image[c] for c in range(n)) for row in inverse]
+    return StructureConstants(n, entries, name=sc.name)
 
 
 def sort_generator_word(gs, word):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import time
 from math import comb
 
@@ -9,7 +10,8 @@ from superhomology import catalog_get, chain_dim, cli, generator_system, homolog
 from superhomology.cli import run_cli
 
 from conftest import EXPECTED_DIR
-from oracles import load_matrix, monomial_degree, monomial_weight, naive_rank, zero_piece_matrix
+from oracles import (algebra_document, change_basis, load_matrix, monomial_degree,
+                     monomial_weight, naive_rank, random_invertible, zero_piece_matrix)
 from test_algebra import MALFORMED_DOCUMENTS
 
 
@@ -510,3 +512,32 @@ def test_file_source_with_params(tmp_path):
     code2, out2, _ = run(["table", "--algebra", "aff1", "--wmax", "2",
                           "--format", "csv"])
     assert out == out2
+
+
+def test_sweep_refuses_a_bad_value_before_the_first_table(tmp_path, monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "_table", lambda *args: computed.append(args))
+    code, out, err = run(["table", "--algebra", "g3d3", "--param", "beta=1", "--wmax", "20",
+                          "--sweep", "alpha=1,0"])
+    assert (code, out) == (2, "") and "alpha must be nonzero" in err, err
+    # [z1, z2] = z3 and [z1, z3] = t z1 satisfy the Jacobi identity only at t = 0
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"name": "family", "dim": 3, "params": ["t"], "brackets": [
+        {"i": 1, "j": 2, "out": {"3": "1"}}, {"i": 1, "j": 3, "out": {"1": "t"}}]}),
+        encoding="utf-8")
+    code, out, err = run(["table", "--file", str(path), "--wmax", "20", "--sweep", "t=0,1"])
+    assert (code, out) == (2, "") and "Jacobi identity fails" in err, err
+    assert computed == []
+
+
+def test_table_of_a_conjugated_document_equals_the_catalog_table(tmp_path):
+    sc = catalog_get("g3d2", {"alpha": "-1"})
+    conjugated = change_basis(sc, random_invertible(3, random.Random("g3d2,1")))
+    document = algebra_document(conjugated)
+    assert any("/" in c for b in document["brackets"] for c in b["out"].values())
+    path = tmp_path / "g3d2_conjugated.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    want = run(["table", "--algebra", "g3d2", "--param", "alpha=-1", "--wmax", "8",
+                "--format", "csv"])
+    assert want[0] == 0
+    assert run(["table", "--file", str(path), "--wmax", "8", "--format", "csv"]) == want

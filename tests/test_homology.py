@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from superhomology import (TableInvariantError, betti_row,
 from superhomology import chain
 
 from conftest import EXPECTED_DIR, REPO_ROOT
-from oracles import dd_probe_every_column, euler_check
+from oracles import change_basis, dd_probe_every_column, euler_check, random_invertible
 
 
 @pytest.fixture(scope="module")
@@ -456,3 +457,18 @@ def test_systematic_sign_faults_make_the_probe_raise(name, w_max, monkeypatch):
     assert {"A without si", "B without start[k]"} <= raised
     if name == "gl2":
         assert len(raised) == len(faults) - 1  # all but "B negated"
+
+
+@pytest.mark.parametrize("name, binds, w_max", [
+    ("heis3", {}, 12), ("g3d1n", {}, 12), ("g3d2", {"alpha": "-1"}, 12), ("aff1", {}, 12),
+    ("sl2_efh", {}, 8), ("g3d3", {"alpha": "2/3", "beta": "-5/7"}, 8)])
+def test_betti_table_is_invariant_under_a_change_of_basis(name, binds, w_max):
+    # the same algebra in a random rational basis: its brackets have denominators
+    # (D_w > 1) and mostly no torus grading, yet dims, kernels and Betti numbers agree
+    sc = catalog_get(name, binds)
+    want = [r.to_dict() for r in betti_table(generator_system(sc), w_max).rows]
+    for seed in (1, 2):
+        conjugated = change_basis(sc, random_invertible(sc.dim, random.Random(f"{name},{seed}")))
+        assert conjugated != sc
+        got = [r.to_dict() for r in betti_table(generator_system(conjugated), w_max).rows]
+        assert got == want, (name, seed)
