@@ -147,6 +147,7 @@ def check_jacobi(sc: StructureConstants) -> list[tuple[tuple[int, int, int], tup
 def _parse_coefficient(value) -> tuple[Fraction, str | None]:
     """One term of a coefficient expression: rational, param, or coef*param."""
     if isinstance(value, dict):
+        _known_keys(value, ("coef", "param"), f"coefficient {value!r}")
         coef = parse_rational(value.get("coef", "1"))
         param = value.get("param")
         if param is not None and not isinstance(param, str):
@@ -160,6 +161,13 @@ def _parse_coefficient(value) -> tuple[Fraction, str | None]:
     if s.startswith("-"):
         return Fraction(-1), s[1:].strip()
     return Fraction(1), s
+
+
+def _known_keys(entry: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key outside ``keys``, which would otherwise be dropped unread."""
+    for key in entry:
+        if key not in keys:
+            raise AlgebraError(f"{what}: unknown key {key!r} (known: {', '.join(keys)})")
 
 
 def _list_field(doc: dict, key: str, kind: type, what: str) -> list:
@@ -198,11 +206,13 @@ def parse_algebra_document(doc, bindings: Mapping[str, Fraction | str] | None = 
             raise AlgebraError(f"algebra document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise AlgebraError("algebra document must be a JSON object")
+    _known_keys(doc, ("name", "dim", "brackets", "params", "constraints"), "algebra document")
     dim = _integer(doc.get("dim"), "algebra document needs an integer 'dim'")
     name = str(doc.get("name", ""))
     params = _list_field(doc, "params", str, "strings")
     nonzero = []
     for entry in _list_field(doc, "constraints", dict, "objects"):
+        _known_keys(entry, ("param", "nonzero"), f"constraint {entry!r}")
         p = entry.get("param")
         if p not in params:
             raise AlgebraError(f"constraint references unknown parameter {p!r}")
@@ -210,6 +220,7 @@ def parse_algebra_document(doc, bindings: Mapping[str, Fraction | str] | None = 
             nonzero.append(p)
     brackets = {}  # {(i, j): {k: [(coef, param or None), ...]}}
     for entry in _list_field(doc, "brackets", dict, "objects"):
+        _known_keys(entry, ("i", "j", "out"), f"bracket entry {entry!r}")
         i, j = (_integer(entry.get(f), f"bad bracket entry {entry!r}: {f!r} must be an integer")
                 for f in ("i", "j"))
         if not (1 <= i < j <= dim):

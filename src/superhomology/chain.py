@@ -60,17 +60,29 @@ bracket and ids sort evens first, so three cases remain:
 The brackets come from ``GeneratorSystem.int_brackets(w)``: an int table
 {(i, j): ((D_w * c, k), ...)} of the nonzero pair brackets a weight-w
 boundary can take, with D_w the lcm of their denominators (1 for an integral
-algebra).  A pair missing from the table costs one dict lookup.  So the
-terms are ints and ``boundary_columns`` assembles D_w times the boundary as
-int column dicts, one per chosen column monomial, which is what the table
-eliminates; ``boundary_matrix`` is every column divided by D_w, the exact
-rational matrix.
+algebra).  So the terms are ints, and ``boundary_columns`` assembles D_w
+times the boundary as int column dicts, one per chosen column monomial,
+which is what the table eliminates; ``boundary_matrix`` is every column
+divided by D_w, the exact rational matrix.
+
+A cell is assembled pair-major: the outer loop runs over the entries of the
+bracket table, so a pair with a zero bracket is never visited, and the inner
+loop over the columns that hold letter i, so a pair's constants are set once
+per cell, not once per column.  Each monomial is coded as the int
+sum_x e_x R^x, with the radix R one above the columns' degree: every
+exponent of a column or a target is below R, so the code is exact however
+large the exponents grow (a byte per exponent would not be).  A target is
+then code - R^i - R^j + R^k, one int addition and one int-keyed lookup in
+the row numbering; a target the numbering does not list raises
+``KeyError``.  An entry that cancels to zero is deleted where it cancels,
+so no column holds a zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
@@ -217,45 +229,53 @@ def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
 # Boundary operator.
 # ---------------------------------------------------------------------------
 
-def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]],
-                    n_even: int, exps: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """D_w times the boundary of the monomial with exponent vector ``exps`` (evens + odds).
+def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]], n_even: int,
+                    powers: list[int], cols: list[tuple[int, ...]],
+                    row_index: dict[int, int]) -> list[dict[int, int]]:
+    """D_w times the boundary of each monomial of ``cols`` (exponent vectors, evens + odds).
 
     ``brackets`` is ``GeneratorSystem.int_brackets(w)[1]`` for the weight w
-    of the monomial, and ``n_even`` the number of even generators.  Each pair
-    of letter types gives its term once, times its position pairs, signed by
-    case A, B or C of the module docstring.  Returns {target exponent vector:
-    int coefficient}; entries that cancel are left at 0.
+    of the columns, ``n_even`` the number of even generators, ``powers`` the
+    powers R^x of the code's radix (above every exponent of a column or a
+    target) and ``row_index`` {code: row}.  Each pair of the table runs over
+    the columns holding its first letter and gives its term once per column,
+    times its position pairs, signed by case A, B or C of the module
+    docstring.  Returns one {row: nonzero int} per column; a target code
+    missing from ``row_index`` raises ``KeyError``.
     """
-    start = list(accumulate(exps, initial=0))  # s(x): letters of the sorted word before id x
-    present = [g for g, e in enumerate(exps) if e]
-    out: dict[tuple[int, ...], int] = {}
-    for x, i in enumerate(present):
-        ei = exps[i]
-        si = start[i]
-        for j in present[x:]:
-            bracket = brackets.get((i, j))
-            if bracket is None:
-                continue
+    out: list[dict[int, int]] = [{} for _ in cols]
+    codes = [sum(map(mul, exps, powers)) for exps in cols]
+    starts = [list(accumulate(exps, initial=0)) for exps in cols]  # s(x): letters before id x
+    # the first letter of each pair -> the columns it appears in
+    holding = {i: [c for c, exps in enumerate(cols) if exps[i]] for i in {i for i, _ in brackets}}
+    for (i, j), bracket in brackets.items():
+        if not holding[i]:
+            continue
+        lose = powers[i] + powers[j]
+        terms = [(coeff, k, powers[k] - lose, (k == i) + (k == j)) for coeff, k in bracket]
+        for c in holding[i]:
+            exps = cols[c]
+            ei = exps[i]
             mult = ei * (ei - 1) // 2 if j == i else ei * exps[j]
             if not mult:
                 continue  # a lone odd letter makes no pair
-            reduced = list(exps)
-            reduced[i] -= 1
-            reduced[j] -= 1
-            for coeff, k in bracket:
+            start, column, code = starts[c], out[c], codes[c]
+            si = start[i]
+            for coeff, k, shift, used in terms:
                 if j >= n_even > i:
                     s = si  # A: odd bracket letter
-                elif reduced[k]:
+                elif exps[k] > used:  # Y_k is left once Y_i, Y_j are removed
                     continue  # even letters square to zero
                 elif i >= n_even:
                     s = start[k]  # B
                 else:
                     s = si + start[j] - 1 - start[k] + (i < k) + (j < k)  # C
-                reduced[k] += 1
-                target = tuple(reduced)
-                reduced[k] -= 1
-                out[target] = out.get(target, 0) + (-coeff * mult if s % 2 else coeff * mult)
+                r = row_index[code + shift]
+                v = column.get(r, 0) + (-coeff * mult if s % 2 else coeff * mult)
+                if v:
+                    column[r] = v
+                else:
+                    del column[r]
     return out
 
 
@@ -269,13 +289,12 @@ def boundary_columns(gs: GeneratorSystem, w: int, cols: list[tuple[int, ...]],
     cell above does not prove dependent.  Nothing is assembled into an empty
     ``rows``.
     """
-    if not rows:
+    if not rows or not cols:
         return [{} for _ in cols]
-    brackets = gs.int_brackets(w)[1]
-    n_even = len(gs.even_ids)
-    row_index = {mono: r for r, mono in enumerate(rows)}
-    return [{row_index[t]: v for t, v in _boundary_terms(brackets, n_even, mono).items() if v}
-            for mono in cols]
+    radix = max(map(sum, cols)) + 1
+    powers = [radix ** x for x in range(len(cols[0]))]
+    row_index = {sum(map(mul, mono, powers)): r for r, mono in enumerate(rows)}
+    return _boundary_terms(gs.int_brackets(w)[1], len(gs.even_ids), powers, cols, row_index)
 
 
 def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:

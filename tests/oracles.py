@@ -15,6 +15,7 @@ product and transpose, ``load_matrix`` (reads a ``--dump-matrix`` file),
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from superhomology.algebra import StructureConstants, format_rational, parse_rational
@@ -128,17 +129,8 @@ def sort_generator_word(gs, word):
 
 def word_to_monomial(gs, word) -> tuple:
     """Canonical (sorted, even-square-free) word -> exponent tuple (evens, then odds)."""
-    even_pos = {gid: i for i, gid in enumerate(gs.even_ids)}
-    odd_pos = {gid: i for i, gid in enumerate(gs.odd_ids)}
-    evens = [0] * len(even_pos)
-    odds = [0] * len(odd_pos)
-    for gid in word:
-        pos = even_pos.get(gid)
-        if pos is not None:
-            evens[pos] += 1
-        else:
-            odds[odd_pos[gid]] += 1
-    return tuple(evens + odds)
+    counts = Counter(word)
+    return tuple(counts[gid] for gid in gs.even_ids + gs.odd_ids)
 
 
 def normalize_word(gs, word):
@@ -203,11 +195,40 @@ class Chain:
         return "Chain(" + ", ".join(f"{c}*{m}" for m, c in sorted(self.terms.items())) + ")"
 
 
+class _Numbering(dict):
+    """{code: row} that numbers a code it has not seen when it is looked up."""
+
+    def __missing__(self, code):
+        self[code] = len(self)
+        return self[code]
+
+
+def kernel_column(gs, mono) -> tuple[dict[tuple, int], set[tuple]]:
+    """The package kernel's column of one monomial, {target: D_w times its entry}, and
+    every target the kernel looked up on the way.
+
+    The kernel numbers each target code as it first meets it, and each code
+    is decoded back into its exponent vector, so no row basis is listed.
+    """
+    brackets = gs.int_brackets(monomial_weight(gs, mono))[1]
+    radix = sum(mono) + 1
+    powers = [radix ** x for x in range(len(mono))]
+    rows = _Numbering()
+    (column,) = _boundary_terms(brackets, len(gs.even_ids), powers, [mono], rows)
+    targets = {}
+    for code, r in rows.items():
+        digits = []
+        for _ in mono:
+            code, e = divmod(code, radix)
+            digits.append(e)
+        targets[r] = tuple(digits)
+    return {targets[r]: v for r, v in column.items()}, set(targets.values())
+
+
 def boundary_monomial(gs, mono) -> Chain:
-    """Boundary of one monomial as a ``Chain``, read off the package's term dict."""
-    scale, brackets = gs.int_brackets(monomial_weight(gs, mono))
-    terms = _boundary_terms(brackets, len(gs.even_ids), mono)
-    return Chain({t: Fraction(c, scale) for t, c in terms.items()})
+    """Boundary of one monomial as a ``Chain``, read off ``kernel_column``."""
+    scale = gs.int_brackets(monomial_weight(gs, mono))[0]
+    return Chain({t: Fraction(v, scale) for t, v in kernel_column(gs, mono)[0].items()})
 
 
 def transpose(matrix) -> RationalMatrix:

@@ -219,6 +219,15 @@ MALFORMED_DOCUMENTS = [
      "is listed twice"),
     ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": "1", "01": "5"}}]},
      "output index 1 is given twice"),
+    # a misspelled key would be dropped unread: each of the first two would load as abelian
+    ({"dim": 3, "bracket": [{"i": 1, "j": 2, "out": {"3": "1"}}]},
+     "algebra document: unknown key 'bracket'"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "output": {"3": "1"}}]}, "unknown key 'output'"),
+    ({"dim": 2, "params": ["a"],
+      "constraints": [{"param": "a", "nonzero": True, "positive": True}]},
+     "unknown key 'positive'"),
+    ({"dim": 2, "params": ["a"], "brackets": [{"i": 1, "j": 2, "out": {"1": {"coeff": "2"}}}]},
+     "unknown key 'coeff'"),
 ]
 
 

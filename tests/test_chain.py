@@ -8,11 +8,11 @@ import pytest
 from superhomology import (boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
                            generator_system, support_degrees, torus_pieces)
-from superhomology.chain import max_weight, zero_piece_basis
+from superhomology.chain import boundary_columns, max_weight, zero_piece_basis
 
-from oracles import (Chain, boundary_monomial, brute_basis, induced_bracket, load_matrix, matmul,
-                     monomial_degree, monomial_weight, monomial_word,
-                     naive_rank, normalize_word, torus_weight, wedge_chain,
+from oracles import (Chain, _word_matrix, boundary_monomial, brute_basis, induced_bracket,
+                     kernel_column, load_matrix, matmul, monomial_degree, monomial_weight,
+                     monomial_word, naive_rank, normalize_word, torus_weight, wedge_chain,
                      word_boundary_matrix, word_boundary_monomial)
 
 
@@ -498,6 +498,42 @@ def test_boundary_of_high_odd_powers_matches_word_oracle():
             odds[rng.randrange(n_odd)] = rng.randint(3, 5)
             pick = mono(evens, odds)
             assert boundary_monomial(gs, pick) == word_boundary_monomial(gs, pick), (name, pick)
+
+
+def test_boundary_of_large_exponents_matches_word_oracle():
+    # a digit of the monomial code holds any exponent below the radix, one above the
+    # degree: an exponent >= 256 would spill out of a byte-wide digit
+    heis3, gl2 = (generator_system(catalog_get(name)) for name in ("heis3", "gl2"))
+    pick = (1, 0, 0, 1, 2, 259, 37)
+    # a byte-wide code would give its target (.., 1, 260, 37) and the later row
+    # (.., 257, 3, 38) of this basis one code
+    rows = chain_basis(heis3, 299, 300)
+    (got,) = boundary_columns(heis3, 300, [pick], rows)
+    assert {(r, 0): v for r, v in got.items()} == _word_matrix(heis3, [pick], rows).entries != {}
+    picks = [(heis3, pick), (gl2, (1, 0, 1, 0, 0, 1, 0, 0, 260, 10, 5, 8, 0, 3, 12)),
+             # a power of the odd letter with a nonzero self-bracket, its exponent the
+             # radix less one
+             (heis3, (0, 0, 0, 0, 256, 0, 0)), (gl2, (0,) * 11 + (256, 0, 0, 0))]
+    for gs, pick in picks:
+        assert boundary_monomial(gs, pick) == word_boundary_monomial(gs, pick) != Chain(), pick
+
+
+@pytest.mark.parametrize("name, w_max", [("gl2", 4), ("sl2_efh", 6)])
+def test_kernel_deletes_the_entries_that_cancel(name, w_max):
+    gs = generator_system(catalog_get(name))
+    cancelled = 0
+    for w in range(w_max + 1):
+        for m in support_degrees(gs, w):
+            if m < 1:
+                continue
+            for pick in chain_basis(gs, m, w):
+                column, looked_up = kernel_column(gs, pick)
+                assert all(column.values()), pick
+                cancelled += len(looked_up - column.keys())  # looked up, then deleted
+            # boundary_matrix copies every stored entry and the word route stores no
+            # zero, so this also says the whole-cell assembly stores none
+            assert boundary_matrix(gs, m, w) == word_boundary_matrix(gs, m, w), (w, m)
+    assert cancelled > 0
 
 
 def test_boundary_matrix_shapes_and_examples():
