@@ -169,18 +169,13 @@ def _cmd_table(args, out) -> int:
     reports: list[dict] = []
 
     def on_cell(w, m, shape, report, forced_rank):
-        if args.dump_matrix:
-            os.makedirs(args.dump_matrix, exist_ok=True)
-            path = os.path.join(args.dump_matrix, f"boundary_w{w}_m{m}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                boundary_matrix(gs, m, w).dump(fh)
-        if args.report:
-            reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1],
-                            **asdict(report), "forced_rank": forced_rank,
-                            "cell_rank": report.rank + forced_rank})
+        reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1],
+                        **asdict(report), "forced_rank": forced_rank,
+                        "cell_rank": report.rank + forced_rank})
 
-    table = _table(args, gs, params, on_cell)
+    table = _table(args, gs, params, on_cell if args.report else None)
     if args.dump_matrix:
+        # written once the table is checked, so a table that raises leaves no partial dump
         os.makedirs(args.dump_matrix, exist_ok=True)
         for row in table.rows:
             # record the basis ordering the matrix files refer to
@@ -189,6 +184,11 @@ def _cmd_table(args, out) -> int:
                 for m in row.degrees:
                     for i, mono in enumerate(chain_basis(gs, m, row.w)):
                         fh.write(f"m={m} {i} {format_monomial(gs, mono)}\n")
+            for m in row.degrees:
+                if m >= 1:
+                    path = os.path.join(args.dump_matrix, f"boundary_w{row.w}_m{m}.txt")
+                    with open(path, "w", encoding="utf-8") as fh:
+                        boundary_matrix(gs, m, row.w).dump(fh)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             # each weight's cells arrive from the top degree down

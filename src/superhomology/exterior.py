@@ -471,13 +471,26 @@ def _entry_text(coords: dict[str, Fraction]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+# the printed tables hold at most this many entries: dim 9 holds 132,609, dim 10 527,873,
+# and each dim costs 4-6 times the time of the one below
+MAX_TABLE_ENTRIES = 200_000
+
+
 def render_bracket_table(gs: GeneratorSystem) -> str:
-    """Two text matrices: grade-0 rows x all generators, odd rows x (odd + higher even)."""
-    table = bracket_table(gs)
+    """Two text matrices: grade-0 rows x all generators, odd rows x (odd + higher even).
+
+    Raises :class:`AlgebraError` before any bracket is computed when the two
+    hold more than ``MAX_TABLE_ENTRIES`` entries.
+    """
     names = [g.name for g in gs.generators]
     zero_rows = [gs.generators[i].name for i in gs.even_ids if gs.generators[i].grade == 0]
     odd_names = [gs.generators[i].name for i in gs.odd_ids]
     high_even = [gs.generators[i].name for i in gs.even_ids if gs.generators[i].grade > 0]
+    entries = len(zero_rows) * len(names) + len(odd_names) * (len(odd_names) + len(high_even))
+    if entries > MAX_TABLE_ENTRIES:
+        raise AlgebraError(f"the bracket tables of dim {gs.dim} hold {entries} entries, "
+                           f"more than {MAX_TABLE_ENTRIES}")
+    table = bracket_table(gs)
 
     def block(rows, cols):
         grid = [[""] + cols]

@@ -17,11 +17,14 @@ eliminated; without a grading it is the whole complex.
 
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
-Each weight runs from its top support degree down to degree 1.  The kept
-columns of the cell (w, m+1) enter elimination as the kernel's input rows,
-with the degree-m monomials numbered by their odd letters, then their even
-ones, so that a pivot (the lowest input column) is the first monomial of its
-reduced column in that numbering, the "lowest one" of persistence.  Let P be
+Each weight runs from its top support degree down to degree 1.  The
+torus-weight-0 piece of each degree is numbered once for the whole weight,
+by its odd letters, then its even ones (a stable sort of the lex order), and
+that one numbering gives the rows of the cell above and the columns of the
+cell itself.  The kept columns of the cell (w, m+1) enter elimination as the
+kernel's input rows, in lex order, so that a pivot (the lowest input column)
+is the first monomial of its reduced column in that numbering, the "lowest
+one" of persistence.  Let P be
 those pivot monomials.  A reduced column lies in the image of the boundary
 from degree m+1, which the boundary from degree m kills, and the reduced
 columns have distinct lowest ones in P.  So, by induction from the end of
@@ -31,7 +34,10 @@ combinations of its other columns.  They are never assembled: the rank is
 that of the kept columns.  Any numbering gives the rank, but not the same
 fill-in: numbered in basis order from the last, g3d3 to w = 16 fills in
 29,873 entries instead of 4,523 and loses its gain; from the first, the gl2
-row w = 8 takes 11 s instead of 0.3 s.
+row w = 8 takes 11 s instead of 0.3 s.  The kernel breaks ties between
+columns of equal length in input order, and that order matters too: kept in
+the numbering instead of lex order, the gl2 table to w = 8 fills in 102,497
+entries instead of 88,530.
 
 ``betti_row`` checks the piece dimensions, the forced ranks and every row it
 computes and raises :class:`TableInvariantError` when one breaks these
@@ -53,9 +59,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
-from .algebra import format_rational
+from .algebra import _integer, _known_keys, format_rational
 from .chain import (boundary_columns, chain_dim, count_up_to, support_degrees, torus_pieces,
                     zero_piece_basis)
 from .exterior import GeneratorSystem
@@ -207,14 +214,15 @@ def betti_row(gs: GeneratorSystem, w: int,
               on_cell: CellCallback | None = None) -> BettiRow:
     """Assemble and check one weight: supports by counting, cells from the top degree down.
 
-    The torus-weight-0 basis of each support degree is listed once and kept
-    only while the row is computed.  Each support degree m >= 1 has the
+    The torus-weight-0 basis of each support degree is listed and numbered
+    once and kept only while the row is computed.  Each support degree m >= 1 has the
     columns of its piece that the cell above leaves assembled as int columns
     of D_w times the boundary (``chain.boundary_columns``), is probed against
     the vector the cell above pushes into it, and is ranked once (0 x k when
     m-1 is empty); without a torus grading that piece is the whole cell.
     ``on_cell(w, m, shape, report, forced)`` receives the (rows, cols) shape
-    of the piece, the report with its pivots as (row, column) of the piece,
+    of the piece, the report with its pivots as (row, column) of the piece
+    with both degrees numbered odd letters first (see the module docstring),
     and the rank the other pieces add to it; the cells of a weight come from
     the top degree down.
     """
@@ -223,8 +231,9 @@ def betti_row(gs: GeneratorSystem, w: int,
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
     ranks, piece_dims = _piece_ranks(gs, w, degrees)
-    bases = {m: zero_piece_basis(gs, m, w) for m in degrees}
-    n_even = len(gs.even_ids)
+    # each degree's one numbering: odd letters, then even ones (a stable sort of the lex order)
+    odd_part = itemgetter(slice(len(gs.even_ids), None))
+    bases = {m: sorted(zero_piece_basis(gs, m, w), key=odd_part) for m in degrees}
     # the pivot monomials of the last ranked cell and its probe vector over them, keyed by degree
     above: dict[int, tuple[set[int], dict[int, int]]] = {}
     for m in reversed(degrees):
@@ -238,17 +247,15 @@ def betti_row(gs: GeneratorSystem, w: int,
                 f"matrix at w={w}, m={m} is {shape[0]} x {shape[1]}, "
                 f"its counted piece {counted[0]} x {counted[1]}")
         skip, pushed = above.get(m, (set(), {}))
-        kept = [c for c in range(len(cols)) if c not in skip]
+        # the kernel breaks ties in input order, and lex order keeps its fill-in low
+        kept = sorted((c for c in range(len(cols)) if c not in skip), key=cols.__getitem__)
         reached = [c for c in pushed if c in skip]
-        # rows numbered by their odd letters, then their even ones (a stable sort of the
-        # lex order), so that a pivot is the lowest one of its column in that numbering
-        order = sorted(range(len(rows)), key=[mono[n_even:] for mono in rows].__getitem__)
         columns = dict(zip(kept + reached, boundary_columns(
-            gs, w, [cols[c] for c in kept + reached], [rows[r] for r in order])))
+            gs, w, [cols[c] for c in kept + reached], rows)))
         composed: dict[int, int] = {}
         for c, x in pushed.items():
             for r, v in columns[c].items():
-                composed[order[r]] = composed.get(order[r], 0) + x * v
+                composed[r] = composed.get(r, 0) + x * v
         if any(composed.values()):
             raise TableInvariantError(
                 f"dd = 0 probe fails at w={w}, m={m + 1}: the boundary from degree {m + 1} "
@@ -259,9 +266,9 @@ def betti_row(gs: GeneratorSystem, w: int,
         for c in rng.sample(kept, min(len(kept), max(PROBE_MIN, len(kept) // PROBE_SHARE))):
             x = rng.getrandbits(30)
             for r, v in columns[c].items():
-                push[order[r]] = push.get(order[r], 0) + x * v
+                push[r] = push.get(r, 0) + x * v
         report = rank_rows([columns[c] for c in kept])
-        report.pivots = [(order[r], kept[k]) for k, r in report.pivots]
+        report.pivots = [(r, kept[k]) for k, r in report.pivots]
         above = {m - 1: ({r for r, _ in report.pivots}, {r: x for r, x in push.items() if x})}
         forced = ranks.get(m, 0)
         ranks[m] = forced + report.rank
@@ -317,12 +324,25 @@ class TableDiff:
 _FIELD_NAMES = (("dims", 0), ("kernels", 1), ("betti", 2))
 
 
+def _integers(row_doc: dict, name: str, what: str) -> list[int]:
+    """``row_doc[name]``, which must be a list of integers (or their decimal text)."""
+    values = row_doc[name]
+    if not isinstance(values, list):
+        raise ValueError(f"{what}: {name!r} must be a list, got {values!r}")
+    return [_integer(v, f"{what}: {name!r} entries must be integers") for v in values]
+
+
 def verify_table(computed: BettiTable, expected: dict) -> TableDiff:
     """Cell-by-cell comparison where the expected document provides values.
 
     The expected document (parsed JSON) mirrors the table JSON; ``dims``,
     ``kernels`` and ``betti`` are each optional per row.  Degrees absent from
-    the computed support compare as empty cells (0, 0, 0).
+    the computed support compare as empty cells (0, 0, 0).  Every row is read
+    in full before it is compared or skipped, so a malformed one raises
+    ``ValueError`` (as :class:`AlgebraError`) whatever the computed range:
+    a row key other than ``w``, ``degrees``, ``dims``, ``kernels`` and
+    ``betti``, a value that is not a list where the format has a list, or a
+    number that is not an integer.
     """
     if not isinstance(expected, dict) or not isinstance(expected.get("rows"), list):
         raise ValueError("expected-table document needs a 'rows' list")
@@ -330,18 +350,20 @@ def verify_table(computed: BettiTable, expected: dict) -> TableDiff:
     for row_doc in expected["rows"]:
         if not isinstance(row_doc, dict) or "w" not in row_doc:
             raise ValueError(f"expected row without 'w': {row_doc!r}")
-        w = int(row_doc["w"])
-        degrees = row_doc.get("degrees")
-        present = [(name, pos) for name, pos in _FIELD_NAMES if name in row_doc]
-        if degrees is None:
+        _known_keys(row_doc, ("w", "degrees", "dims", "kernels", "betti"),
+                    f"expected row {row_doc!r}")
+        w = _integer(row_doc["w"], f"expected row {row_doc!r}: 'w' must be an integer")
+        what = f"expected row w={w}"
+        present = [(name, pos, _integers(row_doc, name, what))
+                   for name, pos in _FIELD_NAMES if name in row_doc]
+        if "degrees" not in row_doc:
             if present:
-                raise ValueError(f"expected row w={w} has values but no 'degrees'")
+                raise ValueError(f"{what} has values but no 'degrees'")
             continue
-        degrees = [int(d) for d in degrees]
-        for name, _ in present:
-            if len(row_doc[name]) != len(degrees):
-                raise ValueError(
-                    f"expected row w={w}: '{name}' length differs from 'degrees'")
+        degrees = _integers(row_doc, "degrees", what)
+        for name, _, values in present:
+            if len(values) != len(degrees):
+                raise ValueError(f"{what}: '{name}' length differs from 'degrees'")
         computed_row = computed.row(w)
         if computed_row is None:
             # the computed table was not taken this far; nothing to compare
@@ -350,9 +372,8 @@ def verify_table(computed: BettiTable, expected: dict) -> TableDiff:
         diff.rows_checked += 1
         for i, m in enumerate(degrees):
             cell = computed_row.cell(m)
-            for name, pos in present:
-                want = int(row_doc[name][i])
-                got = cell[pos]
+            for name, pos, values in present:
+                want, got = values[i], cell[pos]
                 diff.cells_checked += 1
                 if want != got:
                     diff.mismatches.append({

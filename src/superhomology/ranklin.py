@@ -18,8 +18,9 @@ with entries, and returns an :class:`EliminationReport` whose fields are in
 the order of the ``superhomology table --report`` keys.  The table hands it
 the columns of D_w times the boundary (``chain.boundary_columns``, same rank)
 as its input rows, only those the cell above does not prove dependent (d o d
-= 0, the "twist", in ``homology.betti_row``), with the rows of the boundary
-numbered odd letters first, so that a pivot is the lowest one of its column.
+= 0, the "twist", in ``homology.betti_row``), in lex order.  Both degrees of
+a cell are numbered odd letters first, the one numbering ``betti_row`` holds
+each degree in, so that a pivot is the lowest one of its column.
 ``rank_report`` takes a :class:`RationalMatrix` (the whole boundary matrix
 of a cell, as ``chain.boundary_matrix`` gives it and ``--dump-matrix`` writes
 it) and first clears each row to integers (multiplied by the lcm of its
@@ -97,7 +98,9 @@ class EliminationReport:
     """What one elimination did; the fields are in ``--report`` key order.
 
     ``pivots`` are (row, column) of the input in the order they were found
-    (``homology.betti_row`` maps them to (row, column) of the boundary), and
+    (``homology.betti_row`` maps each input row to the column of the piece it
+    came from, so its pivots are (row, column) in the numbering of the piece,
+    odd letters first), and
     ``nonzero_rows`` counts the rows that entered with entries.
     """
 

@@ -349,6 +349,16 @@ def zero_piece_matrix(gs, m, w) -> RationalMatrix:
     return _word_matrix(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
 
 
+def numbered_piece_matrix(gs, m, w) -> RationalMatrix:
+    """``zero_piece_matrix`` in the numbering ``betti_row`` documents: odd part, then even part."""
+    n_even = len(gs.even_ids)
+
+    def numbered(k):
+        return sorted(zero_piece_basis(gs, k, w), key=lambda e: (e[n_even:], e[:n_even]))
+
+    return _word_matrix(gs, numbered(m), numbered(m - 1))
+
+
 def _positions(keys):
     """Index of each entry among the entries with the same key, in order."""
     seen: dict = {}

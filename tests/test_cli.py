@@ -6,6 +6,8 @@ import random
 import time
 from math import comb
 
+import pytest
+
 from superhomology import catalog_get, chain_dim, cli, generator_system, homology
 from superhomology.cli import run_cli
 
@@ -179,8 +181,12 @@ def test_verify_refuses_a_bad_expected_file_before_the_table(tmp_path, monkeypat
     bad_json.write_text('{"rows": [', encoding="utf-8")
     no_rows.write_text('{"algebra": "gl2"}', encoding="utf-8")
     bad_row.write_text('{"rows": [{"w": 1, "degrees": [1, 2], "betti": [0]}]}', encoding="utf-8")
+    fraction, typo = tmp_path / "fraction.json", tmp_path / "typo.json"
+    fraction.write_text('{"rows": [{"w": 1, "degrees": [1], "betti": [1.5]}]}', encoding="utf-8")
+    typo.write_text('{"rows": [{"w": 1, "degrees": [1], "bettti": [0]}]}', encoding="utf-8")
     for path, why in ((tmp_path / "missing.json", "No such file"), (bad_json, "Expecting"),
-                      (no_rows, "'rows' list"), (bad_row, "length differs")):
+                      (no_rows, "'rows' list"), (bad_row, "length differs"),
+                      (fraction, "must be integers"), (typo, "unknown key 'bettti'")):
         code, out, err = run(["verify", "--algebra", "gl2", "--wmax", "8",
                               "--expected", str(path)])
         assert (code, out) == (2, "") and why in err, (path, err)
@@ -330,6 +336,19 @@ def test_dump_and_report_digests_are_pinned(tmp_path):
         assert hashlib.sha256(json.dumps(cells).encode()).hexdigest() == report_sha, argv
 
 
+def test_a_table_that_raises_leaves_no_dump(tmp_path, monkeypatch):
+    # the matrices are written after the table, not cell by cell as it runs
+    def validate(row):
+        if row.w == 3:
+            raise homology.TableInvariantError("planted")
+
+    monkeypatch.setattr(homology.BettiRow, "validate", validate)
+    dump_dir = tmp_path / "dump"
+    with pytest.raises(homology.TableInvariantError, match="planted"):
+        run(["table", "--algebra", "heis3", "--wmax", "3", "--dump-matrix", str(dump_dir)])
+    assert not dump_dir.exists()
+
+
 def test_usage_errors_exit_2(tmp_path):
     code, _, err = run(["table", "--wmax", "3"])  # no algebra source
     assert code == 2 and "exactly one" in err
@@ -468,6 +487,16 @@ def test_file_algebra_of_dim_10(tmp_path):
     assert row["degrees"] == list(range(11))
     assert row["dims"] == [comb(10, m) for m in range(11)]
     assert row["betti"] == row["dims"]  # the boundary is zero
+
+
+def test_bracket_table_of_a_huge_grid_is_refused(tmp_path):
+    # an abelian dim 10 would print 527,873 entries in about a minute
+    path = tmp_path / "abelian10.json"
+    path.write_text(json.dumps({"dim": 10, "brackets": []}), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(["bracket-table", "--file", str(path)])
+    assert time.perf_counter() - start < 3
+    assert code == 2 and not out and "hold 527873 entries, more than 200000" in err, err
 
 
 def test_file_algebra_over_the_dim_cap_is_refused(tmp_path):

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from superhomology import (TableInvariantError, betti_row,
+from superhomology import (BettiTable, TableInvariantError, betti_row,
                            betti_table, catalog_get, generator_system, homology,
                            verify_table)
 from superhomology import chain
@@ -218,15 +218,28 @@ def test_verify_table_partial_schema(heis3_table):
     assert diff.cells_checked == 5  # dims and kernels were not provided
 
 
+MALFORMED_EXPECTED = [
+    ({"rows": [{"degrees": [1]}]}, "without 'w'"),
+    ({"rows": [{"w": 1, "betti": [0]}]}, "no 'degrees'"),
+    ({"rows": [{"w": 1, "degrees": [1, 2], "betti": [0]}]}, "length differs"),
+    ({}, "'rows' list"),
+    # each of these once failed with a traceback, was cut to an int, or compared nothing
+    ({"rows": [{"w": 1, "degrees": [1], "betti": 7}]}, "'betti' must be a list"),
+    ({"rows": [{"w": None, "degrees": [1], "betti": [0]}]}, "'w' must be an integer"),
+    ({"rows": [{"w": 1, "degrees": [1, 2], "betti": [1.9, 1]}]}, "must be integers"),
+    ({"rows": [{"w": 1.9, "degrees": [1], "betti": [1]}]}, "'w' must be an integer"),
+    ({"rows": [{"w": 1, "degrees": "12", "betti": [0, 0]}]}, "'degrees' must be a list"),
+    ({"rows": [{"w": 1, "degrees": [1], "bettti": [0]}]}, "unknown key 'bettti'"),
+    ({"rows": [{"w": 1, "degrees": [True], "betti": [0]}]}, "must be integers"),
+]
+
+
 def test_verify_table_malformed_documents(heis3_table):
-    with pytest.raises(ValueError):
-        verify_table(heis3_table, {"rows": [{"degrees": [1]}]})
-    with pytest.raises(ValueError):
-        verify_table(heis3_table, {"rows": [{"w": 1, "betti": [0]}]})
-    with pytest.raises(ValueError):
-        verify_table(heis3_table, {"rows": [{"w": 1, "degrees": [1, 2], "betti": [0]}]})
-    with pytest.raises(ValueError):
-        verify_table(heis3_table, {})
+    # refused whether or not the computed table reaches the row (the CLI checks an empty one first)
+    for doc, why in MALFORMED_EXPECTED:
+        for computed in (heis3_table, BettiTable("")):
+            with pytest.raises(ValueError, match=re.escape(why)):
+                verify_table(computed, doc)
 
 
 def test_json_round_trip_through_expected_schema(heis3_table):
@@ -369,6 +382,18 @@ def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, mo
         assert nonzero <= kept == cols - above, (w, m)
         skipped += above
     assert skipped > 0
+
+
+@pytest.mark.parametrize("name, binds, w_max, fill_in", [
+    ("heis3", {}, 25, 0), ("gl2", {}, 6, 21_202),
+    ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 16, 4_523)])
+def test_benchmark_tables_fill_in_is_pinned(name, binds, w_max, fill_in):
+    # the kernel breaks ties in input order, so fill-in changes with the order of its
+    # input rows (kept columns in lex order) even where the tables and ranks do not
+    filled = []
+    betti_table(generator_system(catalog_get(name, binds)), w_max,
+                on_cell=lambda w, m, shape, report, forced: filled.append(report.fill_in))
+    assert sum(filled) == fill_in
 
 
 def test_a_gap_in_the_support_skips_nothing(monkeypatch):

@@ -13,7 +13,8 @@ from superhomology.chain import boundary_columns, zero_piece_basis
 from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
-from oracles import naive_rank, piece_tables, whole_matrix_betti_table, zero_piece_matrix
+from oracles import (naive_rank, numbered_piece_matrix, piece_tables, whole_matrix_betti_table,
+                     zero_piece_matrix)
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
           "g3d3": [{"alpha": "2/3", "beta": "5/7"}, {"alpha": "2/3", "beta": "-5/7"}]}
@@ -157,12 +158,12 @@ def test_gl2_w7_ranks_pinned():
 
 @pytest.mark.parametrize("name, w_max", [("gl2", 4), ("heis3", 6)])
 def test_table_pivots_are_nonsingular_in_the_uncleared_piece(name, w_max):
-    # cleared rows enter elimination empty, so the pivots still name rows and
-    # columns of the piece as assembled, and they span a nonsingular submatrix
+    # the pivots name rows and columns of the piece with both degrees numbered odd
+    # part first, and they span a nonsingular submatrix of it
     gs = generator_system(catalog_get(name))
 
     def on_cell(w, m, shape, report, forced):
-        piece = zero_piece_matrix(gs, m, w)
+        piece = numbered_piece_matrix(gs, m, w)
         square = RationalMatrix(report.rank, report.rank)
         for i, (r, _) in enumerate(report.pivots):
             for j, (_, c) in enumerate(report.pivots):
