@@ -479,23 +479,23 @@ MAX_TABLE_ENTRIES = 200_000
 def render_bracket_table(gs: GeneratorSystem) -> str:
     """Two text matrices: grade-0 rows x all generators, odd rows x (odd + higher even).
 
-    Raises :class:`AlgebraError` before any bracket is computed when the two
-    hold more than ``MAX_TABLE_ENTRIES`` entries.
+    Only the printed pairs are bracketed.  Raises :class:`AlgebraError`
+    before any bracket is computed when the two hold more than
+    ``MAX_TABLE_ENTRIES`` entries.
     """
-    names = [g.name for g in gs.generators]
-    zero_rows = [gs.generators[i].name for i in gs.even_ids if gs.generators[i].grade == 0]
-    odd_names = [gs.generators[i].name for i in gs.odd_ids]
-    high_even = [gs.generators[i].name for i in gs.even_ids if gs.generators[i].grade > 0]
-    entries = len(zero_rows) * len(names) + len(odd_names) * (len(odd_names) + len(high_even))
+    gens = gs.generators
+    zero_rows = [i for i in gs.even_ids if gens[i].grade == 0]
+    odd_cols = gs.odd_ids + [i for i in gs.even_ids if gens[i].grade > 0]
+    entries = len(zero_rows) * len(gens) + len(gs.odd_ids) * len(odd_cols)
     if entries > MAX_TABLE_ENTRIES:
         raise AlgebraError(f"the bracket tables of dim {gs.dim} hold {entries} entries, "
                            f"more than {MAX_TABLE_ENTRIES}")
-    table = bracket_table(gs)
 
     def block(rows, cols):
-        grid = [[""] + cols]
-        for r in rows:
-            grid.append([r] + [_entry_text(table[(r, c)]) for c in cols])
+        grid = [[""] + [gens[j].name for j in cols]]
+        for i in rows:
+            grid.append([gens[i].name] + [
+                _entry_text({gens[k].name: c for c, k in gs.pair_bracket(i, j)}) for j in cols])
         widths = [max(len(row[i]) for row in grid) for i in range(len(cols) + 1)]
         lines = []
         for ri, row in enumerate(grid):
@@ -504,8 +504,8 @@ def render_bracket_table(gs: GeneratorSystem) -> str:
                 lines.append("-" * (sum(widths) + 2 * len(widths) - 2))
         return "\n".join(lines)
 
-    out = [block(zero_rows, names)]
-    if odd_names:
+    out = [block(zero_rows, range(len(gens)))]
+    if gs.odd_ids:
         out.append("")
-        out.append(block(odd_names, odd_names + high_even))
+        out.append(block(gs.odd_ids, odd_cols))
     return "\n".join(out) + "\n"

@@ -4,7 +4,10 @@ For a fixed weight the chain spaces form a finite complex; a row of the
 final table holds, for every degree in the support, the space dimension,
 the kernel dimension of the outgoing boundary, and the Betti number
 (kernel minus the rank of the incoming boundary).  The Euler alternating
-sum of the dimensions vanishes for every weight.
+sum of the dimensions vanishes for every weight.  So the rows are computed
+apart: ``betti_table`` splits the weights into one share per CPU, runs one
+share here and each other one in a forked child, and returns the rows in w
+order, replaying the ``on_cell`` calls in the order one process makes them.
 
 When the algebra has a torus grading (``GeneratorSystem.torus``), the
 weighted complex splits into pieces by torus weight.  A level-1 generator x
@@ -56,15 +59,17 @@ probe over every column.
 from __future__ import annotations
 
 import json
+import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
 from .algebra import _integer, _known_keys, format_rational
-from .chain import (boundary_columns, chain_dim, count_up_to, support_degrees, torus_pieces,
-                    zero_piece_basis)
+from .chain import (_tables, boundary_columns, chain_dim, count_up_to, support_degrees,
+                    torus_pieces, zero_piece_basis)
 from .exterior import GeneratorSystem
 from .ranklin import EliminationReport, rank_rows
 
@@ -282,11 +287,91 @@ def betti_row(gs: GeneratorSystem, w: int,
     return row
 
 
+def _workers() -> int:
+    """The CPUs this process may run on, or 1 without ``os.sched_getaffinity`` (Linux only)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _shares(gs: GeneratorSystem, w_max: int) -> list[list[int]]:
+    """The weights in one share per worker, each in w order, the lightest share first.
+
+    The heaviest weight goes out first, each to the least loaded share; a
+    weight weighs its counted torus-weight-0 dimensions (``count_up_to``).
+    The first share is the caller's, which also gathers the others.
+    """
+    size: Counter[int] = Counter()
+    for (_, w, *torus), n in _tables(gs, gs.torus, w_max)[1][0].items():
+        if not any(torus):
+            size[w] += n
+    shares = [[0, []] for _ in range(max(1, min(_workers(), w_max + 1)))]
+    for w in sorted(range(w_max + 1), key=size.__getitem__, reverse=True):
+        share = min(shares, key=itemgetter(0))
+        share[0] += size[w]
+        share[1].append(w)
+    return [sorted(ws) for _, ws in sorted(shares, key=itemgetter(0))]
+
+
 def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | None = None,
                 on_cell: CellCallback | None = None) -> BettiTable:
-    """Checked rows for every weight up to w_max, computed in order, named from ``gs.sc.name``."""
+    """Checked rows for every weight up to w_max, named from ``gs.sc.name``.
+
+    The first share of ``_shares`` runs here, each other one in a forked
+    child that sends its rows and ``on_cell`` calls through a pipe.  Where a
+    weight raises, the calls before its raise are replayed, then it raises.
+    Every child is reaped (killed first if this process raises), and one
+    that dies without a result raises ``RuntimeError``.
+    """
     count_up_to(gs, w_max)
-    rows = [betti_row(gs, w, on_cell=on_cell) for w in range(w_max + 1)]
+    shares, children, done = _shares(gs, w_max), {}, []
+
+    def run(ws: list[int]) -> list[tuple]:  # [(w, its on_cell calls, its row or exception)]
+        out = []
+        for w in ws:
+            calls: list[tuple] = []
+            try:
+                out.append((w, calls, betti_row(
+                    gs, w, (lambda *call: calls.append(call)) if on_cell else None)))
+            except Exception as exc:  # the share ends at its first raise
+                return out + [(w, calls, exc)]
+        return out
+
+    try:
+        if len(shares) > 1:
+            import pickle  # here, not at the top: its import costs milliseconds
+            import signal
+        for ws in shares[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns from here
+                status = 1
+                try:
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(run(ws), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        done += run(shares[0])
+        for pid in list(children):
+            data = children[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            if status or not data:
+                raise RuntimeError(f"a table worker exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)} and no result")
+            done += pickle.loads(data)
+    finally:
+        for pid, pipe in children.items():  # left only by a raise: kill, then reap
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows = []
+    for _, calls, row in sorted(done, key=itemgetter(0)):
+        for call in calls:
+            on_cell(*call)
+        if isinstance(row, Exception):
+            raise row
+        rows.append(row)
     return BettiTable(algebra=gs.sc.name, params=dict(params or {}), rows=rows)
 
 

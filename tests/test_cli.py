@@ -223,6 +223,8 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         return [a[1:] for w in weights for a in reversed([a for a in assembled if a[0] == w])]
 
     monkeypatch.setattr(homology, "boundary_columns", recording)
+    # a forked worker's assemblies are not counted here, so every weight runs in this process
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
     dump_dir = tmp_path / "mats"
     report = tmp_path / "report.json"
     code, out, _ = run(["table", "--algebra", "heis3", "--wmax", "2",

@@ -274,6 +274,19 @@ def test_bracket_table_render_deterministic():
     assert "2·z4" in text  # the [u3, u3] cell
 
 
+@pytest.mark.parametrize("name, basis", [("abelian4", "canonical"), ("gl2", "canonical"),
+                                         ("heis3", "paper"), ("sl2_efh", "paper")])
+def test_bracket_table_render_brackets_only_the_printed_pairs(name, basis):
+    # grade-0 rows x every generator, then odd rows x (odd + even of grade > 0)
+    gs = generator_system(catalog_get(name), basis)
+    gens = gs.generators
+    zero_rows = sum(1 for i in gs.even_ids if gens[i].grade == 0)
+    high_even = sum(1 for i in gs.even_ids if gens[i].grade > 0)
+    printed = zero_rows * gs.count + len(gs.odd_ids) * (len(gs.odd_ids) + high_even)
+    render_bracket_table(gs)
+    assert len(gs._pair_cache) == printed < gs.count ** 2
+
+
 def test_alias_basis_must_be_invertible():
     sc = catalog_get("heis3")
     degenerate = [("a", Multivector(2, {(1, 2): F(1)})),

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction as F
 from math import comb
 
@@ -341,6 +342,8 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
         return real_build(grades, coords, w)
 
     monkeypatch.setattr(chain, "_suffix_tables", counted)
+    # a forked worker's listings are not seen here, so every weight runs in this process
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
     gs = generator_system(catalog_get(name))
     betti_table(gs, w_max)
     assert sum(listed) > 0
@@ -367,6 +370,8 @@ def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, mo
         return report
 
     monkeypatch.setattr(homology, "rank_rows", counting)
+    # a forked worker's eliminations are not counted here, so every weight runs in this process
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
     cells = {}
 
     def on_cell(w, m, shape, report, forced):
@@ -384,9 +389,12 @@ def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, mo
     assert skipped > 0
 
 
-@pytest.mark.parametrize("name, binds, w_max, fill_in", [
-    ("heis3", {}, 25, 0), ("gl2", {}, 6, 21_202),
-    ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 16, 4_523)])
+# the three benchmark tables and their summed fill-in
+BENCHMARK_TABLES = [("heis3", {}, 25, 0), ("gl2", {}, 6, 21_202),
+                    ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 16, 4_523)]
+
+
+@pytest.mark.parametrize("name, binds, w_max, fill_in", BENCHMARK_TABLES)
 def test_benchmark_tables_fill_in_is_pinned(name, binds, w_max, fill_in):
     # the kernel breaks ties in input order, so fill-in changes with the order of its
     # input rows (kept columns in lex order) even where the tables and ranks do not
@@ -394,6 +402,95 @@ def test_benchmark_tables_fill_in_is_pinned(name, binds, w_max, fill_in):
     betti_table(generator_system(catalog_get(name, binds)), w_max,
                 on_cell=lambda w, m, shape, report, forced: filled.append(report.fill_in))
     assert sum(filled) == fill_in
+
+
+def _timeless(*call):
+    """An ``on_cell`` call with its report as a dict, less the elapsed time."""
+    w, m, shape, report, forced = call
+    return w, m, shape, {**asdict(report), "elapsed": None}, forced
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name, binds, w_max, fill_in", BENCHMARK_TABLES)
+def test_the_worker_count_changes_no_table_and_no_cell(name, binds, w_max, fill_in, monkeypatch):
+    # the weights split over 1, 2 or 3 forked workers: the same JSON, the same on_cell
+    # calls in the same order, and every report field but the time equal
+    seen = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(homology, "_workers", lambda n=workers: n)
+        gs = generator_system(catalog_get(name, binds))
+        shares = homology._shares(gs, w_max)
+        assert len(shares) == workers and sorted(sum(shares, [])) == list(range(w_max + 1))
+        calls = []
+        table = betti_table(gs, w_max, on_cell=lambda *call: calls.append(_timeless(*call)))
+        assert sum(report["fill_in"] for _, _, _, report, _ in calls) == fill_in
+        seen.append((table.to_json(), calls))
+    assert seen[0] == seen[1] == seen[2]
+    _no_child_is_left()
+
+
+def test_a_fault_in_a_forked_share_raises_as_in_one_process(monkeypatch):
+    # one rank off by one at a weight of the child's share: the same exception after the
+    # same on_cell calls, those of every weight up to it, and no child is left
+    monkeypatch.setattr(homology, "_workers", lambda: 2)
+    bad = homology._shares(generator_system(catalog_get("heis3")), 10)[1][1]
+    real_row, real_rank, current = homology.betti_row, homology.rank_rows, []
+
+    def row(gs, w, on_cell=None):
+        current.append(w)
+        return real_row(gs, w, on_cell)
+
+    def off_by_one(rows):
+        report = real_rank(rows)
+        report.rank += current[-1] == bad
+        return report
+
+    monkeypatch.setattr(homology, "betti_row", row)
+    monkeypatch.setattr(homology, "rank_rows", off_by_one)
+    raised = []
+    for workers in (1, 2):
+        monkeypatch.setattr(homology, "_workers", lambda n=workers: n)
+        calls = []
+        with pytest.raises(TableInvariantError) as exc:
+            betti_table(generator_system(catalog_get("heis3")), 10,
+                        on_cell=lambda *call: calls.append(_timeless(*call)))
+        raised.append((type(exc.value), str(exc.value), calls))
+    assert raised[0] == raised[1]
+    assert f"at weight {bad}:" in raised[1][1]
+    assert {w for w, *_ in raised[1][2]} == set(range(bad + 1))
+    _no_child_is_left()
+
+
+def test_a_dead_worker_or_an_interrupt_leaves_no_process(monkeypatch):
+    # a child that exits without a result raises RuntimeError with its status; an
+    # interrupt of the parent's own share kills and reaps the child
+    monkeypatch.setattr(homology, "_workers", lambda: 2)
+    parent, real_row = os.getpid(), homology.betti_row
+    last_here = homology._shares(generator_system(catalog_get("heis3")), 10)[0][-1]
+
+    def dying(gs, w, on_cell=None):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_row(gs, w, on_cell)
+
+    monkeypatch.setattr(homology, "betti_row", dying)
+    with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
+        betti_table(generator_system(catalog_get("heis3")), 10)
+    _no_child_is_left()
+
+    def interrupted(gs, w, on_cell=None):
+        if os.getpid() == parent and w == last_here:
+            raise KeyboardInterrupt
+        return real_row(gs, w, on_cell)
+
+    monkeypatch.setattr(homology, "betti_row", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        betti_table(generator_system(catalog_get("heis3")), 10)
+    _no_child_is_left()
 
 
 def test_a_gap_in_the_support_skips_nothing(monkeypatch):

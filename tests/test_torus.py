@@ -87,6 +87,8 @@ def test_only_ints_reach_elimination(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(homology, "rank_rows", checking)
+    # a forked worker's eliminations are not seen here, so every weight runs in this process
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
     for name, binds, basis, wmax in [("g3d3", {"alpha": "2/3", "beta": "-5/7"}, "paper", 8),
                                      ("g3d3", {"alpha": "2/3", "beta": "5/7"}, "canonical", 8),
                                      ("g3d2", {"alpha": "1/2"}, "canonical", 6),
