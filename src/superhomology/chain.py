@@ -68,12 +68,15 @@ divided by D_w, the exact rational matrix.
 A cell is assembled pair-major: the outer loop runs over the entries of the
 bracket table, so a pair with a zero bracket is never visited, and the inner
 loop over the columns that hold letter i, so a pair's constants are set once
-per cell, not once per column.  Each monomial is coded as the int
-sum_x e_x R^x, with the radix R one above the columns' degree: every
-exponent of a column or a target is below R, so the code is exact however
-large the exponents grow (a byte per exponent would not be).  A target is
-then code - R^i - R^j + R^k, one int addition and one int-keyed lookup in
-the row numbering; a target the numbering does not list raises
+per cell, not once per column.  A monomial of weight w is coded as the int
+sum_x e_x R^(n-1-x) over its n ids, with R one above the weight's top
+support degree (``numbered_bases``): every exponent of a column or a target
+is a digit, so the code is exact however large the exponents grow, and int
+order of the codes is lex order.  The lister builds each code in its walk,
+as the even part's code plus its odd tail's, memoised once for every degree
+of the weight, so no monomial is coded twice.  A target is then
+code - R^i - R^j + R^k, one int addition and one int-keyed lookup in the
+row numbering; a target the numbering does not list raises
 ``KeyError``.  An entry that cancels to zero is deleted where it cancels,
 so no column holds a zero.
 """
@@ -185,39 +188,59 @@ def _walk(gs: GeneratorSystem, coords: tuple, entry: tuple, ids: list[int], part
     return parts
 
 
-def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The exponent tuples reaching ``target`` = (degree, weight, *torus weight), in lex order.
+def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...], radix: int,
+           tails: dict) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The exponent tuples reaching ``target`` = (degree, weight, *torus weight), in lex order,
+    and their codes in ``radix``.
 
     Grades rise with the id within each parity, so the letters of grade above
     the weight end each part and are padded with zeros, not walked.  The odd
-    tail of each state the even part leaves is listed once.
+    tails of each state the even part leaves, with their codes, are listed
+    once into ``tails``, which serves every target of one weight and radix.
     """
     m, w = target[:2]
     # a far cell is empty (see chain_dim), and is answered before a table is built to w
     if not 0 <= w <= max_weight(gs, m) or target not in (entry := _tables(gs, coords, w))[1][0]:
-        return []
+        return [], []
     evens = [i for i in gs.even_ids if gs.grades[i] <= w]
     odds = [i for i in gs.odd_ids if gs.grades[i] <= w]
     even_pad = (0,) * (len(gs.even_ids) - len(evens))
     odd_pad = (0,) * (len(gs.odd_ids) - len(odds))
-    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    out: list[tuple[int, ...]] = []
+    powers = [radix ** x for x in reversed(range(gs.count))]
+    odd_powers = powers[len(gs.even_ids):]
+    monos, codes = [], []
     for e, left in _walk(gs, coords, entry, evens, [((), target)]):
         if left not in tails:
-            tails[left] = [even_pad + o + odd_pad
-                           for o, _ in _walk(gs, coords, entry, odds, [((), left)])]
-        out += [e + o for o in tails[left]]
-    return out
+            walked = [o for o, _ in _walk(gs, coords, entry, odds, [((), left)])]
+            tails[left] = ([even_pad + o + odd_pad for o in walked],
+                           [sum(map(mul, o, odd_powers)) for o in walked])
+        code = sum(map(mul, e, powers))
+        monos += [e + o for o in tails[left][0]]
+        codes += [code + c for c in tails[left][1]]
+    return monos, codes
 
 
 def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
     """All monomials of degree m and weight w, as exponent tuples over ids in lex order."""
-    return _basis(gs, (), (m, w))
+    return _basis(gs, (), (m, w), m + 1, {})[0]
 
 
-def zero_piece_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
-    """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order."""
-    return _basis(gs, gs.torus, (m, w) + (0,) * len(gs.torus))
+def numbered_bases(gs: GeneratorSystem, w: int,
+                   degrees: list[int]) -> tuple[int, dict[int, tuple[list, list[int]]]]:
+    """The radix of weight w, one above the top of ``degrees``, and {m: (monomials, codes)}.
+
+    Each torus-weight-0 piece is listed in lex order, with one tail memo for
+    every degree, then stably sorted by the code of its odd part,
+    ``code % radix ** n_odd``: the numbering ``homology.betti_row`` holds.
+    """
+    radix, tails, zero = max(degrees) + 1, {}, (0,) * len(gs.torus)
+    odd = radix ** len(gs.odd_ids)
+    bases = {}
+    for m in degrees:
+        monos, codes = _basis(gs, gs.torus, (m, w) + zero, radix, tails)
+        order = sorted(range(len(codes)), key=[code % odd for code in codes].__getitem__)
+        bases[m] = [monos[c] for c in order], [codes[c] for c in order]
+    return radix, bases
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
@@ -230,21 +253,21 @@ def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]], n_even: int,
-                    powers: list[int], cols: list[tuple[int, ...]],
+                    powers: list[int], cols: list[tuple[int, ...]], codes: list[int],
                     row_index: dict[int, int]) -> list[dict[int, int]]:
     """D_w times the boundary of each monomial of ``cols`` (exponent vectors, evens + odds).
 
     ``brackets`` is ``GeneratorSystem.int_brackets(w)[1]`` for the weight w
     of the columns, ``n_even`` the number of even generators, ``powers`` the
-    powers R^x of the code's radix (above every exponent of a column or a
-    target) and ``row_index`` {code: row}.  Each pair of the table runs over
-    the columns holding its first letter and gives its term once per column,
-    times its position pairs, signed by case A, B or C of the module
-    docstring.  Returns one {row: nonzero int} per column; a target code
-    missing from ``row_index`` raises ``KeyError``.
+    digits R^(n-1-x) of the code's radix R (above every exponent of a column
+    or a target), ``codes`` the codes of ``cols`` and ``row_index`` {code:
+    row}.  Each pair of the table runs over the columns holding its first
+    letter and gives its term once per column, times its position pairs,
+    signed by case A, B or C of the module docstring.  Returns one {row:
+    nonzero int} per column; a target code missing from ``row_index`` raises
+    ``KeyError``.
     """
     out: list[dict[int, int]] = [{} for _ in cols]
-    codes = [sum(map(mul, exps, powers)) for exps in cols]
     starts = [list(accumulate(exps, initial=0)) for exps in cols]  # s(x): letters before id x
     # the first letter of each pair -> the columns it appears in
     holding = {i: [c for c, exps in enumerate(cols) if exps[i]] for i in {i for i, _ in brackets}}
@@ -279,22 +302,20 @@ def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     return out
 
 
-def boundary_columns(gs: GeneratorSystem, w: int, cols: list[tuple[int, ...]],
-                     rows: list[tuple[int, ...]]) -> list[dict[int, int]]:
+def boundary_columns(gs: GeneratorSystem, w: int, radix: int, cols: list[tuple[int, ...]],
+                     codes: list[int], rows: dict[int, int]) -> list[dict[int, int]]:
     """D_w times the boundary of each weight-w monomial of ``cols``, as int columns.
 
-    Column c is {index in ``rows``: entry}, zeros not stored; D_w is
-    ``gs.int_brackets(w)[0]``.  The caller picks the columns and numbers the
-    rows: ``boundary_matrix`` takes every column, the table only those the
-    cell above does not prove dependent.  Nothing is assembled into an empty
-    ``rows``.
+    ``codes`` are their codes in ``radix``, and column c is {``rows``[code of
+    a target]: entry}, zeros not stored; D_w is ``gs.int_brackets(w)[0]``.
+    The caller picks the columns and numbers the rows: ``boundary_matrix``
+    takes every column, the table only those the cell above does not prove
+    dependent.  Nothing is assembled into an empty ``rows``.
     """
     if not rows or not cols:
         return [{} for _ in cols]
-    radix = max(map(sum, cols)) + 1
-    powers = [radix ** x for x in range(len(cols[0]))]
-    row_index = {sum(map(mul, mono, powers)): r for r, mono in enumerate(rows)}
-    return _boundary_terms(gs.int_brackets(w)[1], len(gs.even_ids), powers, cols, row_index)
+    powers = [radix ** x for x in reversed(range(gs.count))]
+    return _boundary_terms(gs.int_brackets(w)[1], len(gs.even_ids), powers, cols, codes, rows)
 
 
 def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
@@ -307,11 +328,13 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     """
     if m < 1:
         raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
-    cols, rows = chain_basis(gs, m, w), chain_basis(gs, m - 1, w)
+    cols, codes = _basis(gs, (), (m, w), m + 1, {})
+    rows = _basis(gs, (), (m - 1, w), m + 1, {})[1]
     matrix = RationalMatrix(len(rows), len(cols))
     scale = gs.int_brackets(w)[0]
     entries = matrix.entries
-    for c, column in enumerate(boundary_columns(gs, w, cols, rows)):
+    index = dict(zip(rows, range(len(rows))))
+    for c, column in enumerate(boundary_columns(gs, w, m + 1, cols, codes, index)):
         for r, v in column.items():
             entries[r, c] = v if scale == 1 else Fraction(v, scale)
     return matrix

@@ -21,13 +21,15 @@ eliminated; without a grading it is the whole complex.
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
 Each weight runs from its top support degree down to degree 1.  The
-torus-weight-0 piece of each degree is numbered once for the whole weight,
-by its odd letters, then its even ones (a stable sort of the lex order), and
-that one numbering gives the rows of the cell above and the columns of the
-cell itself.  The kept columns of the cell (w, m+1) enter elimination as the
-kernel's input rows, in lex order, so that a pivot (the lowest input column)
-is the first monomial of its reduced column in that numbering, the "lowest
-one" of persistence.  Let P be
+torus-weight-0 piece of each degree is listed with its int codes
+(``chain.numbered_bases``) and numbered once for the whole weight, by its
+odd letters, then its even ones: a stable sort of the lex order on the code
+of the odd part, ``code % R**n_odd``.  That one numbering gives the rows of
+the cell above and the columns of the cell itself.  The kept columns of the
+cell (w, m+1) enter elimination as the kernel's input rows, in lex order
+(sorted by their codes), so that a pivot (the lowest input column) is the
+first monomial of its reduced column in that numbering, the "lowest one" of
+persistence.  Let P be
 those pivot monomials.  A reduced column lies in the image of the boundary
 from degree m+1, which the boundary from degree m kills, and the reduced
 columns have distinct lowest ones in P.  So, by induction from the end of
@@ -68,8 +70,8 @@ from operator import itemgetter
 from typing import Callable
 
 from .algebra import _integer, _known_keys, format_rational
-from .chain import (_tables, boundary_columns, chain_dim, count_up_to, support_degrees,
-                    torus_pieces, zero_piece_basis)
+from .chain import (_tables, boundary_columns, chain_dim, count_up_to, numbered_bases,
+                    support_degrees, torus_pieces)
 from .exterior import GeneratorSystem
 from .ranklin import EliminationReport, rank_rows
 
@@ -236,16 +238,14 @@ def betti_row(gs: GeneratorSystem, w: int,
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
     ranks, piece_dims = _piece_ranks(gs, w, degrees)
-    # each degree's one numbering: odd letters, then even ones (a stable sort of the lex order)
-    odd_part = itemgetter(slice(len(gs.even_ids), None))
-    bases = {m: sorted(zero_piece_basis(gs, m, w), key=odd_part) for m in degrees}
+    radix, bases = numbered_bases(gs, w, degrees)  # {m: (monomials, codes)} in one numbering
     # the pivot monomials of the last ranked cell and its probe vector over them, keyed by degree
     above: dict[int, tuple[set[int], dict[int, int]]] = {}
     for m in reversed(degrees):
         if m < 1:
             continue
-        cols, rows = bases[m], bases.get(m - 1, [])
-        shape = (len(rows), len(cols))
+        (cols, codes), row_codes = bases[m], bases.get(m - 1, ([], []))[1]
+        shape = (len(row_codes), len(cols))
         counted = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
         if shape != counted:
             raise TableInvariantError(
@@ -253,10 +253,11 @@ def betti_row(gs: GeneratorSystem, w: int,
                 f"its counted piece {counted[0]} x {counted[1]}")
         skip, pushed = above.get(m, (set(), {}))
         # the kernel breaks ties in input order, and lex order keeps its fill-in low
-        kept = sorted((c for c in range(len(cols)) if c not in skip), key=cols.__getitem__)
-        reached = [c for c in pushed if c in skip]
-        columns = dict(zip(kept + reached, boundary_columns(
-            gs, w, [cols[c] for c in kept + reached], rows)))
+        kept = sorted([c for c in range(len(cols)) if c not in skip], key=codes.__getitem__)
+        picked = kept + [c for c in pushed if c in skip]  # and the columns the probe reaches
+        columns = dict(zip(picked, boundary_columns(
+            gs, w, radix, [cols[c] for c in picked], [codes[c] for c in picked],
+            dict(zip(row_codes, range(len(row_codes)))))))
         composed: dict[int, int] = {}
         for c, x in pushed.items():
             for r, v in columns[c].items():

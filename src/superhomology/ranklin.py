@@ -131,7 +131,7 @@ def rank_rows(rows: list[dict[int, int]]) -> EliminationReport:
     pivot_rows: dict[int, tuple[int, dict[int, int]]] = {}
     pivots: list[tuple[int, int]] = []
     fill = 0
-    for r in sorted(range(len(rows)), key=lambda r: len(rows[r])):
+    for r in sorted(range(len(rows)), key=list(map(len, rows)).__getitem__):
         row = rows[r]
         while row:
             pc = min(row)

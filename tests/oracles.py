@@ -19,8 +19,8 @@ from collections import Counter
 from fractions import Fraction
 
 from superhomology.algebra import StructureConstants, format_rational, parse_rational
-from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix, chain_basis,
-                                 chain_dim, support_degrees, zero_piece_basis)
+from superhomology.chain import (_basis, _boundary_terms, boundary_columns, boundary_matrix,
+                                 chain_basis, chain_dim, support_degrees)
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.ranklin import RationalMatrix, rank_report
 
@@ -203,6 +203,34 @@ class _Numbering(dict):
         return self[code]
 
 
+def zero_piece_basis(gs, m, w) -> list:
+    """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order, as the
+    lister walks them for the table (``numbered_bases`` then numbers them)."""
+    return _basis(gs, gs.torus, (m, w) + (0,) * len(gs.torus), m + 1, {})[0]
+
+
+def monomial_code(mono, radix) -> int:
+    """sum_x e_x R^(n-1-x), the code of a monomial in radix R: id 0 is the leading digit."""
+    return sum(e * radix ** (len(mono) - 1 - x) for x, e in enumerate(mono))
+
+
+def code_monomial(code, radix, n) -> tuple:
+    """The n-letter monomial of a code, its digits read from the last id up."""
+    digits = []
+    for _ in range(n):
+        code, e = divmod(code, radix)
+        digits.append(e)
+    return tuple(reversed(digits))
+
+
+def assemble(gs, w, cols, rows) -> list[dict[int, int]]:
+    """``boundary_columns`` of the monomials ``cols`` into the rows numbered in ``rows`` order,
+    each coded here by ``monomial_code`` in the radix one above every degree."""
+    radix = max(map(sum, cols + rows), default=0) + 1
+    index = {monomial_code(mono, radix): r for r, mono in enumerate(rows)}
+    return boundary_columns(gs, w, radix, cols, [monomial_code(c, radix) for c in cols], index)
+
+
 def kernel_column(gs, mono) -> tuple[dict[tuple, int], set[tuple]]:
     """The package kernel's column of one monomial, {target: D_w times its entry}, and
     every target the kernel looked up on the way.
@@ -212,16 +240,11 @@ def kernel_column(gs, mono) -> tuple[dict[tuple, int], set[tuple]]:
     """
     brackets = gs.int_brackets(monomial_weight(gs, mono))[1]
     radix = sum(mono) + 1
-    powers = [radix ** x for x in range(len(mono))]
+    powers = [radix ** (len(mono) - 1 - x) for x in range(len(mono))]
     rows = _Numbering()
-    (column,) = _boundary_terms(brackets, len(gs.even_ids), powers, [mono], rows)
-    targets = {}
-    for code, r in rows.items():
-        digits = []
-        for _ in mono:
-            code, e = divmod(code, radix)
-            digits.append(e)
-        targets[r] = tuple(digits)
+    (column,) = _boundary_terms(brackets, len(gs.even_ids), powers, [mono],
+                                [monomial_code(mono, radix)], rows)
+    targets = {r: code_monomial(code, radix, len(mono)) for code, r in rows.items()}
     return {targets[r]: v for r, v in column.items()}, set(targets.values())
 
 
@@ -288,7 +311,7 @@ def dd_probe_every_column(gs, w) -> list[tuple[int, int]]:
     """(m, column) wherever xi^T d_{m-1} d_m is nonzero on the weight-w zero piece.
 
     The full-strength Freivalds probe: every column of every cell is
-    assembled (``boundary_columns``, nothing skipped) and the composite is
+    assembled (``assemble``, nothing skipped) and the composite is
     taken on all of them, with xi seeded by (w, m).  The table's probe only
     pushes a sample of each cell's kept columns.
     """
@@ -299,7 +322,7 @@ def dd_probe_every_column(gs, w) -> list[tuple[int, int]]:
         rows = bases.get(m - 1, [])
         rng = random.Random(f"{w},{m}")
         xi = [rng.getrandbits(30) for _ in rows]
-        columns = boundary_columns(gs, w, bases[m], rows) if m >= 1 else []
+        columns = assemble(gs, w, bases[m], rows) if m >= 1 else []
         bad += [(m, c) for c, column in enumerate(columns)
                 if sum(eta.get(r, 0) * v for r, v in column.items())]
         eta = {c: x for c, column in enumerate(columns)
@@ -349,14 +372,16 @@ def zero_piece_matrix(gs, m, w) -> RationalMatrix:
     return _word_matrix(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
 
 
-def numbered_piece_matrix(gs, m, w) -> RationalMatrix:
-    """``zero_piece_matrix`` in the numbering ``betti_row`` documents: odd part, then even part."""
+def odd_first(gs, basis) -> list:
+    """``basis`` in the numbering ``betti_row`` documents: by odd part, then even part."""
     n_even = len(gs.even_ids)
+    return sorted(basis, key=lambda e: (e[n_even:], e[:n_even]))
 
-    def numbered(k):
-        return sorted(zero_piece_basis(gs, k, w), key=lambda e: (e[n_even:], e[:n_even]))
 
-    return _word_matrix(gs, numbered(m), numbered(m - 1))
+def numbered_piece_matrix(gs, m, w) -> RationalMatrix:
+    """``zero_piece_matrix`` in the numbering ``betti_row`` documents (``odd_first``)."""
+    return _word_matrix(gs, odd_first(gs, zero_piece_basis(gs, m, w)),
+                        odd_first(gs, zero_piece_basis(gs, m - 1, w)))
 
 
 def _positions(keys):

@@ -8,12 +8,13 @@ import pytest
 from superhomology import (boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
                            generator_system, support_degrees, torus_pieces)
-from superhomology.chain import boundary_columns, max_weight, zero_piece_basis
+from superhomology.chain import max_weight, numbered_bases
 
-from oracles import (Chain, _word_matrix, boundary_monomial, brute_basis, induced_bracket,
-                     kernel_column, load_matrix, matmul, monomial_degree, monomial_weight,
-                     monomial_word, naive_rank, normalize_word, torus_weight, wedge_chain,
-                     word_boundary_matrix, word_boundary_monomial)
+from oracles import (Chain, _word_matrix, assemble, boundary_monomial, brute_basis,
+                     induced_bracket, kernel_column, load_matrix, matmul, monomial_code,
+                     monomial_degree, monomial_weight, monomial_word, naive_rank, normalize_word,
+                     odd_first, torus_weight, wedge_chain, word_boundary_matrix,
+                     word_boundary_monomial, zero_piece_basis)
 
 
 def mono(eps, odds):
@@ -123,6 +124,35 @@ def test_bases_and_counts_match_brute_force(name):
                 dims[m] = dims.get(m, 0) + 1
         assert torus_pieces(gs, w) == pieces, w
         assert support_degrees(gs, w) == support, w
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_listed_codes_are_lex_ordered_and_numbered_odd_first(name):
+    # the table lists each weight's zero pieces with one radix R, one above its top support
+    # degree, and one tail memo for every degree; each code is sum_x e_x R^(n-1-x), so the
+    # codes are distinct and in lex order, and the odd part code % R**n_odd orders the
+    # numbering betti_row holds.  heis3's cell (299, 300) has exponents up to 298.
+    # abelian5 and abelian6 stop at weights of 43,552 and 8,960 monomials (gl2 at w = 8 has
+    # 72,208), one weight short of 525,760 and 63,680.
+    gs = generator_system(catalog_get(name, _ORDER_BINDS.get(name)))
+    w_max = {"abelian5": 4, "abelian6": 2}.get(name, 8)
+    cells = [(gs, w, support_degrees(gs, w)) for w in range(w_max + 1)]
+    cells += [(gs, 300, [299])] if name == "heis3" else []
+    for gs, w, degrees in cells:
+        if not degrees:
+            continue
+        top = max(degrees) + 1
+        radix, bases = numbered_bases(gs, w, degrees)
+        assert radix == top and set(bases) == set(degrees), w
+        for m, (monos, codes) in bases.items():
+            # the torus-weight-0 monomials of the cell, listed without a grading
+            lex = [mono for mono in chain_basis(gs, m, w) if not any(torus_weight(gs, mono))]
+            assert len(set(codes)) == len(codes) == len(lex), (w, m)
+            assert [mono for _, mono in sorted(zip(codes, monos))] == lex, (w, m)
+            assert codes == [monomial_code(mono, top) for mono in monos], (w, m)
+            assert monos == odd_first(gs, lex), (w, m)
+            odd_parts = [code % top ** len(gs.odd_ids) for code in codes]
+            assert odd_parts == sorted(odd_parts), (w, m)
 
 
 def test_max_weight_is_the_heaviest_monomial():
@@ -508,7 +538,7 @@ def test_boundary_of_large_exponents_matches_word_oracle():
     # a byte-wide code would give its target (.., 1, 260, 37) and the later row
     # (.., 257, 3, 38) of this basis one code
     rows = chain_basis(heis3, 299, 300)
-    (got,) = boundary_columns(heis3, 300, [pick], rows)
+    (got,) = assemble(heis3, 300, [pick], rows)
     assert {(r, 0): v for r, v in got.items()} == _word_matrix(heis3, [pick], rows).entries != {}
     picks = [(heis3, pick), (gl2, (1, 0, 1, 0, 0, 1, 0, 0, 260, 10, 5, 8, 0, 3, 12)),
              # a power of the odd letter with a nonzero self-bracket, its exponent the

@@ -12,8 +12,9 @@ from superhomology import catalog_get, chain_dim, cli, generator_system, homolog
 from superhomology.cli import run_cli
 
 from conftest import EXPECTED_DIR
-from oracles import (algebra_document, change_basis, load_matrix, monomial_degree,
-                     monomial_weight, naive_rank, random_invertible, zero_piece_matrix)
+from oracles import (algebra_document, change_basis, code_monomial, load_matrix,
+                     monomial_degree, monomial_weight, naive_rank, random_invertible,
+                     zero_piece_matrix)
 from test_algebra import MALFORMED_DOCUMENTS
 
 
@@ -207,10 +208,12 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assembled = []
     real = homology.boundary_columns
 
-    def recording(gs, w, cols, rows):
-        columns = real(gs, w, cols, rows)
-        # the cell (w, m) read off a column or row monomial; None when both are empty
-        mono, shift = next(((basis[0], s) for basis, s in ((cols, 0), (rows, 1)) if basis),
+    def recording(gs, w, radix, cols, codes, rows):
+        columns = real(gs, w, radix, cols, codes, rows)
+        # the cell (w, m) read off a column monomial or a decoded row code; None when both
+        # are empty
+        row_monos = [code_monomial(code, radix, gs.count) for code in rows]
+        mono, shift = next(((basis[0], s) for basis, s in ((cols, 0), (row_monos, 1)) if basis),
                            (None, 0))
         cell = None if mono is None else (monomial_weight(gs, mono), monomial_degree(mono) + shift)
         assert cell is None or cell[0] == w

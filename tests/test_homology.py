@@ -325,15 +325,17 @@ def _held_monomials(value) -> int:
 def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch):
     # each weight's bases are listed by its row and dropped when the row returns;
     # a monomial is a plain tuple, so the listed ones are marked to be found
-    real = homology.zero_piece_basis
+    real = homology.numbered_bases
     listed = []
 
-    def marked(gs, m, w):
-        basis = [_Listed(mono) for mono in real(gs, m, w)]
-        listed.append(len(basis))
-        return basis
+    def marked(gs, w, degrees):
+        radix, bases = real(gs, w, degrees)
+        bases = {m: ([_Listed(mono) for mono in monos], codes)
+                 for m, (monos, codes) in bases.items()}
+        listed.append(sum(len(monos) for monos, _ in bases.values()))
+        return radix, bases
 
-    monkeypatch.setattr(homology, "zero_piece_basis", marked)
+    monkeypatch.setattr(homology, "numbered_bases", marked)
     real_build = chain._suffix_tables
     built = []
 

@@ -9,12 +9,11 @@ import pytest
 
 from superhomology import (betti_row, betti_table, catalog_get, catalog_names,
                            generator_system, homology, load_algebra, torus_pieces)
-from superhomology.chain import boundary_columns, zero_piece_basis
 from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
-from oracles import (naive_rank, numbered_piece_matrix, piece_tables, whole_matrix_betti_table,
-                     zero_piece_matrix)
+from oracles import (assemble, naive_rank, numbered_piece_matrix, piece_tables,
+                     whole_matrix_betti_table, zero_piece_basis, zero_piece_matrix)
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
           "g3d3": [{"alpha": "2/3", "beta": "5/7"}, {"alpha": "2/3", "beta": "-5/7"}]}
@@ -66,7 +65,7 @@ def test_int_rows_are_scaled_word_route_matrices(name, binds, basis):
         scales.add(scale)
         bases = {m: zero_piece_basis(gs, m, w) for m in range(w + gs.dim + 1)}
         for m in range(1, w + gs.dim + 1):
-            columns = boundary_columns(gs, w, bases[m], bases[m - 1])
+            columns = assemble(gs, w, bases[m], bases[m - 1])
             assert len(columns) == len(bases[m])
             got = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
             assert all(type(v) is int and v for v in got.values())
@@ -186,7 +185,7 @@ def test_gl2_w8_ranks_pinned():
 
 CORRUPT = """
 from superhomology import TableInvariantError, betti_row, catalog_get, generator_system, homology
-real_pieces, real_basis, real_columns = (homology.torus_pieces, homology.zero_piece_basis,
+real_pieces, real_basis, real_columns = (homology.torus_pieces, homology.numbered_bases,
                                          homology.boundary_columns)
 
 def corrupted(move):
@@ -200,14 +199,14 @@ def corrupted(move):
         return out
     return pieces
 
-def padded(gs, m, w):  # one monomial listed twice
-    basis = real_basis(gs, m, w)
-    return basis + basis[:1]
+def padded(gs, w, degrees):  # one monomial listed twice in each degree
+    radix, bases = real_basis(gs, w, degrees)
+    return radix, {m: (monos + monos[:1], codes + codes[:1]) for m, (monos, codes) in bases.items()}
 
 def flipped():  # one sign flipped in each column of the second cell from the top
     calls = []
-    def columns_of(gs, w, cols, rows):
-        out = real_columns(gs, w, cols, rows)
+    def columns_of(gs, w, radix, cols, codes, rows):
+        out = real_columns(gs, w, radix, cols, codes, rows)
         calls.append(w)
         if calls.count(w) == 2:
             for column in out:
@@ -220,7 +219,7 @@ for pieces, basis, columns in ((corrupted(False), real_basis, real_columns),
                                (corrupted(True), real_basis, real_columns),
                                (real_pieces, padded, real_columns),
                                (real_pieces, real_basis, flipped())):
-    homology.torus_pieces, homology.zero_piece_basis, homology.boundary_columns = (
+    homology.torus_pieces, homology.numbered_bases, homology.boundary_columns = (
         pieces, basis, columns)
     try:
         betti_row(generator_system(catalog_get("gl2")), 3)
@@ -228,7 +227,7 @@ for pieces, basis, columns in ((corrupted(False), real_basis, real_columns),
         print(exc)
     else:
         print("accepted")
-homology.torus_pieces, homology.zero_piece_basis, homology.boundary_columns = (
+homology.torus_pieces, homology.numbered_bases, homology.boundary_columns = (
     real_pieces, real_basis, real_columns)
 """
 
@@ -240,7 +239,7 @@ def _check_corruption_messages(lines):
 
 
 def test_corrupted_piece_count_raises(monkeypatch, capsys):
-    for name in ("torus_pieces", "zero_piece_basis", "boundary_columns"):  # restored after
+    for name in ("torus_pieces", "numbered_bases", "boundary_columns"):  # restored after
         monkeypatch.setattr(homology, name, getattr(homology, name))
     exec(compile(CORRUPT, "corrupt", "exec"), {})
     _check_corruption_messages(capsys.readouterr().out.splitlines())
