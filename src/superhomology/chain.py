@@ -14,8 +14,9 @@ weight being empty without a grading (``GeneratorSystem.torus``).  The
 counts are read off table 0.  A basis walks the ids in order and keeps an
 exponent only if the next table reaches what is left, so the walk meets no
 dead end, comes out in lex order, and lists the torus-weight-0 piece
-without touching another monomial.  One table per coordinate set is cached
-on the generator system and serves every weight up to its bound.
+without touching another monomial.  The tables of each coordinate set, and
+table 0 by weight (which ``torus_pieces`` reads), are cached on the
+generator system and serve every weight up to their bound.
 
 On a word Y_1 ^ ... ^ Y_m the boundary acts pair by pair,
 
@@ -114,17 +115,21 @@ def _suffix_tables(grades: tuple[int, ...], coords: tuple, w: int) -> list[dict[
 
 
 def _tables(gs: GeneratorSystem, coords: tuple, w: int) -> tuple:
-    """The cached (weight bound >= w, suffix tables, exponent choices) of ``coords``.
+    """The cached (weight bound >= w, suffix tables, exponent choices, view) of ``coords``.
 
-    A larger w rebuilds it at least twice as far, so rows in order rebuild it
-    O(log w) times.  That is what lets the CLI's size check walk the cells in
-    weight order and refuse a huge ``--wmax`` at the first cell too large,
-    having built the tables only to about twice that cell's weight.
+    The view is table 0 by weight, {w: {torus weight: {degree: count}}}.  A
+    larger w rebuilds both at least twice as far, so rows in order rebuild
+    them O(log w) times.  That is what lets the CLI's size check walk the
+    cells in weight order and refuse a huge ``--wmax`` at the first cell too
+    large, having built the tables only to about twice that cell's weight.
     """
     entry = gs._count_cache.get(coords)
     if entry is None or entry[0] < w:
         w = max(w, 2 * entry[0]) if entry else w
-        entry = gs._count_cache[coords] = (w, _suffix_tables(gs.grades, coords, w), {})
+        tables, view = _suffix_tables(gs.grades, coords, w), {}
+        for key, n in tables[0].items():  # key = (degree, weight, *torus weight)
+            view.setdefault(key[1], {}).setdefault(key[2:], {})[key[0]] = n
+        entry = gs._count_cache[coords] = (w, tables, {}, view)
     return entry
 
 
@@ -166,18 +171,14 @@ def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int,
     """{torus weight: {degree: dim}} of the pieces of the weight-w complex, by counting.
 
     The boundary keeps the torus weight, so each piece is a subcomplex.
-    Without a grading there is one piece, keyed ().
+    Without a grading there is one piece, keyed ().  Pieces are fresh dicts.
     """
-    pieces: dict[tuple[int, ...], dict[int, int]] = {}
-    counts = _tables(gs, gs.torus, w)[1][0].items()
-    for (m, _, *torus), n in sorted(item for item in counts if item[0][1] == w):
-        pieces.setdefault(tuple(torus), {})[m] = n
-    return pieces
+    return {torus: dict(dims) for torus, dims in _tables(gs, gs.torus, w)[3].get(w, {}).items()}
 
 
 def _walk(gs: GeneratorSystem, coords: tuple, entry: tuple, ids: list[int], parts: list) -> list:
     """Extend each (exponents so far, state left) over ``ids``; each state's choices are kept."""
-    _, tables, choices = entry
+    _, tables, choices, _ = entry
     for i in ids:
         known, below = choices.setdefault(i, {}), tables[i + 1]
         vec = (1, gs.grades[i]) + tuple(coord[i] for coord in coords)

@@ -21,7 +21,7 @@ from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, ma
 from .exterior import generator_system, render_bracket_table
 from .homology import BettiTable, betti_table, verify_table
 
-# admits the largest chain spaces of gl2 to w=8 (20,576) and heis3 to w=40
+# admits gl2 to w=12 (largest cell 140,736; (13, 13) has 205,626) and heis3 to w=257
 DEFAULT_MAX_DIM = 200_000
 
 

@@ -295,8 +295,8 @@ class GeneratorSystem:
         self._pair_cache: dict[tuple[int, int], tuple[tuple[Fraction, int], ...]] = {}
         # owned by int_brackets: w -> (D_w, int bracket table)
         self._int_cache: dict[int, tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]] = {}
-        # owned by chain._tables: coords -> (bound, suffix tables, exponent choices); no basis kept
-        self._count_cache: dict[tuple, tuple[int, list[dict], dict]] = {}
+        # owned by chain._tables: coords -> (bound, suffix tables, choices, view); no basis kept
+        self._count_cache: dict[tuple, tuple[int, list[dict], dict, dict]] = {}
 
     @property
     def dim(self) -> int:

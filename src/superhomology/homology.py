@@ -16,7 +16,8 @@ with e(x) the wedge with x, it acts by zero on homology; theta(x) is the
 scalar torus weight on a piece, so every piece of nonzero torus weight is
 acyclic.  Its ranks follow from its dimensions: 0 at its lowest degree,
 then r_{m+1} = dim_m - r_m.  Only the torus-weight-0 piece is assembled and
-eliminated; without a grading it is the whole complex.
+eliminated; without a grading it is the whole complex.  Its counted
+dimensions (``chain.torus_pieces``) weigh each weight in the shares.
 
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
@@ -63,15 +64,14 @@ from __future__ import annotations
 import json
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
 from .algebra import _integer, _known_keys, format_rational
-from .chain import (_tables, boundary_columns, chain_dim, count_up_to, numbered_bases,
-                    support_degrees, torus_pieces)
+from .chain import (boundary_columns, chain_dim, count_up_to, numbered_bases, support_degrees,
+                    torus_pieces)
 from .exterior import GeneratorSystem
 from .ranklin import EliminationReport, rank_rows
 
@@ -297,13 +297,11 @@ def _shares(gs: GeneratorSystem, w_max: int) -> list[list[int]]:
     """The weights in one share per worker, each in w order, the lightest share first.
 
     The heaviest weight goes out first, each to the least loaded share; a
-    weight weighs its counted torus-weight-0 dimensions (``count_up_to``).
+    weight weighs its counted torus-weight-0 dimensions (``torus_pieces``).
     The first share is the caller's, which also gathers the others.
     """
-    size: Counter[int] = Counter()
-    for (_, w, *torus), n in _tables(gs, gs.torus, w_max)[1][0].items():
-        if not any(torus):
-            size[w] += n
+    zero = (0,) * len(gs.torus)
+    size = [sum(torus_pieces(gs, w).get(zero, {}).values()) for w in range(w_max + 1)]
     shares = [[0, []] for _ in range(max(1, min(_workers(), w_max + 1)))]
     for w in sorted(range(w_max + 1), key=size.__getitem__, reverse=True):
         share = min(shares, key=itemgetter(0))

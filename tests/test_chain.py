@@ -7,14 +7,18 @@ import pytest
 
 from superhomology import (boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
-                           generator_system, support_degrees, torus_pieces)
+                           generator_system, load_algebra, support_degrees, torus_pieces)
 from superhomology.chain import max_weight, numbered_bases
 
 from oracles import (Chain, _word_matrix, assemble, boundary_monomial, brute_basis,
                      induced_bracket, kernel_column, load_matrix, matmul, monomial_code,
                      monomial_degree, monomial_weight, monomial_word, naive_rank, normalize_word,
-                     odd_first, torus_weight, wedge_chain, word_boundary_matrix,
+                     odd_first, piece_tables, torus_weight, wedge_chain, word_boundary_matrix,
                      word_boundary_monomial, zero_piece_basis)
+
+# aff1 + aff1: two torus coordinates, ad z2 and ad z4
+AFF1_SQUARED = {"name": "aff1x2", "dim": 4, "brackets": [{"i": 1, "j": 2, "out": {"1": "1"}},
+                                                         {"i": 3, "j": 4, "out": {"3": "1"}}]}
 
 
 def mono(eps, odds):
@@ -124,6 +128,34 @@ def test_bases_and_counts_match_brute_force(name):
                 dims[m] = dims.get(m, 0) + 1
         assert torus_pieces(gs, w) == pieces, w
         assert support_degrees(gs, w) == support, w
+
+
+# the oracle lists and ranks whole cells, so the algebras with large cells stop early
+_VIEW_W_MAX = {"abelian4": 7, "abelian5": 4, "abelian6": 2, "aff1x2": 5, "gl2": 4}
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["aff1x2"])
+def test_torus_pieces_follow_the_count_tables_through_a_rebuild(name):
+    # torus_pieces reads table 0 by weight, built with the tables: the call at w = 3
+    # builds them to 3 and the one at w_max rebuilds them, after which every weight
+    # must still match the pieces listed on a system of its own
+    def system():
+        if name == "aff1x2":
+            return generator_system(load_algebra(AFF1_SQUARED))
+        return generator_system(catalog_get(name, _ORDER_BINDS.get(name)))
+
+    gs, oracle = system(), system()
+    w_max = _VIEW_W_MAX.get(name, 11)
+    listed = [{k: dims for k, (dims, _) in piece_tables(oracle, w).items()}
+              for w in range(w_max + 1)]
+    first = min(3, w_max)  # abelian6 stops below 3
+    assert torus_pieces(gs, first) == listed[first]
+    assert torus_pieces(gs, w_max) == listed[w_max]
+    assert [torus_pieces(gs, w) for w in range(w_max + 1)] == listed
+    # each call returns fresh pieces, so a caller may change them
+    for dims in torus_pieces(gs, w_max).values():
+        dims.clear()
+    assert torus_pieces(gs, w_max) == listed[w_max]
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -428,6 +428,19 @@ def test_usage_errors_exit_2(tmp_path):
     assert code == 2
 
 
+def test_default_max_dim_admits_gl2_to_w_12(monkeypatch):
+    # only the size walk runs: gl2's largest cell to w = 12 has 140,736 monomials, and
+    # the first cell over the default is (13, 13)
+    reached = []
+    monkeypatch.setattr(cli, "betti_table", lambda gs, w_max, **kwargs:
+                        reached.append(w_max) or homology.BettiTable("gl2"))
+    code, out, err = run(["table", "--algebra", "gl2", "--wmax", "12"])
+    assert code == 0 and reached == [12] and out, err
+    code, out, err = run(["table", "--algebra", "gl2", "--wmax", "13"])
+    assert code == 2 and not out and reached == [12]
+    assert "w=13, m=13 has 205626 monomials, more than --max-dim 200000" in err
+
+
 def test_far_empty_cell_is_answered_at_once():
     # a degree-m monomial has weight <= (dim - 1) m, so these cells are empty, and
     # no count table is built to their weight (gl2 at w = 1000 took over a minute)

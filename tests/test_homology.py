@@ -353,7 +353,7 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
     # what stays is one suffix-count table per torus coordinate set, built once at w_max
     assert set(gs._count_cache) <= {(), gs.torus}
     assert sorted(built) == sorted((coords, w_max) for coords in {(), gs.torus})
-    for bound, tables, _ in gs._count_cache.values():
+    for bound, tables, *_ in gs._count_cache.values():
         assert bound == w_max
         assert all(type(n) is int for table in tables for n in table.values())
 

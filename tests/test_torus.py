@@ -14,6 +14,7 @@ from superhomology.ranklin import RationalMatrix
 from conftest import REPO_ROOT
 from oracles import (assemble, naive_rank, numbered_piece_matrix, piece_tables,
                      whole_matrix_betti_table, zero_piece_basis, zero_piece_matrix)
+from test_chain import AFF1_SQUARED
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
           "g3d3": [{"alpha": "2/3", "beta": "5/7"}, {"alpha": "2/3", "beta": "-5/7"}]}
@@ -109,8 +110,7 @@ def test_int_brackets_bracket_only_pairs_the_weight_can_reach():
 
 def test_two_coordinate_grading_of_a_direct_sum():
     # aff1 + aff1: ad z2 and ad z4 are both diagonal and independent
-    doc = {"name": "aff1x2", "dim": 4, "brackets": [{"i": 1, "j": 2, "out": {"1": "1"}},
-                                                    {"i": 3, "j": 4, "out": {"3": "1"}}]}
+    doc = AFF1_SQUARED
     gs = generator_system(load_algebra(doc))
     assert len(gs.torus) == 2
     assert [coord[:4] for coord in gs.torus] == [(-1, 0, 0, 0), (0, 0, -1, 0)]
