@@ -66,20 +66,25 @@ times the boundary as int column dicts, one per chosen column monomial,
 which is what the table eliminates; ``boundary_matrix`` is every column
 divided by D_w, the exact rational matrix.
 
-A cell is assembled pair-major: the outer loop runs over the entries of the
-bracket table, so a pair with a zero bracket is never visited, and the inner
-loop over the columns that hold letter i, so a pair's constants are set once
-per cell, not once per column.  A monomial of weight w is coded as the int
-sum_x e_x R^(n-1-x) over its n ids, with R one above the weight's top
-support degree (``numbered_bases``): every exponent of a column or a target
-is a digit, so the code is exact however large the exponents grow, and int
-order of the codes is lex order.  The lister builds each code in its walk,
-as the even part's code plus its odd tail's, memoised once for every degree
-of the weight, so no monomial is coded twice.  A target is then
-code - R^i - R^j + R^k, one int addition and one int-keyed lookup in the
-row numbering; a target the numbering does not list raises
-``KeyError``.  An entry that cancels to zero is deleted where it cancels,
-so no column holds a zero.
+A cell is assembled part-major: its columns are grouped by even part
+e[:n_even], and each entry of the bracket table (a pair with a zero bracket
+is never visited) builds its signed terms once per part.  Every s(x) the
+three cases read is at an even id x, and even ids come first, so s(x)
+counts even letters only and is fixed by the even part, as are the skips of
+B and C (Y_k even) and C's multiplicity, 1.  A pair whose even letter the
+part lacks is passed over, and each column of the part adds its odd
+multiplicity (e_j in A; e_i e_j or C(e_i, 2) in B) times each term.
+
+A monomial of weight w is coded as the int sum_x e_x R^(n-1-x) over its n
+ids, with R one above the weight's top support degree (``numbered_bases``):
+every exponent of a column or a target is a digit, so the code is exact
+however large the exponents grow, and int order of the codes is lex order.
+The lister builds each code in its walk, as the even part's code plus its
+odd tail's, memoised once for every degree of the weight, so no monomial is
+coded twice.  A target is then code - R^i - R^j + R^k, one int addition and
+one int-keyed lookup in the row numbering; a target the numbering does not
+list raises ``KeyError``.  An entry that cancels to zero is deleted where it
+cancels, so no column holds a zero.
 """
 
 from __future__ import annotations
@@ -256,50 +261,55 @@ def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
 def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]], n_even: int,
                     powers: list[int], cols: list[tuple[int, ...]], codes: list[int],
                     row_index: dict[int, int]) -> list[dict[int, int]]:
-    """D_w times the boundary of each monomial of ``cols`` (exponent vectors, evens + odds).
+    """D_w times the boundary of each monomial of ``cols``, in any order, as {row: nonzero int}.
 
     ``brackets`` is ``GeneratorSystem.int_brackets(w)[1]`` for the weight w
     of the columns, ``n_even`` the number of even generators, ``powers`` the
     digits R^(n-1-x) of the code's radix R (above every exponent of a column
     or a target), ``codes`` the codes of ``cols`` and ``row_index`` {code:
-    row}.  Each pair of the table runs over the columns holding its first
-    letter and gives its term once per column, times its position pairs,
-    signed by case A, B or C of the module docstring.  Returns one {row:
-    nonzero int} per column; a target code missing from ``row_index`` raises
-    ``KeyError``.
+    row}.  Each pair of the table builds its signed terms (case A, B or C of
+    the module docstring) once per even part and gives them to each column
+    of the part, times its position pairs.  A target code missing from
+    ``row_index`` raises ``KeyError``.
     """
     out: list[dict[int, int]] = [{} for _ in cols]
-    starts = [list(accumulate(exps, initial=0)) for exps in cols]  # s(x): letters before id x
-    # the first letter of each pair -> the columns it appears in
-    holding = {i: [c for c, exps in enumerate(cols) if exps[i]] for i in {i for i, _ in brackets}}
-    for (i, j), bracket in brackets.items():
-        if not holding[i]:
-            continue
-        lose = powers[i] + powers[j]
-        terms = [(coeff, k, powers[k] - lose, (k == i) + (k == j)) for coeff, k in bracket]
-        for c in holding[i]:
-            exps = cols[c]
-            ei = exps[i]
-            mult = ei * (ei - 1) // 2 if j == i else ei * exps[j]
-            if not mult:
-                continue  # a lone odd letter makes no pair
-            start, column, code = starts[c], out[c], codes[c]
-            si = start[i]
-            for coeff, k, shift, used in terms:
+    parts: dict[tuple[int, ...], list[int]] = {}
+    for c, exps in enumerate(cols):
+        parts.setdefault(exps[:n_even], []).append(c)
+    pairs = [(i, j, [(coeff, k, powers[k] - powers[i] - powers[j]) for coeff, k in bracket])
+             for (i, j), bracket in brackets.items()]
+    for part, members in parts.items():
+        start = list(accumulate(part, initial=0))  # s(x) at each even id x: even letters only
+        for i, j, bracket in pairs:
+            if i < n_even:
+                if not part[i] or j < n_even and not part[j]:
+                    continue  # the part lacks an even letter of the pair
+                si = start[i]
+            terms = []
+            for coeff, k, shift in bracket:
                 if j >= n_even > i:
                     s = si  # A: odd bracket letter
-                elif exps[k] > used:  # Y_k is left once Y_i, Y_j are removed
+                elif part[k] > (k == i) + (k == j):  # Y_k is left once Y_i, Y_j are removed
                     continue  # even letters square to zero
                 elif i >= n_even:
                     s = start[k]  # B
                 else:
                     s = si + start[j] - 1 - start[k] + (i < k) + (j < k)  # C
-                r = row_index[code + shift]
-                v = column.get(r, 0) + (-coeff * mult if s % 2 else coeff * mult)
-                if v:
-                    column[r] = v
-                else:
-                    del column[r]
+                terms.append((-coeff if s % 2 else coeff, shift))
+            for c in members if terms else ():
+                exps = cols[c]
+                ei = exps[i]
+                mult = ei * (ei - 1) // 2 if j == i else ei * exps[j]
+                if not mult:
+                    continue  # an odd letter of the pair is missing, or alone with itself
+                column, code = out[c], codes[c]
+                for coeff, shift in terms:
+                    r = row_index[code + shift]
+                    v = column.get(r, 0) + coeff * mult
+                    if v:
+                        column[r] = v
+                    else:
+                        del column[r]
     return out
 
 

@@ -394,6 +394,17 @@ def _positions(keys):
     return out
 
 
+def piece_dims(gs, w):
+    """{torus weight: {m: dim}} of the pieces of weight w, each monomial of ``chain_basis``
+    keyed by ``torus_weight``; nothing is assembled or ranked."""
+    dims: dict = {}
+    for m in support_degrees(gs, w):
+        for mono in chain_basis(gs, m, w):
+            piece = dims.setdefault(torus_weight(gs, mono), {})
+            piece[m] = piece.get(m, 0) + 1
+    return dims
+
+
 def piece_tables(gs, w):
     """{torus weight: ({m: dim}, {m: Betti})} with each piece of weight w ranked on its own.
 

@@ -13,7 +13,7 @@ from superhomology.chain import max_weight, numbered_bases
 from oracles import (Chain, _word_matrix, assemble, boundary_monomial, brute_basis,
                      induced_bracket, kernel_column, load_matrix, matmul, monomial_code,
                      monomial_degree, monomial_weight, monomial_word, naive_rank, normalize_word,
-                     odd_first, piece_tables, torus_weight, wedge_chain, word_boundary_matrix,
+                     odd_first, piece_dims, torus_weight, wedge_chain, word_boundary_matrix,
                      word_boundary_monomial, zero_piece_basis)
 
 # aff1 + aff1: two torus coordinates, ad z2 and ad z4
@@ -130,8 +130,10 @@ def test_bases_and_counts_match_brute_force(name):
         assert support_degrees(gs, w) == support, w
 
 
-# the oracle lists and ranks whole cells, so the algebras with large cells stop early
-_VIEW_W_MAX = {"abelian4": 7, "abelian5": 4, "abelian6": 2, "aff1x2": 5, "gl2": 4}
+# the oracle lists every monomial of each weight, so the algebras with large weights stop
+# early: the last weight holds 38,112 monomials on gl2, 72,208 on aff1x2, 129,424 on
+# abelian4, 159,584 on abelian5 and 63,680 on abelian6
+_VIEW_W_MAX = {"abelian4": 9, "abelian5": 5, "abelian6": 3, "aff1x2": 8, "gl2": 7}
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["aff1x2"])
@@ -146,10 +148,8 @@ def test_torus_pieces_follow_the_count_tables_through_a_rebuild(name):
 
     gs, oracle = system(), system()
     w_max = _VIEW_W_MAX.get(name, 11)
-    listed = [{k: dims for k, (dims, _) in piece_tables(oracle, w).items()}
-              for w in range(w_max + 1)]
-    first = min(3, w_max)  # abelian6 stops below 3
-    assert torus_pieces(gs, first) == listed[first]
+    listed = [piece_dims(oracle, w) for w in range(w_max + 1)]
+    assert torus_pieces(gs, 3) == listed[3]
     assert torus_pieces(gs, w_max) == listed[w_max]
     assert [torus_pieces(gs, w) for w in range(w_max + 1)] == listed
     # each call returns fresh pieces, so a caller may change them
@@ -165,7 +165,7 @@ def test_listed_codes_are_lex_ordered_and_numbered_odd_first(name):
     # codes are distinct and in lex order, and the odd part code % R**n_odd orders the
     # numbering betti_row holds.  heis3's cell (299, 300) has exponents up to 298.
     # abelian5 and abelian6 stop at weights of 43,552 and 8,960 monomials (gl2 at w = 8 has
-    # 72,208), one weight short of 525,760 and 63,680.
+    # 72,208), one weight short of 159,584 and 63,680.
     gs = generator_system(catalog_get(name, _ORDER_BINDS.get(name)))
     w_max = {"abelian5": 4, "abelian6": 2}.get(name, 8)
     cells = [(gs, w, support_degrees(gs, w)) for w in range(w_max + 1)]
@@ -578,6 +578,26 @@ def test_boundary_of_large_exponents_matches_word_oracle():
              (heis3, (0, 0, 0, 0, 256, 0, 0)), (gl2, (0,) * 11 + (256, 0, 0, 0))]
     for gs, pick in picks:
         assert boundary_monomial(gs, pick) == word_boundary_monomial(gs, pick) != Chain(), pick
+
+
+@pytest.mark.parametrize("name, binds, w, m", [
+    ("gl2", {}, 5, 6), ("heis3", {}, 12, 13), ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 8, 9)])
+def test_kernel_columns_do_not_depend_on_their_order(name, binds, w, m):
+    # the kernel sets each pair up once per even part of its columns; shuffled, every part
+    # of a whole cell comes in pieces between the others, and each column must still be
+    # D_w times its word-route column (g3d3 has D_w = 21 here)
+    gs = generator_system(catalog_get(name, binds))
+    cols, rows = chain_basis(gs, m, w), chain_basis(gs, m - 1, w)
+    scale, n_even = gs.int_brackets(w)[0], len(gs.even_ids)
+    assert len({mono[:n_even] for mono in cols}) >= 6
+    assert (scale > 1) == (name == "g3d3")
+    expected = [{} for _ in cols]
+    for (r, c), v in word_boundary_matrix(gs, m, w).entries.items():
+        expected[c][r] = v * scale
+    order = list(range(len(cols)))
+    random.Random(24).shuffle(order)
+    got = assemble(gs, w, [cols[c] for c in order], rows)
+    assert got == [expected[c] for c in order]
 
 
 @pytest.mark.parametrize("name, w_max", [("gl2", 4), ("sl2_efh", 6)])

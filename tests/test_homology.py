@@ -558,17 +558,19 @@ def _sign_faults():
             yield label, source.replace(line[0], f"s = {exponent}  # {case}")
 
 
-@pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 25)])
+@pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 25), ("g3d3", 16)])
 def test_systematic_sign_faults_make_the_probe_raise(name, w_max, monkeypatch):
     # a fault the sampled probe lets through must be one no d o d = 0 probe can see:
-    # the full-strength probe passes it (to w = 10) and the table is unchanged
-    truth = betti_table(generator_system(catalog_get(name)), w_max).to_dict()
+    # the full-strength probe passes it (to w = 10) and the table is unchanged; g3d3
+    # assembles D_w times the boundary, D_w > 1
+    binds = {"alpha": F(2, 3), "beta": F(5, 7)} if name == "g3d3" else None
+    truth = betti_table(generator_system(catalog_get(name, binds)), w_max).to_dict()
     faults, raised = list(_sign_faults()), set()
     for label, source in faults:
         namespace = dict(vars(chain))
         exec(source, namespace)
         monkeypatch.setattr(chain, "_boundary_terms", namespace["_boundary_terms"])
-        gs = generator_system(catalog_get(name))
+        gs = generator_system(catalog_get(name, binds))
         try:
             table = betti_table(gs, w_max)
         except TableInvariantError as exc:
@@ -581,6 +583,8 @@ def test_systematic_sign_faults_make_the_probe_raise(name, w_max, monkeypatch):
     assert {"A without si", "B without start[k]"} <= raised
     if name == "gl2":
         assert len(raised) == len(faults) - 1  # all but "B negated"
+    if name == "g3d3":
+        assert len(raised) == len(faults) - 2  # all but "B negated" and "C without si"
 
 
 @pytest.mark.parametrize("name, binds, w_max", [
