@@ -67,31 +67,37 @@ which is what the table eliminates; ``boundary_matrix`` is every column
 divided by D_w, the exact rational matrix.
 
 A cell is assembled part-major: its columns are grouped by even part
-e[:n_even], and each entry of the bracket table (a pair with a zero bracket
-is never visited) builds its signed terms once per part.  Every s(x) the
-three cases read is at an even id x, and even ids come first, so s(x)
-counts even letters only and is fixed by the even part, as are the skips of
-B and C (Y_k even) and C's multiplicity, 1.  A pair whose even letter the
-part lacks is passed over, and each column of the part adds its odd
-multiplicity (e_j in A; e_i e_j or C(e_i, 2) in B) times each term.
+e[:n_even], the low bits of their codes (below), and each entry of the
+bracket table (a pair with a zero bracket is never visited) builds its
+signed terms once per part.  Every s(x) the three cases read is at an even
+id x, and even ids come first, so s(x) counts even letters only and is
+fixed by the even part, as are the skips of B and C (Y_k even) and C's
+multiplicity, 1.  A pair whose even letter the part lacks is passed over,
+and each column of the part adds its odd multiplicity (e_j in A; e_i e_j or
+C(e_i, 2) in B), read off its odd tail, times each term.
 
-A monomial of weight w is coded as the int sum_x e_x R^(n-1-x) over its n
-ids, with R one above the weight's top support degree (``numbered_bases``):
-every exponent of a column or a target is a digit, so the code is exact
-however large the exponents grow, and int order of the codes is lex order.
-The lister builds each code in its walk, as the even part's code plus its
-odd tail's, memoised once for every degree of the weight, so no monomial is
-coded twice.  A target is then code - R^i - R^j + R^k, one int addition and
-one int-keyed lookup in the row numbering; a target the numbering does not
-list raises ``KeyError``.  An entry that cancels to zero is deleted where it
-cancels, so no column holds a zero.
+A weight-w monomial is coded as one int in an odd-major mixed radix
+(``_digits``): one binary digit per even id, the least significant, id 0
+leading, and above them a digit of base w // grade_x + 1 per odd id x, the
+first leading.  Every exponent of a weight-w column or target fits its
+digit, so the code is exact (19 to 26 bits, one CPython digit, on the
+benchmark tables), and int order of the codes is odd part, then even part,
+each in lex order: the numbering ``homology.betti_row`` holds.  The lister
+walks each degree in lex order and gives each monomial as its odd tail and
+its code, the even part's code plus the tail's; the tails and their codes
+are memoised for every degree of the weight, so no monomial is coded twice
+or built as a tuple.  A target is then code + P_k - P_i - P_j, P_x the
+place value of id x: one int addition and one int-keyed lookup in the row
+numbering; a target the numbering does not list raises ``KeyError``.  An
+entry that cancels to zero is deleted where it cancels, so no column holds
+a zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
@@ -114,7 +120,7 @@ def _suffix_tables(grades: tuple[int, ...], coords: tuple, w: int) -> list[dict[
                 if key[1] > w:
                     break
                 table[key] = table.get(key, 0) + ways
-                key = tuple(a + b for a, b in zip(key, vec))
+                key = tuple(map(add, key, vec))
         tables.append(table if grade <= w else below)
     return tables[::-1]
 
@@ -188,65 +194,74 @@ def _walk(gs: GeneratorSystem, coords: tuple, entry: tuple, ids: list[int], part
         known, below = choices.setdefault(i, {}), tables[i + 1]
         vec = (1, gs.grades[i]) + tuple(coord[i] for coord in coords)
         for state in {state for _, state in parts} - known.keys():
-            known[state] = [(t, left) for t in range(state[0] + 1 if vec[1] % 2 else 2)
-                            if (left := tuple(a - t * b for a, b in zip(state, vec))) in below]
+            known[state], left = [], state
+            for t in range(state[0] + 1 if vec[1] % 2 else 2):
+                if left in below:
+                    known[state].append((t, left))
+                left = tuple(map(sub, left, vec))
         parts = [(e + (t,), left) for e, state in parts for t, left in known[state]]
     return parts
 
 
-def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...], radix: int,
-           tails: dict) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The exponent tuples reaching ``target`` = (degree, weight, *torus weight), in lex order,
-    and their codes in ``radix``.
+def _digits(gs: GeneratorSystem, w: int) -> list[int]:
+    """The place value of each id's digit in a weight-w code (see the module docstring)."""
+    values, place = [0] * gs.count, 1
+    for x in reversed(gs.even_ids):
+        values[x], place = place, 2 * place
+    for x in reversed(gs.odd_ids):
+        values[x], place = place, (w // gs.grades[x] + 1) * place
+    return values
+
+
+def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...],
+           tails: dict) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """The monomials reaching ``target`` = (degree, weight, *torus weight), in lex order, as
+    the even part, the odd tail and the code of each.
 
     Grades rise with the id within each parity, so the letters of grade above
     the weight end each part and are padded with zeros, not walked.  The odd
     tails of each state the even part leaves, with their codes, are listed
-    once into ``tails``, which serves every target of one weight and radix.
+    once into ``tails``, which serves every target of one weight.
     """
     m, w = target[:2]
+    evens, odd, codes = [], [], []
     # a far cell is empty (see chain_dim), and is answered before a table is built to w
     if not 0 <= w <= max_weight(gs, m) or target not in (entry := _tables(gs, coords, w))[1][0]:
-        return [], []
-    evens = [i for i in gs.even_ids if gs.grades[i] <= w]
+        return evens, odd, codes
+    walked_evens = [i for i in gs.even_ids if gs.grades[i] <= w]
     odds = [i for i in gs.odd_ids if gs.grades[i] <= w]
-    even_pad = (0,) * (len(gs.even_ids) - len(evens))
+    even_pad = (0,) * (len(gs.even_ids) - len(walked_evens))
     odd_pad = (0,) * (len(gs.odd_ids) - len(odds))
-    powers = [radix ** x for x in reversed(range(gs.count))]
-    odd_powers = powers[len(gs.even_ids):]
-    monos, codes = [], []
-    for e, left in _walk(gs, coords, entry, evens, [((), target)]):
+    digits = _digits(gs, w)
+    odd_digits = digits[len(gs.even_ids):]
+    for e, left in _walk(gs, coords, entry, walked_evens, [((), target)]):
         if left not in tails:
             walked = [o for o, _ in _walk(gs, coords, entry, odds, [((), left)])]
-            tails[left] = ([even_pad + o + odd_pad for o in walked],
-                           [sum(map(mul, o, odd_powers)) for o in walked])
-        code = sum(map(mul, e, powers))
-        monos += [e + o for o in tails[left][0]]
-        codes += [code + c for c in tails[left][1]]
-    return monos, codes
+            tails[left] = ([o + odd_pad for o in walked],
+                           [sum(map(mul, o, odd_digits)) for o in walked])
+        part_odd, part_codes = tails[left]
+        evens += [e + even_pad] * len(part_odd)
+        odd += part_odd
+        codes += map(sum(map(mul, e, digits)).__add__, part_codes)
+    return evens, odd, codes
 
 
 def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
     """All monomials of degree m and weight w, as exponent tuples over ids in lex order."""
-    return _basis(gs, (), (m, w), m + 1, {})[0]
+    evens, odd, _ = _basis(gs, (), (m, w), {})
+    return list(map(add, evens, odd))
 
 
 def numbered_bases(gs: GeneratorSystem, w: int,
-                   degrees: list[int]) -> tuple[int, dict[int, tuple[list, list[int]]]]:
-    """The radix of weight w, one above the top of ``degrees``, and {m: (monomials, codes)}.
+                   degrees: list[int]) -> dict[int, tuple[list[tuple[int, ...]], list[int]]]:
+    """{m: (odd tails, codes)} of the torus-weight-0 piece of each degree at weight w.
 
-    Each torus-weight-0 piece is listed in lex order, with one tail memo for
-    every degree, then stably sorted by the code of its odd part,
-    ``code % radix ** n_odd``: the numbering ``homology.betti_row`` holds.
+    Each piece is in lex order, listed with one tail memo for every degree.
+    Int order of the codes is the numbering ``homology.betti_row`` holds:
+    odd letters first, then even ones.
     """
-    radix, tails, zero = max(degrees) + 1, {}, (0,) * len(gs.torus)
-    odd = radix ** len(gs.odd_ids)
-    bases = {}
-    for m in degrees:
-        monos, codes = _basis(gs, gs.torus, (m, w) + zero, radix, tails)
-        order = sorted(range(len(codes)), key=[code % odd for code in codes].__getitem__)
-        bases[m] = [monos[c] for c in order], [codes[c] for c in order]
-    return radix, bases
+    tails, zero = {}, (0,) * len(gs.torus)
+    return {m: _basis(gs, gs.torus, (m, w) + zero, tails)[1:] for m in degrees}
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
@@ -259,28 +274,31 @@ def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]], n_even: int,
-                    powers: list[int], cols: list[tuple[int, ...]], codes: list[int],
+                    digits: list[int], tails: list[tuple[int, ...]], codes: list[int],
                     row_index: dict[int, int]) -> list[dict[int, int]]:
-    """D_w times the boundary of each monomial of ``cols``, in any order, as {row: nonzero int}.
+    """D_w times the boundary of each column, in any order, as {row: nonzero int}.
 
     ``brackets`` is ``GeneratorSystem.int_brackets(w)[1]`` for the weight w
-    of the columns, ``n_even`` the number of even generators, ``powers`` the
-    digits R^(n-1-x) of the code's radix R (above every exponent of a column
-    or a target), ``codes`` the codes of ``cols`` and ``row_index`` {code:
-    row}.  Each pair of the table builds its signed terms (case A, B or C of
-    the module docstring) once per even part and gives them to each column
-    of the part, times its position pairs.  A target code missing from
-    ``row_index`` raises ``KeyError``.
+    of the columns, ``n_even`` the number of even generators, ``digits`` the
+    place values of the weight's code (``_digits``), ``tails`` the odd parts
+    of the columns, ``codes`` their codes and ``row_index`` {code: row}.
+    Each pair of the table builds its signed terms (case A, B or C of the
+    module docstring) once per even part, the low n_even bits of a code, and
+    gives them to each column of the part, times its position pairs.  A
+    target code missing from ``row_index`` raises ``KeyError``.
     """
-    out: list[dict[int, int]] = [{} for _ in cols]
-    parts: dict[tuple[int, ...], list[int]] = {}
-    for c, exps in enumerate(cols):
-        parts.setdefault(exps[:n_even], []).append(c)
-    pairs = [(i, j, [(coeff, k, powers[k] - powers[i] - powers[j]) for coeff, k in bracket])
+    out: list[dict[int, int]] = [{} for _ in codes]
+    parts: dict[int, list[int]] = {}
+    mask = (1 << n_even) - 1
+    for c, code in enumerate(codes):
+        parts.setdefault(code & mask, []).append(c)
+    pairs = [(i, j, i - n_even, j - n_even,
+              [(coeff, k, digits[k] - digits[i] - digits[j]) for coeff, k in bracket])
              for (i, j), bracket in brackets.items()]
-    for part, members in parts.items():
+    for key, members in parts.items():
+        part = [key >> x & 1 for x in reversed(range(n_even))]  # id 0 is the leading bit
         start = list(accumulate(part, initial=0))  # s(x) at each even id x: even letters only
-        for i, j, bracket in pairs:
+        for i, j, oi, oj, bracket in pairs:
             if i < n_even:
                 if not part[i] or j < n_even and not part[j]:
                     continue  # the part lacks an even letter of the pair
@@ -297,9 +315,9 @@ def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
                     s = si + start[j] - 1 - start[k] + (i < k) + (j < k)  # C
                 terms.append((-coeff if s % 2 else coeff, shift))
             for c in members if terms else ():
-                exps = cols[c]
-                ei = exps[i]
-                mult = ei * (ei - 1) // 2 if j == i else ei * exps[j]
+                odd = tails[c]  # the position pairs: 1 in C, e_j in A, e_i e_j or C(e_i, 2) in B
+                ej = odd[oj] if oj >= 0 else 1
+                mult = ej if oi < 0 else ej * (ej - 1) // 2 if oi == oj else odd[oi] * ej
                 if not mult:
                     continue  # an odd letter of the pair is missing, or alone with itself
                 column, code = out[c], codes[c]
@@ -313,20 +331,21 @@ def _boundary_terms(brackets: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     return out
 
 
-def boundary_columns(gs: GeneratorSystem, w: int, radix: int, cols: list[tuple[int, ...]],
+def boundary_columns(gs: GeneratorSystem, w: int, tails: list[tuple[int, ...]],
                      codes: list[int], rows: dict[int, int]) -> list[dict[int, int]]:
-    """D_w times the boundary of each weight-w monomial of ``cols``, as int columns.
+    """D_w times the boundary of each weight-w monomial, given by odd tail and code, as int
+    columns.
 
-    ``codes`` are their codes in ``radix``, and column c is {``rows``[code of
-    a target]: entry}, zeros not stored; D_w is ``gs.int_brackets(w)[0]``.
-    The caller picks the columns and numbers the rows: ``boundary_matrix``
-    takes every column, the table only those the cell above does not prove
-    dependent.  Nothing is assembled into an empty ``rows``.
+    Column c is {``rows``[code of a target]: entry}, zeros not stored; D_w
+    is ``gs.int_brackets(w)[0]``.  The caller picks the columns and numbers
+    the rows: ``boundary_matrix`` takes every column, the table only those
+    the cell above does not prove dependent.  Nothing is assembled into an
+    empty ``rows``.
     """
-    if not rows or not cols:
-        return [{} for _ in cols]
-    powers = [radix ** x for x in reversed(range(gs.count))]
-    return _boundary_terms(gs.int_brackets(w)[1], len(gs.even_ids), powers, cols, codes, rows)
+    if not rows or not codes:
+        return [{} for _ in codes]
+    return _boundary_terms(gs.int_brackets(w)[1], len(gs.even_ids), _digits(gs, w), tails,
+                           codes, rows)
 
 
 def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
@@ -339,13 +358,14 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     """
     if m < 1:
         raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
-    cols, codes = _basis(gs, (), (m, w), m + 1, {})
-    rows = _basis(gs, (), (m - 1, w), m + 1, {})[1]
+    tails = {}
+    _, cols, codes = _basis(gs, (), (m, w), tails)
+    rows = _basis(gs, (), (m - 1, w), tails)[2]
     matrix = RationalMatrix(len(rows), len(cols))
     scale = gs.int_brackets(w)[0]
     entries = matrix.entries
     index = dict(zip(rows, range(len(rows))))
-    for c, column in enumerate(boundary_columns(gs, w, m + 1, cols, codes, index)):
+    for c, column in enumerate(boundary_columns(gs, w, cols, codes, index)):
         for r, v in column.items():
             entries[r, c] = v if scale == 1 else Fraction(v, scale)
     return matrix

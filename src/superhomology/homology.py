@@ -22,15 +22,15 @@ dimensions (``chain.torus_pieces``) weigh each weight in the shares.
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
 Each weight runs from its top support degree down to degree 1.  The
-torus-weight-0 piece of each degree is listed with its int codes
-(``chain.numbered_bases``) and numbered once for the whole weight, by its
-odd letters, then its even ones: a stable sort of the lex order on the code
-of the odd part, ``code % R**n_odd``.  That one numbering gives the rows of
-the cell above and the columns of the cell itself.  The kept columns of the
-cell (w, m+1) enter elimination as the kernel's input rows, in lex order
-(sorted by their codes), so that a pivot (the lowest input column) is the
-first monomial of its reduced column in that numbering, the "lowest one" of
-persistence.  Let P be
+torus-weight-0 piece of each degree is listed in lex order with its int
+codes (``chain.numbered_bases``), whose int order is odd letters first, then
+even ones, and numbered once for the whole weight by one sort of its
+positions on their codes.  That one numbering gives the rows of the cell
+above and the columns of the cell itself.  The kept columns of the cell
+(w, m+1) enter elimination as the kernel's input rows in lex order, the
+listing less the skipped columns, so that a pivot (the lowest input
+column) is the first monomial of its reduced column in that numbering, the
+"lowest one" of persistence.  Let P be
 those pivot monomials.  A reduced column lies in the image of the boundary
 from degree m+1, which the boundary from degree m kills, and the reduced
 columns have distinct lowest ones in P.  So, by induction from the end of
@@ -238,14 +238,20 @@ def betti_row(gs: GeneratorSystem, w: int,
         return BettiRow(w, [], [], [], [])
     dims = [chain_dim(gs, m, w) for m in degrees]
     ranks, piece_dims = _piece_ranks(gs, w, degrees)
-    radix, bases = numbered_bases(gs, w, degrees)  # {m: (monomials, codes)} in one numbering
-    # the pivot monomials of the last ranked cell and its probe vector over them, keyed by degree
+    bases = numbered_bases(gs, w, degrees)  # {m: (odd tails, codes)} in lex order
+    # each degree numbered once, odd letters first: (lex index at each number, {code: number})
+    numbered = {}
+    for m, (_, codes) in bases.items():
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        numbered[m] = order, dict(zip(map(codes.__getitem__, order), range(len(order))))
+    # lex indices of the pivot monomials of the last ranked cell and its probe vector over
+    # them, keyed by degree
     above: dict[int, tuple[set[int], dict[int, int]]] = {}
     for m in reversed(degrees):
         if m < 1:
             continue
-        (cols, codes), row_codes = bases[m], bases.get(m - 1, ([], []))[1]
-        shape = (len(row_codes), len(cols))
+        (tails, codes), (order, row_index) = bases[m], numbered.get(m - 1, ([], {}))
+        shape = (len(order), len(codes))
         counted = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
         if shape != counted:
             raise TableInvariantError(
@@ -253,11 +259,10 @@ def betti_row(gs: GeneratorSystem, w: int,
                 f"its counted piece {counted[0]} x {counted[1]}")
         skip, pushed = above.get(m, (set(), {}))
         # the kernel breaks ties in input order, and lex order keeps its fill-in low
-        kept = sorted([c for c in range(len(cols)) if c not in skip], key=codes.__getitem__)
+        kept = [c for c in range(len(codes)) if c not in skip]
         picked = kept + [c for c in pushed if c in skip]  # and the columns the probe reaches
         columns = dict(zip(picked, boundary_columns(
-            gs, w, radix, [cols[c] for c in picked], [codes[c] for c in picked],
-            dict(zip(row_codes, range(len(row_codes)))))))
+            gs, w, [tails[c] for c in picked], [codes[c] for c in picked], row_index)))
         composed: dict[int, int] = {}
         for c, x in pushed.items():
             for r, v in columns[c].items():
@@ -274,11 +279,13 @@ def betti_row(gs: GeneratorSystem, w: int,
             for r, v in columns[c].items():
                 push[r] = push.get(r, 0) + x * v
         report = rank_rows([columns[c] for c in kept])
-        report.pivots = [(r, kept[k]) for k, r in report.pivots]
-        above = {m - 1: ({r for r, _ in report.pivots}, {r: x for r, x in push.items() if x})}
+        above = {m - 1: ({order[r] for _, r in report.pivots},
+                         {order[r]: x for r, x in push.items() if x})}
         forced = ranks.get(m, 0)
         ranks[m] = forced + report.rank
-        if on_cell is not None:
+        if on_cell is not None:  # the pivots' only reader: (row, column) in the numbering
+            number = numbered[m][1]
+            report.pivots = [(r, number[codes[kept[k]]]) for k, r in report.pivots]
             on_cell(w, m, shape, report, forced)
 
     kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
@@ -337,7 +344,6 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
     try:
         if len(shares) > 1:
             import pickle  # here, not at the top: its import costs milliseconds
-            import signal
         for ws in shares[1:]:
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # the child never returns from here
@@ -360,10 +366,12 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
                                    f"{os.waitstatus_to_exitcode(status)} and no result")
             done += pickle.loads(data)
     finally:
-        for pid, pipe in children.items():  # left only by a raise: kill, then reap
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if children:  # left only by a raise: kill, then reap
+            import signal  # only here: its import costs most of a millisecond
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     rows = []
     for _, calls, row in sorted(done, key=itemgetter(0)):
         for call in calls:

@@ -19,8 +19,8 @@ from collections import Counter
 from fractions import Fraction
 
 from superhomology.algebra import StructureConstants, format_rational, parse_rational
-from superhomology.chain import (_basis, _boundary_terms, boundary_columns, boundary_matrix,
-                                 chain_basis, chain_dim, support_degrees)
+from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix,
+                                 chain_basis, chain_dim, numbered_bases, support_degrees)
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.ranklin import RationalMatrix, rank_report
 
@@ -205,30 +205,47 @@ class _Numbering(dict):
 
 def zero_piece_basis(gs, m, w) -> list:
     """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order, as the
-    lister walks them for the table (``numbered_bases`` then numbers them)."""
-    return _basis(gs, gs.torus, (m, w) + (0,) * len(gs.torus), m + 1, {})[0]
+    lister walks them for the table: ``numbered_bases`` codes decoded by ``code_monomial``."""
+    return [code_monomial(gs, w, code) for code in numbered_bases(gs, w, [m])[m][1]]
 
 
-def monomial_code(mono, radix) -> int:
-    """sum_x e_x R^(n-1-x), the code of a monomial in radix R: id 0 is the leading digit."""
-    return sum(e * radix ** (len(mono) - 1 - x) for x, e in enumerate(mono))
+def _digit_bases(gs, w) -> list:
+    """The base of each id's digit in a weight-w code, the leading digit first, as (id, base):
+    odd ids first, the first leading, each of base w // grade + 1, the most a weight-w
+    monomial holds plus one; then even ids, id 0 leading, each of base 2."""
+    return [(x, w // gs.grades[x] + 1) for x in gs.odd_ids] + [(x, 2) for x in gs.even_ids]
 
 
-def code_monomial(code, radix, n) -> tuple:
-    """The n-letter monomial of a code, its digits read from the last id up."""
-    digits = []
-    for _ in range(n):
-        code, e = divmod(code, radix)
-        digits.append(e)
-    return tuple(reversed(digits))
+def monomial_code(gs, w, mono) -> int:
+    """The code of a monomial in the mixed radix of weight w, by Horner's rule.
+
+    Raises ``ValueError`` if an exponent does not fit its digit.
+    """
+    code = 0
+    for x, base in _digit_bases(gs, w):
+        if not 0 <= mono[x] < base:
+            raise ValueError(f"exponent {mono[x]} of id {x} outside the weight-{w} digit")
+        code = code * base + mono[x]
+    return code
+
+
+def code_monomial(gs, w, code) -> tuple:
+    """The monomial of a weight-w code, its digits read from the last up."""
+    exps = [0] * gs.count
+    for x, base in reversed(_digit_bases(gs, w)):
+        code, exps[x] = divmod(code, base)
+    if code:
+        raise ValueError("code above the top digit")
+    return tuple(exps)
 
 
 def assemble(gs, w, cols, rows) -> list[dict[int, int]]:
-    """``boundary_columns`` of the monomials ``cols`` into the rows numbered in ``rows`` order,
-    each coded here by ``monomial_code`` in the radix one above every degree."""
-    radix = max(map(sum, cols + rows), default=0) + 1
-    index = {monomial_code(mono, radix): r for r, mono in enumerate(rows)}
-    return boundary_columns(gs, w, radix, cols, [monomial_code(c, radix) for c in cols], index)
+    """``boundary_columns`` of the weight-w monomials ``cols`` into the rows numbered in
+    ``rows`` order, each coded here by ``monomial_code``."""
+    index = {monomial_code(gs, w, mono): r for r, mono in enumerate(rows)}
+    n_even = len(gs.even_ids)
+    return boundary_columns(gs, w, [mono[n_even:] for mono in cols],
+                            [monomial_code(gs, w, mono) for mono in cols], index)
 
 
 def kernel_column(gs, mono) -> tuple[dict[tuple, int], set[tuple]]:
@@ -236,15 +253,17 @@ def kernel_column(gs, mono) -> tuple[dict[tuple, int], set[tuple]]:
     every target the kernel looked up on the way.
 
     The kernel numbers each target code as it first meets it, and each code
-    is decoded back into its exponent vector, so no row basis is listed.
+    is decoded back into its exponent vector, so no row basis is listed.  The
+    place value of each digit is the product of the bases below it.
     """
-    brackets = gs.int_brackets(monomial_weight(gs, mono))[1]
-    radix = sum(mono) + 1
-    powers = [radix ** (len(mono) - 1 - x) for x in range(len(mono))]
+    w, n_even = monomial_weight(gs, mono), len(gs.even_ids)
+    digits, place = [0] * gs.count, 1
+    for x, base in reversed(_digit_bases(gs, w)):
+        digits[x], place = place, place * base
     rows = _Numbering()
-    (column,) = _boundary_terms(brackets, len(gs.even_ids), powers, [mono],
-                                [monomial_code(mono, radix)], rows)
-    targets = {r: code_monomial(code, radix, len(mono)) for code, r in rows.items()}
+    (column,) = _boundary_terms(gs.int_brackets(w)[1], n_even, digits, [mono[n_even:]],
+                                [monomial_code(gs, w, mono)], rows)
+    targets = {r: code_monomial(gs, w, code) for code, r in rows.items()}
     return {targets[r]: v for r, v in column.items()}, set(targets.values())
 
 

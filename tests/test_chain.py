@@ -160,31 +160,36 @@ def test_torus_pieces_follow_the_count_tables_through_a_rebuild(name):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_listed_codes_are_lex_ordered_and_numbered_odd_first(name):
-    # the table lists each weight's zero pieces with one radix R, one above its top support
-    # degree, and one tail memo for every degree; each code is sum_x e_x R^(n-1-x), so the
-    # codes are distinct and in lex order, and the odd part code % R**n_odd orders the
-    # numbering betti_row holds.  heis3's cell (299, 300) has exponents up to 298.
-    # abelian5 and abelian6 stop at weights of 43,552 and 8,960 monomials (gl2 at w = 8 has
-    # 72,208), one weight short of 159,584 and 63,680.
+    # the table lists each weight's zero pieces in lex order, with one tail memo for every
+    # degree, as odd tails and codes in the weight's mixed radix: odd ids lead, each with a
+    # digit of base w // grade + 1, then one binary digit per even id.  So the codes are
+    # distinct, and their int order is the numbering betti_row holds, odd letters first.
+    # heis3's cell (299, 300) has exponents up to 298.  abelian5 and abelian6 stop at
+    # weights of 43,552 and 8,960 monomials (gl2 at w = 8 has 72,208), one weight short of
+    # 159,584 and 63,680.
     gs = generator_system(catalog_get(name, _ORDER_BINDS.get(name)))
     w_max = {"abelian5": 4, "abelian6": 2}.get(name, 8)
-    cells = [(gs, w, support_degrees(gs, w)) for w in range(w_max + 1)]
-    cells += [(gs, 300, [299])] if name == "heis3" else []
-    for gs, w, degrees in cells:
-        if not degrees:
-            continue
-        top = max(degrees) + 1
-        radix, bases = numbered_bases(gs, w, degrees)
-        assert radix == top and set(bases) == set(degrees), w
-        for m, (monos, codes) in bases.items():
+    n_even = len(gs.even_ids)
+    cells = [(w, support_degrees(gs, w)) for w in range(w_max + 1)]
+    cells += [(300, [299])] if name == "heis3" else []
+    for w, degrees in cells:
+        bases = numbered_bases(gs, w, degrees)
+        assert set(bases) == set(degrees), w
+        for m, (tails, codes) in bases.items():
             # the torus-weight-0 monomials of the cell, listed without a grading
             lex = [mono for mono in chain_basis(gs, m, w) if not any(torus_weight(gs, mono))]
             assert len(set(codes)) == len(codes) == len(lex), (w, m)
-            assert [mono for _, mono in sorted(zip(codes, monos))] == lex, (w, m)
-            assert codes == [monomial_code(mono, top) for mono in monos], (w, m)
-            assert monos == odd_first(gs, lex), (w, m)
-            odd_parts = [code % top ** len(gs.odd_ids) for code in codes]
-            assert odd_parts == sorted(odd_parts), (w, m)
+            assert tails == [mono[n_even:] for mono in lex], (w, m)
+            assert codes == [monomial_code(gs, w, mono) for mono in lex], (w, m)
+            assert [mono for _, mono in sorted(zip(codes, lex))] == odd_first(gs, lex), (w, m)
+    # every code of the benchmark tables fits one 30-bit CPython digit
+    w_bench = {"heis3": 25, "gl2": 6, "g3d3": 16}.get(name)
+    if w_bench is not None:
+        binds = {"alpha": F(2, 3), "beta": F(5, 7)} if name == "g3d3" else None
+        gs = generator_system(catalog_get(name, binds))
+        top = max(max(codes, default=0) for w in range(w_bench + 1)
+                  for _, codes in numbered_bases(gs, w, support_degrees(gs, w)).values())
+        assert 2 ** 16 < top < 2 ** 30, name
 
 
 def test_max_weight_is_the_heaviest_monomial():
@@ -563,18 +568,18 @@ def test_boundary_of_high_odd_powers_matches_word_oracle():
 
 
 def test_boundary_of_large_exponents_matches_word_oracle():
-    # a digit of the monomial code holds any exponent below the radix, one above the
-    # degree: an exponent >= 256 would spill out of a byte-wide digit
+    # the digit of an odd letter of grade g holds any exponent up to w // g, the most a
+    # weight-w monomial has: an exponent >= 256 would spill out of a byte-wide digit
     heis3, gl2 = (generator_system(catalog_get(name)) for name in ("heis3", "gl2"))
     pick = (1, 0, 0, 1, 2, 259, 37)
-    # a byte-wide code would give its target (.., 1, 260, 37) and the later row
-    # (.., 257, 3, 38) of this basis one code
+    # byte-wide odd digits would give its target (.., 1, 260, 37) and the row
+    # (.., 2, 3, 293) of this basis one code
     rows = chain_basis(heis3, 299, 300)
     (got,) = assemble(heis3, 300, [pick], rows)
     assert {(r, 0): v for r, v in got.items()} == _word_matrix(heis3, [pick], rows).entries != {}
     picks = [(heis3, pick), (gl2, (1, 0, 1, 0, 0, 1, 0, 0, 260, 10, 5, 8, 0, 3, 12)),
              # a power of the odd letter with a nonzero self-bracket, its exponent the
-             # radix less one
+             # top of its digit, w // g
              (heis3, (0, 0, 0, 0, 256, 0, 0)), (gl2, (0,) * 11 + (256, 0, 0, 0))]
     for gs, pick in picks:
         assert boundary_monomial(gs, pick) == word_boundary_monomial(gs, pick) != Chain(), pick

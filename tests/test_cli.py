@@ -208,16 +208,14 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assembled = []
     real = homology.boundary_columns
 
-    def recording(gs, w, radix, cols, codes, rows):
-        columns = real(gs, w, radix, cols, codes, rows)
-        # the cell (w, m) read off a column monomial or a decoded row code; None when both
-        # are empty
-        row_monos = [code_monomial(code, radix, gs.count) for code in rows]
-        mono, shift = next(((basis[0], s) for basis, s in ((cols, 0), (row_monos, 1)) if basis),
-                           (None, 0))
+    def recording(gs, w, tails, codes, rows):
+        columns = real(gs, w, tails, codes, rows)
+        # the cell (w, m) read off a decoded column or row code; None when both are empty
+        mono, shift = next(((code_monomial(gs, w, basis[0]), s)
+                            for basis, s in ((codes, 0), (list(rows), 1)) if basis), (None, 0))
         cell = None if mono is None else (monomial_weight(gs, mono), monomial_degree(mono) + shift)
         assert cell is None or cell[0] == w
-        assembled.append((w, cell, len(rows), len(cols)))
+        assembled.append((w, cell, len(rows), len(codes)))
         return columns
 
     def in_report_order():

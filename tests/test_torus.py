@@ -200,13 +200,13 @@ def corrupted(move):
     return pieces
 
 def padded(gs, w, degrees):  # one monomial listed twice in each degree
-    radix, bases = real_basis(gs, w, degrees)
-    return radix, {m: (monos + monos[:1], codes + codes[:1]) for m, (monos, codes) in bases.items()}
+    bases = real_basis(gs, w, degrees)
+    return {m: (tails + tails[:1], codes + codes[:1]) for m, (tails, codes) in bases.items()}
 
 def flipped():  # one sign flipped in each column of the second cell from the top
     calls = []
-    def columns_of(gs, w, radix, cols, codes, rows):
-        out = real_columns(gs, w, radix, cols, codes, rows)
+    def columns_of(gs, w, tails, codes, rows):
+        out = real_columns(gs, w, tails, codes, rows)
         calls.append(w)
         if calls.count(w) == 2:
             for column in out:
