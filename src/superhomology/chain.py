@@ -10,8 +10,9 @@ and lowers degree by 1, so each weight gives a finite complex.
 Which monomials exist is recorded in one suffix table per generator id,
 built from the last id to the first: table i counts the ways the ids >= i
 reach each (degree, weight, torus weight) up to a weight bound, the torus
-weight being empty without a grading (``GeneratorSystem.torus``).  The
-counts are read off table 0.  A basis walks the ids in order and keeps an
+weight being empty without a grading and ending with the number of split
+letters where there are any (``GeneratorSystem.grading``).  The counts are
+read off table 0.  A basis walks the ids in order and keeps an
 exponent only if the next table reaches what is left, so the walk meets no
 dead end, comes out in lex order, and lists the torus-weight-0 piece
 without touching another monomial.  The tables of each coordinate set, and
@@ -146,7 +147,7 @@ def _tables(gs: GeneratorSystem, coords: tuple, w: int) -> tuple:
 
 def count_up_to(gs: GeneratorSystem, w_max: int) -> None:
     """Build the table of each coordinate set once for every weight up to w_max."""
-    for coords in {(), gs.torus}:
+    for coords in {(), gs.grading}:
         _tables(gs, coords, w_max)
 
 
@@ -182,9 +183,10 @@ def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int,
     """{torus weight: {degree: dim}} of the pieces of the weight-w complex, by counting.
 
     The boundary keeps the torus weight, so each piece is a subcomplex.
-    Without a grading there is one piece, keyed ().  Pieces are fresh dicts.
+    Without a grading there is one piece, keyed ().  With split letters a key
+    ends with their number (``GeneratorSystem.grading``).  Pieces are fresh dicts.
     """
-    return {torus: dict(dims) for torus, dims in _tables(gs, gs.torus, w)[3].get(w, {}).items()}
+    return {key: dict(dims) for key, dims in _tables(gs, gs.grading, w)[3].get(w, {}).items()}
 
 
 def _walk(gs: GeneratorSystem, coords: tuple, entry: tuple, ids: list[int], parts: list) -> list:
@@ -254,14 +256,15 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
 
 def numbered_bases(gs: GeneratorSystem, w: int,
                    degrees: list[int]) -> dict[int, tuple[list[tuple[int, ...]], list[int]]]:
-    """{m: (odd tails, codes)} of the torus-weight-0 piece of each degree at weight w.
+    """{m: (odd tails, codes)} of the torus-weight-0 piece of each degree at weight w, less
+    every monomial with a split letter (``torus_pieces``).
 
     Each piece is in lex order, listed with one tail memo for every degree.
     Int order of the codes is the numbering ``homology.betti_row`` holds:
     odd letters first, then even ones.
     """
-    tails, zero = {}, (0,) * len(gs.torus)
-    return {m: _basis(gs, gs.torus, (m, w) + zero, tails)[1:] for m in degrees}
+    tails, zero = {}, (0,) * len(gs.grading)
+    return {m: _basis(gs, gs.grading, (m, w) + zero, tails)[1:] for m in degrees}
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:

@@ -23,6 +23,7 @@ It makes the direct sum of all levels a Z-graded Lie superalgebra.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -180,6 +181,18 @@ def schouten(sc: StructureConstants, a: Multivector, b: Multivector) -> Multivec
     return out
 
 
+def _grow(rows: list, v: list) -> bool:
+    """Add v to the echelon ``rows``, [(pivot, row)], unless it lies in their span; say so."""
+    for p, r in rows:
+        if v[p]:
+            f = v[p] / r[p]
+            v = [a - f * b for a, b in zip(v, r)]
+    p = next((i for i, x in enumerate(v) if x), None)
+    if p is not None:
+        rows.append((p, v))
+    return p is not None
+
+
 class Generator:
     """One generator of the superalgebra: a named basis element of some level."""
 
@@ -297,10 +310,53 @@ class GeneratorSystem:
         self._int_cache: dict[int, tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]] = {}
         # owned by chain._tables: coords -> (bound, suffix tables, choices, view); no basis kept
         self._count_cache: dict[tuple, tuple[int, list[dict], dict, dict]] = {}
+        # 1 at each split letter of a system ``ranked`` returns, () on any other
+        self.split: tuple[int, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.sc.dim
+
+    @property
+    def grading(self) -> tuple[tuple[int, ...], ...]:
+        """The coordinates the chain spaces split by: ``torus``, then ``split`` if any."""
+        return self.torus + (self.split,) if self.split else self.torus
+
+    @cached_property
+    def ranked(self) -> "GeneratorSystem":
+        """The system ``homology.betti_table`` ranks: ``self``, or one whose ``split``
+        letters span C, a complement of Z(g) n [g, g] in the center Z(g).  That is a
+        copy of ``self`` sharing its memos if they are canonical level-1 letters with
+        zero coordinates on [g, g], else a system on the structure constants in the
+        level-1 basis C, then [g, g], then the rest, each preferring given vectors."""
+        if self.split:
+            return self
+        n, brackets, rows, gg = self.dim, [list(v) for v in self.sc.entries.values()], [], []
+        units = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):  # echelon of (ad e_i, e_i): the rows with no ad part span Z(g)
+            _grow(rows, [c for j in range(n) for c in self.sc.bracket(i + 1, j + 1)] + units[i])
+        center = [r[n * n:] for p, r in rows if p >= n * n]
+        for v in brackets:
+            _grow(gg, v)
+        rows = list(gg)
+        split = [z for z in center if _grow(rows, z)]
+        if not split:
+            return self
+        given = [i for i in range(n) if units[i] in split and not any(v[i] for v in brackets)]
+        if len(given) == len(split) and all(
+                self.generators[i].expansion == Multivector.letter(i + 1) for i in range(n)):
+            ranked = copy.copy(self)
+        else:
+            rows, given = [], range(len(split))
+            basis = [v for v in split + [u for u in units + brackets if not _grow(list(gg), u)]
+                     + units if _grow(rows, v)]
+            level1 = GeneratorSystem(self.sc, {1: [
+                ("", Multivector(1, dict(zip(wedge_basis(self.sc, 1), v)))) for v in basis]})
+            ranked = GeneratorSystem(StructureConstants(n, {(i + 1, j + 1): [
+                {k: c for c, k in level1.pair_bracket(i, j)}.get(k, 0) for k in range(n)]
+                for i in range(n) for j in range(i + 1, n)}, self.sc.name))
+        ranked.split = tuple(int(x in given) for x in range(self.count))
+        return ranked
 
     @cached_property
     def torus(self) -> tuple[tuple[int, ...], ...]:

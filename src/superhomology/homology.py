@@ -19,6 +19,14 @@ then r_{m+1} = dim_m - r_m.  Only the torus-weight-0 piece is assembled and
 eliminated; without a grading it is the whole complex.  Its counted
 dimensions (``chain.torus_pieces``) weigh each weight in the shares.
 
+A level-1 letter z central in g and outside [g, g] is central in L and
+outside [L, L], so L = L'' + kz, and by Künneth H(L) = H(L'') ⊗ Λ(z) (z is
+even, of weight 0).  ``betti_table`` runs on ``GeneratorSystem.ranked``,
+in a level-1 basis adapted to Z(g) and [g, g], whose c split letters are one
+more coordinate of the pieces.  The piece with j of them is C(c, j) copies of
+the one with none, j degrees up, as its counts must show, and has its ranks
+shifted so: only L'' is eliminated, and the row of L is checked.
+
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
 Each weight runs from its top support degree down to degree 1.  The
@@ -64,8 +72,10 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from operator import itemgetter
 from typing import Callable
 
@@ -182,13 +192,14 @@ class BettiTable:
 
 def _piece_ranks(gs: GeneratorSystem, w: int,
                  degrees: list[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Ranks forced by the nonzero torus pieces, and the dimensions of the zero piece.
+    """Ranks forced by the nonzero torus pieces of L'', and the dimensions of the zero piece.
 
-    Returns ({m: summed rank of the boundary from degree m over the nonzero
-    pieces}, {m: dim of the torus-weight-0 piece}).  Raises
-    :class:`TableInvariantError` unless the piece dimensions add up to
-    ``chain_dim``, and every forced rank lies in [0, min(rows, cols)] of its
-    piece, which at one past the top degree means the recurrence ends at 0.
+    Returns ({m: summed rank of the boundary from degree m over those pieces},
+    {m: dim of the zero piece}).  Raises :class:`TableInvariantError` unless
+    the piece dimensions add up to ``chain_dim``, every forced rank lies in
+    [0, min(rows, cols)] of its piece, which at one past the top degree means
+    the recurrence ends at 0, and each piece with split letters is the copies
+    of one without them that the module docstring says.
     """
     pieces = torus_pieces(gs, w)
     for m in set(degrees).union(*pieces.values()):
@@ -197,16 +208,22 @@ def _piece_ranks(gs: GeneratorSystem, w: int,
             raise TableInvariantError(
                 f"torus pieces at w={w}, m={m} add up to {total}, "
                 f"not chain_dim {chain_dim(gs, m, w)}")
-    zero = (0,) * len(gs.torus)
+    zero, split = (0,) * len(gs.grading), sum(gs.split)
     forced: dict[int, int] = {}
-    for torus, dims in pieces.items():
-        if torus == zero:
+    for key, dims in pieces.items():
+        if split and key[-1]:  # a copy of a piece of L'' (see the module docstring)
+            base, copies = key[:-1] + (0,), comb(split, key[-1])
+            if dims != {m + key[-1]: copies * d for m, d in pieces.get(base, {}).items()}:
+                raise TableInvariantError(f"piece {key} at w={w} is not {copies} copies of "
+                                          f"piece {base}, {key[-1]} degrees up")
+            continue
+        if key == zero:
             continue
         r = 0  # rank of the boundary into the lowest degree
         for m in range(min(dims), max(dims) + 2):
             if not 0 <= r <= min(dims.get(m, 0), dims.get(m - 1, 0)):
                 raise TableInvariantError(
-                    f"forced rank {r} at w={w}, m={m}, torus weight {torus} is outside "
+                    f"forced rank {r} at w={w}, m={m}, torus weight {key} is outside "
                     f"[0, min({dims.get(m - 1, 0)}, {dims.get(m, 0)})]")
             forced[m] = forced.get(m, 0) + r
             r = dims.get(m, 0) - r
@@ -230,8 +247,8 @@ def betti_row(gs: GeneratorSystem, w: int,
     ``on_cell(w, m, shape, report, forced)`` receives the (rows, cols) shape
     of the piece, the report with its pivots as (row, column) of the piece
     with both degrees numbered odd letters first (see the module docstring),
-    and the rank the other pieces add to it; the cells of a weight come from
-    the top degree down.
+    and the rank the other pieces of L'' add to it; the cells of a weight come
+    from the top degree down.
     """
     degrees = support_degrees(gs, w)
     if not degrees:
@@ -288,6 +305,9 @@ def betti_row(gs: GeneratorSystem, w: int,
             report.pivots = [(r, number[codes[kept[k]]]) for k, r in report.pivots]
             on_cell(w, m, shape, report, forced)
 
+    split = sum(gs.split)  # Künneth: the ranks of L'', C(split, j) times each, j degrees up
+    ranks = {m: sum(comb(split, j) * ranks.get(m - j, 0) for j in range(split + 1))
+             for m in range(degrees[0], degrees[-1] + 2)}
     kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
     betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]
     row = BettiRow(w, degrees, dims, kernels, betti)
@@ -296,8 +316,10 @@ def betti_row(gs: GeneratorSystem, w: int,
 
 
 def _workers() -> int:
-    """The CPUs this process may run on, or 1 without ``os.sched_getaffinity`` (Linux only)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """The CPUs this process may run on; 1 without ``os.sched_getaffinity`` (Linux only) or
+    while another thread runs, as a child forked then can deadlock on a lock it held."""
+    alone = threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if alone else 1
 
 
 def _shares(gs: GeneratorSystem, w_max: int) -> list[list[int]]:
@@ -307,7 +329,7 @@ def _shares(gs: GeneratorSystem, w_max: int) -> list[list[int]]:
     weight weighs its counted torus-weight-0 dimensions (``torus_pieces``).
     The first share is the caller's, which also gathers the others.
     """
-    zero = (0,) * len(gs.torus)
+    zero = (0,) * len(gs.grading)
     size = [sum(torus_pieces(gs, w).get(zero, {}).values()) for w in range(w_max + 1)]
     shares = [[0, []] for _ in range(max(1, min(_workers(), w_max + 1)))]
     for w in sorted(range(w_max + 1), key=size.__getitem__, reverse=True):
@@ -321,12 +343,15 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
                 on_cell: CellCallback | None = None) -> BettiTable:
     """Checked rows for every weight up to w_max, named from ``gs.sc.name``.
 
-    The first share of ``_shares`` runs here, each other one in a forked
-    child that sends its rows and ``on_cell`` calls through a pipe.  Where a
-    weight raises, the calls before its raise are replayed, then it raises.
-    Every child is reaped (killed first if this process raises), and one
-    that dies without a result raises ``RuntimeError``.
+    The rows come from ``gs.ranked``, which eliminates L'' only (see the
+    module docstring); ``on_cell`` describes its cells.  The first share of
+    ``_shares`` runs here, each other one in a forked child that sends its
+    rows and ``on_cell`` calls through a pipe.  Where a weight raises, the
+    calls before its raise are replayed, then it raises.  Every child is
+    reaped (killed first if this process raises), and one that dies without
+    a result raises ``RuntimeError``.
     """
+    gs = gs.ranked
     count_up_to(gs, w_max)
     shares, children, done = _shares(gs, w_max), {}, []
 

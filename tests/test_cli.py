@@ -270,14 +270,16 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         assert [r["rows"], r["cols"]] == list(map(int, header.split()))
         assert r["forced_rank"] == 0 and r["cell_rank"] == r["rank"]
 
-    # gl2 is graded: only the torus-weight-0 piece is eliminated, the dump stays whole
+    # gl2 is graded and splits off z = e1 + e4: only the torus-weight-0 piece of L'' is
+    # eliminated, in the adapted basis of gl2.ranked, and the dump stays whole, in gl2's basis
     assembled.clear()
     gl2_dir = tmp_path / "gl2"
     gl2_report = tmp_path / "gl2.json"
     code, _, _ = run(["table", "--algebra", "gl2", "--wmax", "3", "--format", "csv",
                       "--dump-matrix", str(gl2_dir), "--report", str(gl2_report)])
     assert code == 0
-    gs = generator_system(catalog_get("gl2"))
+    gs = generator_system(catalog_get("gl2")).ranked
+    assert sum(gs.split) == 1
     reports = json.loads(gl2_report.read_text())
     # one assembly per cell: the i-th assembly in report order made the i-th reported
     # matrix, and its cell is that report's wherever a basis monomial names it
@@ -287,12 +289,15 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         assert cell in (None, reported) and rows == r["rows"] and cols <= r["cols"]
     assert any(cell for _, cell, _, _ in assembled)
     assert any(r["forced_rank"] for r in reports)
+    cell_ranks = {(r["w"], r["m"]): r["cell_rank"] for r in reports}
     for r in reports:
         w, m = r["w"], r["m"]
         with open(gl2_dir / f"boundary_w{w}_m{m}.txt", encoding="utf-8") as fh:
             whole = load_matrix(fh)
         assert (whole.rows, whole.cols) == (chain_dim(gs, m - 1, w), chain_dim(gs, m, w))
-        assert r["cell_rank"] == r["rank"] + r["forced_rank"] == naive_rank(whole)
+        # the cells are those of L'', and by Künneth a cell of L has the rank of two of them
+        assert r["cell_rank"] == r["rank"] + r["forced_rank"]
+        assert r["cell_rank"] + cell_ranks.get((w, m - 1), 0) == naive_rank(whole)
         piece = zero_piece_matrix(gs, m, w)
         assert (r["rows"], r["cols"]) == (piece.rows, piece.cols)
         assert len(r["pivots"]) == r["rank"] <= min(piece.rows, piece.cols)
@@ -316,7 +321,7 @@ PINNED_DUMPS = [
      "48b63a80bd953c90290528e5d8a91bb5cdf74518cf5b48be1c584ddd53a3bcf7"),
     (["--algebra", "gl2", "--wmax", "3"],
      "5f1411677660ffdf6d771cb9f00a4cf3342ace45ee185f2afaf9e51545cc99d0",
-     "643356a25013ec801cb4ec099325cc1ca96223a547861c0da3bd8aaab915f2ae"),
+     "36b81fb90270eb349178b9b610f8902e946d15f375dd5126e4d8c25ba790961d"),
     (["--algebra", "sl2_efh", "--wmax", "8"],
      "1057698ad62d3f89d96ef8e0f3705dedb0054fce32bd752c048bee78ca2cba3c",
      "7aa60bcc85ba572367841572fb818d911aa170bae310675c7e3fa9ca371be6ea"),

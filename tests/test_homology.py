@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -7,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from fractions import Fraction as F
 from math import comb
@@ -90,6 +92,23 @@ def test_gl2_low_weights():
     gs = generator_system(catalog_get("gl2"))
     assert betti_row(gs, 0).betti == [1, 1, 0, 1, 1]
     assert betti_row(gs, 2).betti == [0, 2, 2, 0, 2, 2]
+
+
+# gl2 beyond the published rows 0-5 (expected/gl2.json): w -> (lowest degree, Betti numbers)
+GL2_ROWS = {6: (2, [0, 1, 1, 0, 3, 3, 0, 2, 2]), 7: (3, [0, 0, 1, 2, 1, 1, 2, 1, 0]),
+            8: (3, [0, 1, 2, 1, 1, 4, 3, 0, 2, 2]), 9: (3, [0, 1, 1, 0, 2, 3, 1, 1, 2, 1, 0]),
+            10: (4, [0, 0, 1, 2, 1, 1, 4, 3, 0, 2, 2])}
+
+
+def test_gl2_rows_6_to_10_are_pinned():
+    # the JSON digest is that of the table computed on gl2's catalog basis, with z = e1 + e4
+    # kept in every cell
+    table = betti_table(generator_system(catalog_get("gl2")), 10)
+    for w, (low, betti) in GL2_ROWS.items():
+        row = table.row(w)
+        assert (row.degrees, row.betti) == (list(range(low, low + len(betti))), betti), w
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == \
+        "bf1442102ff4ee6b9177d93dd3814890154202749d2498187c733966574948f9"
 
 
 def test_row_invariants_validate(heis3_table):
@@ -345,13 +364,14 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
     monkeypatch.setattr(chain, "_suffix_tables", counted)
     # a forked worker's listings are not seen here, so every weight runs in this process
     monkeypatch.setattr(homology, "_workers", lambda: 1)
-    gs = generator_system(catalog_get(name))
-    betti_table(gs, w_max)
+    given = generator_system(catalog_get(name))
+    betti_table(given, w_max)
+    gs = given.ranked  # gl2's system in its adapted basis; heis3's own
     assert sum(listed) > 0
-    assert _held_monomials(vars(gs)) == 0
-    # what stays is one suffix-count table per torus coordinate set, built once at w_max
-    assert set(gs._count_cache) <= {(), gs.torus}
-    assert sorted(built) == sorted((coords, w_max) for coords in {(), gs.torus})
+    assert _held_monomials(vars(given)) == _held_monomials(vars(gs)) == 0
+    # what stays is one suffix-count table per coordinate set, built once at w_max
+    assert set(gs._count_cache) <= {(), gs.grading}
+    assert sorted(built) == sorted((coords, w_max) for coords in {(), gs.grading})
     for bound, tables, *_ in gs._count_cache.values():
         assert bound == w_max
         assert all(type(n) is int for table in tables for n in table.values())
@@ -391,7 +411,7 @@ def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, mo
 
 
 # the three benchmark tables and their summed fill-in
-BENCHMARK_TABLES = [("heis3", {}, 25, 0), ("gl2", {}, 6, 21_202),
+BENCHMARK_TABLES = [("heis3", {}, 25, 0), ("gl2", {}, 6, 1_378),
                     ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 16, 4_523)]
 
 
@@ -431,6 +451,35 @@ def test_the_worker_count_changes_no_table_and_no_cell(name, binds, w_max, fill_
         assert sum(report["fill_in"] for _, _, _, report, _ in calls) == fill_in
         seen.append((table.to_json(), calls))
     assert seen[0] == seen[1] == seen[2]
+    _no_child_is_left()
+
+
+def test_a_live_thread_keeps_every_share_in_this_process(monkeypatch):
+    # a child forked while another thread runs can deadlock on a lock that thread held, so
+    # the table then runs every weight here: the same JSON and on_cell calls as forked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert homology._workers() == 2
+    forked = []
+    want = betti_table(generator_system(catalog_get("gl2")), 6,
+                       on_cell=lambda *call: forked.append(_timeless(*call)))
+
+    def no_fork():
+        raise AssertionError("forked while another thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait, daemon=True)
+    helper.start()
+    try:
+        assert homology._workers() == 1
+        calls = []
+        got = betti_table(generator_system(catalog_get("gl2")), 6,
+                          on_cell=lambda *call: calls.append(_timeless(*call)))
+    finally:
+        stop.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive()
+    assert (got.to_json(), calls) == (want.to_json(), forked)
     _no_child_is_left()
 
 

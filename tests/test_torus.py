@@ -1,18 +1,21 @@
 """The torus split: grading detection, the whole-matrix second route,
-acyclic nonzero pieces, the twist, and the checks on forced ranks and d o d = 0."""
+acyclic nonzero pieces, the twist, and the checks on forced ranks and d o d = 0;
+and the split letters: the central level-1 letters outside [g, g]."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from superhomology import (betti_row, betti_table, catalog_get, catalog_names,
+from superhomology import (GeneratorSystem, betti_row, betti_table, catalog_get, catalog_names,
                            generator_system, homology, load_algebra, torus_pieces)
 from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
-from oracles import (assemble, naive_rank, numbered_piece_matrix, piece_tables,
+from oracles import (assemble, change_basis, dd_probe_every_column, naive_rank,
+                     numbered_piece_matrix, piece_tables, random_invertible,
                      whole_matrix_betti_table, zero_piece_basis, zero_piece_matrix)
 from test_chain import AFF1_SQUARED
 
@@ -100,12 +103,15 @@ def test_only_ints_reach_elimination(monkeypatch):
 
 
 def test_int_brackets_bracket_only_pairs_the_weight_can_reach():
-    # at w = 0 only the 45 level-1 pairs are bracketed; the torus detection
-    # skips the central level-1 generators and brackets nothing
+    # every level-1 letter is central and outside [g, g] = 0, so all of them split off and
+    # nothing is bracketed at w = 0; the torus detection skips the central level-1
+    # generators and brackets nothing.  Asked for, w = 0 brackets only the 45 level-1 pairs
     gs = generator_system(load_algebra({"name": "abelian10", "dim": 10, "brackets": []}))
     betti_table(gs, 0)
-    assert len(gs._pair_cache) == 45
+    assert sum(gs.ranked.split) == 10
+    assert len(gs._pair_cache) == 0
     assert gs.int_brackets(0) == (1, {})
+    assert len(gs._pair_cache) == 45
 
 
 def test_two_coordinate_grading_of_a_direct_sum():
@@ -160,8 +166,10 @@ def test_gl2_w7_ranks_pinned():
 @pytest.mark.parametrize("name, w_max", [("gl2", 4), ("heis3", 6)])
 def test_table_pivots_are_nonsingular_in_the_uncleared_piece(name, w_max):
     # the pivots name rows and columns of the piece with both degrees numbered odd
-    # part first, and they span a nonsingular submatrix of it
-    gs = generator_system(catalog_get(name))
+    # part first, and they span a nonsingular submatrix of it; on gl2 that is a piece of
+    # L'' in the adapted basis of the ranked system
+    given = generator_system(catalog_get(name))
+    gs = given.ranked
 
     def on_cell(w, m, shape, report, forced):
         piece = numbered_piece_matrix(gs, m, w)
@@ -171,7 +179,7 @@ def test_table_pivots_are_nonsingular_in_the_uncleared_piece(name, w_max):
                 square.set(i, j, piece.entries.get((r, c), 0))
         assert naive_rank(square) == report.rank, (w, m)
 
-    betti_table(gs, w_max, on_cell=on_cell)
+    betti_table(given, w_max, on_cell=on_cell)
 
 
 def test_gl2_w8_ranks_pinned():
@@ -252,3 +260,105 @@ def test_corrupted_piece_count_raises_under_optimize():
     assert done.returncode == 0, done.stderr
     _check_corruption_messages(done.stdout.splitlines())
 
+
+
+def _rows(table):
+    return [row.to_dict() for row in table.rows]
+
+
+def test_gl2_is_ranked_in_a_basis_adapted_to_its_center():
+    # z = e1 + e4 spans the center and lies outside [g, g] = span(e2, e3, e1 - e4): the
+    # ranked system is gl2 on (z, e, f, h) = (e1 + e4, e2, e3, e1 - e4), z its split letter
+    gs = generator_system(catalog_get("gl2"))
+    ranked = gs.ranked
+    assert ranked is not gs and ranked.split == (1,) + (0,) * 14 and not gs.split
+    assert {pair: list(map(int, vec)) for pair, vec in ranked.sc.entries.items()} == {
+        (2, 3): [0, 0, 0, 1], (2, 4): [0, -2, 0, 0], (3, 4): [0, 0, 2, 0]}
+    assert ranked.torus == ((0, 2, -2, 0, 0, 2, -2, 0, 2, -2, 0, 0, 2, -2, 0),)
+    assert ranked.grading == ranked.torus + (ranked.split,) and gs.grading == gs.torus
+
+
+@pytest.mark.parametrize("name, w_max, split", [("g3d1n", 10, 1), ("abelian3", 6, 3),
+                                                ("abelian4", 4, 4)])
+def test_the_split_route_equals_the_whole_matrix_route(name, w_max, split):
+    # the given basis is adapted already: its central letters outside [g, g] split off in a
+    # copy of the given system that shares its generators and memos
+    gs = generator_system(catalog_get(name))
+    got = _rows(betti_table(gs, w_max))
+    ranked = gs.ranked
+    assert ranked is not gs and ranked.generators is gs.generators
+    assert sum(ranked.split) == split and not gs.split
+    assert got == _rows(whole_matrix_betti_table(generator_system(catalog_get(name)), w_max))
+    assert not any(dd_probe_every_column(ranked, w) for w in range(w_max + 1))
+
+
+def test_the_split_route_on_gl2_equals_the_whole_matrix_route():
+    want = _rows(whole_matrix_betti_table(generator_system(catalog_get("gl2")), 6))
+    gs = generator_system(catalog_get("gl2"))
+    assert _rows(betti_table(gs, 6)) == want
+    assert not any(dd_probe_every_column(gs.ranked, w) for w in range(7))
+    # in two random bases the ranked system is rebuilt, ungraded and with D_w > 1; there
+    # the whole-matrix route takes over 30 s for the one cell (4, 5), so it runs to w = 2,
+    # and the catalog basis's whole-matrix table stands for it to w = 4
+    for seed in (1, 2):
+        sc = change_basis(catalog_get("gl2"), random_invertible(4, random.Random(f"gl2,{seed}")))
+        gs = generator_system(sc)
+        got = _rows(betti_table(gs, 4))
+        assert sum(gs.ranked.split) == 1 and not gs.ranked.torus and not gs.split
+        assert got == want[:5]
+        assert got[:3] == _rows(whole_matrix_betti_table(generator_system(sc), 2))
+        assert not any(dd_probe_every_column(gs.ranked, w) for w in range(5))
+
+
+@pytest.mark.parametrize("name, binds", [("heis3", {}), ("g3d3", {"alpha": "2/3", "beta": "5/7"}),
+                                         ("sl2_efh", {})])
+def test_an_algebra_without_split_letters_runs_on_the_given_system(name, binds, monkeypatch):
+    # its center lies in [g, g] (heis3) or is 0: the table runs on the given object, and
+    # no second system is built
+    real_row, real_init, seen, built = homology.betti_row, GeneratorSystem.__init__, set(), []
+    monkeypatch.setattr(homology, "betti_row",
+                        lambda gs, w, on_cell=None: seen.add(id(gs)) or real_row(gs, w, on_cell))
+    monkeypatch.setattr(GeneratorSystem, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    # a forked worker's rows are not seen here, so every weight runs in this process
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
+    gs = generator_system(catalog_get(name, binds))
+    built.clear()
+    betti_table(gs, 6)
+    assert gs.ranked is gs and not gs.split and seen == {id(gs)} and not built
+
+
+SPLIT_CORRUPT = """
+from superhomology import TableInvariantError, betti_row, catalog_get, generator_system, homology
+real_pieces = homology.torus_pieces
+
+def moved(gs, w):  # one monomial moved between two pieces with one split letter each
+    out = real_pieces(gs, w)
+    a, b = sorted(key for key in out if key[-1] == 1)[:2]
+    m = max(set(out[a]) & set(out[b]))
+    out[a][m] += 1
+    out[b][m] -= 1
+    return out
+
+homology.torus_pieces = moved
+try:
+    betti_row(generator_system(catalog_get("gl2")).ranked, 3)
+except TableInvariantError as exc:
+    print(exc)
+else:
+    print("accepted")
+homology.torus_pieces = real_pieces
+"""
+
+
+def test_a_piece_with_split_letters_must_count_as_copies(monkeypatch, capsys):
+    # the piece sums still match chain_dim, but a piece with a split letter is no longer
+    # the copy of its piece without one, one degree up; also under python -O
+    monkeypatch.setattr(homology, "torus_pieces", homology.torus_pieces)  # restored after
+    exec(compile(SPLIT_CORRUPT, "split_corrupt", "exec"), {})
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", SPLIT_CORRUPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for out in (capsys.readouterr().out, done.stdout):
+        assert out.count("\n") == 1 and "copies of piece" in out, out
