@@ -15,10 +15,9 @@ every construction.  Every coefficient in this package is an exact
 
 from __future__ import annotations
 
-import json
 import os
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 def parse_rational(text: str) -> Fraction:
@@ -200,6 +199,7 @@ def parse_algebra_document(doc, bindings: Mapping[str, Fraction | str] | None = 
     and the parameters the constraints name must be nonzero.
     """
     if isinstance(doc, (str, bytes)):
+        import json  # here, not at the top: a table never reads JSON text
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .algebra import (AlgebraError, JacobiError, catalog_entry, catalog_get, catalog_names,
@@ -170,7 +169,7 @@ def _cmd_table(args, out) -> int:
 
     def on_cell(w, m, shape, report, forced_rank):
         reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1],
-                        **asdict(report), "forced_rank": forced_rank,
+                        **dict(zip(report.FIELDS, report.fields())), "forced_rank": forced_rank,
                         "cell_rank": report.rank + forced_rank})
 
     table = _table(args, gs, params, on_cell if args.report else None)

@@ -23,12 +23,11 @@ It makes the direct sum of all levels a Z-graded Lie superalgebra.
 
 from __future__ import annotations
 
-import copy
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
-from typing import Iterable, Sequence
 
 from .algebra import AlgebraError, StructureConstants, format_rational
 from .ranklin import rank_rows
@@ -345,6 +344,7 @@ class GeneratorSystem:
         given = [i for i in range(n) if units[i] in split and not any(v[i] for v in brackets)]
         if len(given) == len(split) and all(
                 self.generators[i].expansion == Multivector.letter(i + 1) for i in range(n)):
+            import copy  # only here: no other path copies a system
             ranked = copy.copy(self)
         else:
             rows, given = [], range(len(split))

@@ -8,6 +8,9 @@ sum of the dimensions vanishes for every weight.  So the rows are computed
 apart: ``betti_table`` splits the weights into one share per CPU, runs one
 share here and each other one in a forked child, and returns the rows in w
 order, replaying the ``on_cell`` calls in the order one process makes them.
+A child hands back rows and calls as tuples of their fields with the built-in
+``marshal``; only a share that ends in a raise imports ``pickle``, for that
+exception.
 
 When the algebra has a torus grading (``GeneratorSystem.torus``), the
 weighted complex splits into pieces by torus weight.  A level-1 generator x
@@ -69,15 +72,14 @@ probe over every column.
 
 from __future__ import annotations
 
-import json
+import marshal
 import os
 import random
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 from operator import itemgetter
-from typing import Callable
 
 from .algebra import _integer, _known_keys, format_rational
 from .chain import (boundary_columns, chain_dim, count_up_to, numbered_bases, support_degrees,
@@ -93,15 +95,12 @@ class TableInvariantError(RuntimeError):
     """A computed row breaks an identity every Betti row must satisfy."""
 
 
-@dataclass
 class BettiRow:
     """One weight: parallel lists over the support degrees."""
 
-    w: int
-    degrees: list[int]
-    dims: list[int]
-    kernels: list[int]
-    betti: list[int]
+    def __init__(self, w: int, degrees: list[int], dims: list[int], kernels: list[int],
+                 betti: list[int]):
+        self.w, self.degrees, self.dims, self.kernels, self.betti = w, degrees, dims, kernels, betti
 
     def cell(self, degree: int) -> tuple[int, int, int]:
         """(space_dim, kernel_dim, betti) at a degree; empty degrees give zeros."""
@@ -135,11 +134,12 @@ class BettiRow:
                 "kernels": list(self.kernels), "betti": list(self.betti)}
 
 
-@dataclass
 class BettiTable:
-    algebra: str
-    params: dict[str, Fraction] = field(default_factory=dict)
-    rows: list[BettiRow] = field(default_factory=list)
+    def __init__(self, algebra: str, params: dict[str, Fraction] | None = None,
+                 rows: list[BettiRow] | None = None):
+        self.algebra = algebra
+        self.params = {} if params is None else params
+        self.rows = [] if rows is None else rows
 
     def row(self, w: int) -> BettiRow | None:
         for r in self.rows:
@@ -155,6 +155,7 @@ class BettiTable:
         }
 
     def to_json(self) -> str:
+        import json  # here, not at the top: a table computed is not always written as JSON
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
@@ -346,36 +347,41 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
     The rows come from ``gs.ranked``, which eliminates L'' only (see the
     module docstring); ``on_cell`` describes its cells.  The first share of
     ``_shares`` runs here, each other one in a forked child that sends its
-    rows and ``on_cell`` calls through a pipe.  Where a weight raises, the
-    calls before its raise are replayed, then it raises.  Every child is
-    reaped (killed first if this process raises), and one that dies without
-    a result raises ``RuntimeError``.
+    rows and ``on_cell`` calls through a pipe as plain tuples of their fields,
+    with ``marshal``; the rows and reports are rebuilt here.  Where a weight
+    raises, the calls before its raise are replayed, then it raises; a child
+    pickles that exception, the one object ``marshal`` cannot carry.  Every
+    child is reaped (killed first if this process raises), and one that dies
+    without a result raises ``RuntimeError``.
     """
     gs = gs.ranked
     count_up_to(gs, w_max)
     shares, children, done = _shares(gs, w_max), {}, []
 
-    def run(ws: list[int]) -> list[tuple]:  # [(w, its on_cell calls, its row or exception)]
+    def run(ws: list[int]) -> list[tuple]:  # [(w, its on_cell calls, its row's fields)]
         out = []
         for w in ws:
             calls: list[tuple] = []
             try:
-                out.append((w, calls, betti_row(
-                    gs, w, (lambda *call: calls.append(call)) if on_cell else None)))
-            except Exception as exc:  # the share ends at its first raise
+                row = betti_row(gs, w, (lambda w, m, shape, report, forced: calls.append(
+                    (w, m, shape, report.fields(), forced))) if on_cell else None)
+            except Exception as exc:  # the share ends at its first raise, with its exception
                 return out + [(w, calls, exc)]
+            out.append((w, calls, (row.w, row.degrees, row.dims, row.kernels, row.betti)))
         return out
 
     try:
-        if len(shares) > 1:
-            import pickle  # here, not at the top: its import costs milliseconds
         for ws in shares[1:]:
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # the child never returns from here
                 status = 1
                 try:
+                    out = run(ws)
+                    if out and isinstance(out[-1][2], Exception):
+                        import pickle  # only after a raise: its import costs milliseconds
+                        out[-1] = out[-1][:2] + (pickle.dumps(out[-1][2]),)
                     with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(run(ws), pipe)
+                        marshal.dump(out, pipe)
                     status = 0
                 finally:
                     os._exit(status)
@@ -389,7 +395,7 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
             if status or not data:
                 raise RuntimeError(f"a table worker exited with status "
                                    f"{os.waitstatus_to_exitcode(status)} and no result")
-            done += pickle.loads(data)
+            done += marshal.loads(data)
     finally:
         if children:  # left only by a raise: kill, then reap
             import signal  # only here: its import costs most of a millisecond
@@ -399,11 +405,14 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
                 os.waitpid(pid, 0)
     rows = []
     for _, calls, row in sorted(done, key=itemgetter(0)):
-        for call in calls:
-            on_cell(*call)
+        for w, m, shape, report, forced in calls:
+            on_cell(w, m, shape, EliminationReport(*report), forced)
+        if isinstance(row, bytes):  # a child's exception
+            import pickle
+            row = pickle.loads(row)
         if isinstance(row, Exception):
             raise row
-        rows.append(row)
+        rows.append(BettiRow(*row))
     return BettiTable(algebra=gs.sc.name, params=dict(params or {}), rows=rows)
 
 
@@ -411,14 +420,14 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
 # Comparison against expected tables.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TableDiff:
     """Cell mismatches between a computed table and an expected document."""
 
-    mismatches: list[dict] = field(default_factory=list)
-    rows_checked: int = 0
-    rows_skipped: int = 0
-    cells_checked: int = 0
+    def __init__(self, mismatches: list[dict] | None = None, rows_checked: int = 0,
+                 rows_skipped: int = 0, cells_checked: int = 0):
+        self.mismatches = [] if mismatches is None else mismatches
+        self.rows_checked, self.rows_skipped = rows_checked, rows_skipped
+        self.cells_checked = cells_checked
 
     @property
     def ok(self) -> bool:

@@ -33,10 +33,10 @@ weights far beyond the tables computed here).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
+from io import TextIOBase
 from math import gcd, lcm
-from typing import Iterable, TextIO
 
 from .algebra import format_rational
 
@@ -86,16 +86,15 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
-    def dump(self, fh: TextIO) -> None:
+    def dump(self, fh: TextIOBase) -> None:
         """Header "rows cols", then "r c p/q" sorted by (r, c)."""
         fh.write(f"{self.rows} {self.cols}\n")
         for (r, c) in sorted(self.entries):
             fh.write(f"{r} {c} {format_rational(self.entries[(r, c)])}\n")
 
 
-@dataclass
 class EliminationReport:
-    """What one elimination did; the fields are in ``--report`` key order.
+    """What one elimination did; ``FIELDS`` is their order, that of the ``--report`` keys.
 
     ``pivots`` are (row, column) of the input in the order they were found
     (``homology.betti_row`` maps each input row to the column of the piece it
@@ -104,12 +103,16 @@ class EliminationReport:
     ``nonzero_rows`` counts the rows that entered with entries.
     """
 
-    rank: int
-    pivots: list[tuple[int, int]]
-    fill_in: int
-    nonzero_rows: int
-    elapsed: float
-    backend: str = BACKEND
+    FIELDS = ("rank", "pivots", "fill_in", "nonzero_rows", "elapsed", "backend")
+
+    def __init__(self, rank: int, pivots: list[tuple[int, int]], fill_in: int,
+                 nonzero_rows: int, elapsed: float, backend: str = BACKEND):
+        self.rank, self.pivots, self.fill_in = rank, pivots, fill_in
+        self.nonzero_rows, self.elapsed, self.backend = nonzero_rows, elapsed, backend
+
+    def fields(self) -> tuple:
+        """The field values in ``FIELDS`` order: ``EliminationReport(*r.fields())`` copies r."""
+        return tuple(getattr(self, name) for name in self.FIELDS)
 
 
 def _integer_rows(matrix: RationalMatrix) -> list[dict[int, int]]:

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import asdict
 from fractions import Fraction as F
 from math import comb
 
@@ -428,7 +427,7 @@ def test_benchmark_tables_fill_in_is_pinned(name, binds, w_max, fill_in):
 def _timeless(*call):
     """An ``on_cell`` call with its report as a dict, less the elapsed time."""
     w, m, shape, report, forced = call
-    return w, m, shape, {**asdict(report), "elapsed": None}, forced
+    return w, m, shape, {**dict(zip(report.FIELDS, report.fields())), "elapsed": None}, forced
 
 
 def _no_child_is_left():
@@ -541,6 +540,25 @@ def test_a_dead_worker_or_an_interrupt_leaves_no_process(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         betti_table(generator_system(catalog_get("heis3")), 10)
     _no_child_is_left()
+
+
+def test_a_forked_table_loads_no_module_it_does_not_use():
+    # a table's start-up time is mostly imports: none of these is on its path, forked
+    # shares included; -S keeps site's .pth files from loading any of them first
+    script = (
+        "import sys\n"
+        "from superhomology import betti_table, catalog_get, generator_system, homology\n"
+        "gs = generator_system(catalog_get('gl2'))\n"
+        "homology._workers = lambda: 2\n"
+        "assert len(betti_table(gs, 5).rows) == 6\n"
+        "print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'json', 'pickle', "
+        "'copy', 'typing'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_a_gap_in_the_support_skips_nothing(monkeypatch):
