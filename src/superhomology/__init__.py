@@ -15,8 +15,7 @@ from .algebra import (AlgebraError, CatalogError, JacobiError, StructureConstant
                       load_algebra, parse_algebra_document, parse_rational)
 from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, support_degrees,
                     torus_pieces)
-from .exterior import (GeneratorSystem, Multivector, bracket_table,
-                       generator_system, paper_level2_basis,
+from .exterior import (GeneratorSystem, Multivector, generator_system, paper_level2_basis,
                        render_bracket_table, schouten, wedge_basis)
 from .homology import (BettiRow, BettiTable, TableDiff, TableInvariantError,
                        betti_row, betti_table, verify_table)
@@ -29,7 +28,7 @@ __all__ = [
     "CatalogError", "EliminationReport", "GeneratorSystem", "JacobiError",
     "Multivector", "RationalMatrix", "StructureConstants",
     "TableDiff", "TableInvariantError", "betti_row", "betti_table",
-    "boundary_matrix", "bracket_table", "catalog_get", "catalog_names",
+    "boundary_matrix", "catalog_get", "catalog_names",
     "chain_basis", "chain_dim", "check_jacobi",
     "format_monomial", "format_rational", "generator_system", "load_algebra",
     "paper_level2_basis", "parse_algebra_document",

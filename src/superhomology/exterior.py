@@ -30,7 +30,6 @@ from itertools import combinations
 from math import comb, lcm
 
 from .algebra import AlgebraError, StructureConstants, format_rational
-from .ranklin import rank_rows
 
 
 def wedge_basis(sc: StructureConstants, k: int) -> list[tuple[int, ...]]:
@@ -80,56 +79,10 @@ class Multivector:
         indices = tuple(indices)
         return cls(len(indices), {indices: Fraction(1)})
 
-    @classmethod
-    def letter(cls, i: int) -> "Multivector":
-        return cls(1, {(i,): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scaled(self, c) -> "Multivector":
-        c = Fraction(c)
-        return Multivector(self.level, {k: v * c for k, v in self.coeffs.items()} if c else {})
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.level != other.level:
-            raise AlgebraError("cannot add multivectors of different levels")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Multivector(self.level, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
     def __eq__(self, other):
         return (isinstance(other, Multivector)
                 and self.coeffs == other.coeffs
                 and (self.level == other.level or not self.coeffs))
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        """Classical exterior product (both factors are words of z-letters)."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for s, cs in self.coeffs.items():
-            for t, ct in other.coeffs.items():
-                norm = sort_indices(s + t)
-                if norm is None:
-                    continue
-                sign, idx = norm
-                v = out.get(idx, Fraction(0)) + sign * cs * ct
-                if v:
-                    out[idx] = v
-                else:
-                    out.pop(idx, None)
-        return Multivector(self.level + other.level, out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -180,12 +133,18 @@ def schouten(sc: StructureConstants, a: Multivector, b: Multivector) -> Multivec
     return out
 
 
-def _grow(rows: list, v: list) -> bool:
-    """Add v to the echelon ``rows``, [(pivot, row)], unless it lies in their span; say so."""
+def _reduce(rows: list, v: list) -> list:
+    """v less its parts along the echelon ``rows``, [(pivot, row)]: zero at every pivot."""
     for p, r in rows:
         if v[p]:
             f = v[p] / r[p]
             v = [a - f * b for a, b in zip(v, r)]
+    return v
+
+
+def _grow(rows: list, v: list) -> bool:
+    """Add v to the echelon ``rows`` unless it lies in their span; say so."""
+    v = _reduce(rows, v)
     p = next((i for i, x in enumerate(v) if x), None)
     if p is not None:
         rows.append((p, v))
@@ -214,26 +173,20 @@ class Generator:
 
 def _invert(expansions: dict[int, Multivector],
             order: list[tuple[int, ...]]) -> dict[tuple[int, ...], dict[int, Fraction]]:
-    """Canonical wedge -> {generator id: coefficient}, inverting an alias level's expansions."""
-    size = len(order)
-    row = {idx: r for r, idx in enumerate(order)}
-    aug = [[Fraction(0)] * (2 * size) for _ in range(size)]
+    """Canonical wedge -> {generator id: coefficient}, inverting an alias level's expansions.
+
+    Each expansion enters the echelon tagged with its generator (a unit vector after its
+    coordinates); a canonical wedge reduced to zero against them leaves minus its
+    coordinates in the tags.
+    """
+    size, rows = len(order), []
+    units = [[Fraction(r == c) for c in range(size)] for r in range(size)]
     for c, mv in enumerate(expansions.values()):
-        for idx, v in mv.coeffs.items():
-            aug[row[idx]][c] = v
-        aug[c][size + c] = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
+        _grow(rows, [mv.coeffs.get(idx, Fraction(0)) for idx in order] + units[c])
+        if rows[-1][0] >= size:  # its coordinates reduced to zero
             raise AlgebraError("alias basis is not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return {idx: {g: aug[pos][size + r] for pos, g in enumerate(expansions) if aug[pos][size + r]}
+    zero = [Fraction(0)] * size
+    return {idx: {g: -t for g, t in zip(expansions, _reduce(rows, units[r] + zero)[size:]) if t}
             for r, idx in enumerate(order)}
 
 
@@ -324,10 +277,13 @@ class GeneratorSystem:
     @cached_property
     def ranked(self) -> "GeneratorSystem":
         """The system ``homology.betti_table`` ranks: ``self``, or one whose ``split``
-        letters span C, a complement of Z(g) n [g, g] in the center Z(g).  That is a
-        copy of ``self`` sharing its memos if they are canonical level-1 letters with
-        zero coordinates on [g, g], else a system on the structure constants in the
-        level-1 basis C, then [g, g], then the rest, each preferring given vectors."""
+        letters span C, a complement of Z(g) n [g, g] in the center Z(g).  That one is built
+        on the structure constants in the level-1 basis C, then [g, g], then the rest, each
+        preferring given vectors, so that its split letters are its first c level-1 ids and
+        every level is a wedge of the adapted basis.  (Adapting level 1 alone, as an alias
+        level over the given constants, keeps the tables but fills in seven to nine times
+        as many entries on gl2.)  ``level1`` is such an alias system, built only to bracket
+        the new letters."""
         if self.split:
             return self
         n, brackets, rows, gg = self.dim, [list(v) for v in self.sc.entries.values()], [], []
@@ -341,21 +297,15 @@ class GeneratorSystem:
         split = [z for z in center if _grow(rows, z)]
         if not split:
             return self
-        given = [i for i in range(n) if units[i] in split and not any(v[i] for v in brackets)]
-        if len(given) == len(split) and all(
-                self.generators[i].expansion == Multivector.letter(i + 1) for i in range(n)):
-            import copy  # only here: no other path copies a system
-            ranked = copy.copy(self)
-        else:
-            rows, given = [], range(len(split))
-            basis = [v for v in split + [u for u in units + brackets if not _grow(list(gg), u)]
-                     + units if _grow(rows, v)]
-            level1 = GeneratorSystem(self.sc, {1: [
-                ("", Multivector(1, dict(zip(wedge_basis(self.sc, 1), v)))) for v in basis]})
-            ranked = GeneratorSystem(StructureConstants(n, {(i + 1, j + 1): [
-                {k: c for c, k in level1.pair_bracket(i, j)}.get(k, 0) for k in range(n)]
-                for i in range(n) for j in range(i + 1, n)}, self.sc.name))
-        ranked.split = tuple(int(x in given) for x in range(self.count))
+        rows = []
+        basis = [v for v in split + [u for u in units + brackets if not any(_reduce(gg, u))]
+                 + units if _grow(rows, v)]
+        level1 = GeneratorSystem(self.sc, {1: [
+            ("", Multivector(1, dict(zip(wedge_basis(self.sc, 1), v)))) for v in basis]})
+        ranked = GeneratorSystem(StructureConstants(n, {(i + 1, j + 1): [
+            {k: c for c, k in level1.pair_bracket(i, j)}.get(k, 0) for k in range(n)]
+            for i in range(n) for j in range(i + 1, n)}, self.sc.name))
+        ranked.split = tuple(int(x < len(split)) for x in range(self.count))
         return ranked
 
     @cached_property
@@ -375,6 +325,7 @@ class GeneratorSystem:
         """
         bracketed = {i for pair in self.sc.entries for i in pair}
         coords: list[tuple[int, ...]] = []
+        independent: list = []  # echelon of the kept coordinates
         for x in self.level_to_gens[1]:
             if not any(i in bracketed for (i,) in self.generators[x].expansion.coeffs):
                 continue
@@ -388,11 +339,9 @@ class GeneratorSystem:
                 else:
                     break
             else:
-                scale = lcm(*(c.denominator for c in eigen))
-                coord = tuple(int(c * scale) for c in eigen)
-                rows = [{g: t for g, t in enumerate(v) if t} for v in coords + [coord]]
-                if rank_rows(rows).rank > len(coords):
-                    coords.append(coord)
+                if _grow(independent, eigen):
+                    scale = lcm(*(c.denominator for c in eigen))
+                    coords.append(tuple(int(c * scale) for c in eigen))
         return tuple(coords)
 
     def to_generator_coords(self, mv: Multivector) -> dict[int, Fraction]:
@@ -502,16 +451,6 @@ def generator_system(sc: StructureConstants, basis: str = "canonical") -> Genera
 # ---------------------------------------------------------------------------
 # Pairwise bracket tables in the layout of the printed multiplication tables.
 # ---------------------------------------------------------------------------
-
-def bracket_table(gs: GeneratorSystem) -> dict[tuple[str, str], dict[str, Fraction]]:
-    """Complete pairwise table {(row name, col name): {gen name: coeff}}."""
-    table = {}
-    for gi in gs.generators:
-        for gj in gs.generators:
-            coords = gs.pair_bracket(gi.index, gj.index)
-            table[(gi.name, gj.name)] = {gs.generators[g].name: c for c, g in coords}
-    return table
-
 
 def _entry_text(coords: dict[str, Fraction]) -> str:
     if not coords:

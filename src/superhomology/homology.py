@@ -24,11 +24,13 @@ dimensions (``chain.torus_pieces``) weigh each weight in the shares.
 
 A level-1 letter z central in g and outside [g, g] is central in L and
 outside [L, L], so L = L'' + kz, and by Künneth H(L) = H(L'') ⊗ Λ(z) (z is
-even, of weight 0).  ``betti_table`` runs on ``GeneratorSystem.ranked``,
-in a level-1 basis adapted to Z(g) and [g, g], whose c split letters are one
-more coordinate of the pieces.  The piece with j of them is C(c, j) copies of
-the one with none, j degrees up, as its counts must show, and has its ranks
-shifted so: only L'' is eliminated, and the row of L is checked.
+even, of weight 0).  ``betti_table`` runs on ``GeneratorSystem.ranked``:
+the given system when there is no such letter, else the algebra rebuilt on
+its structure constants in a level-1 basis adapted to Z(g) and [g, g], whose
+first c letters split off and are one more coordinate of the pieces.  The
+piece with j of them is C(c, j) copies of the one with none, j degrees up, as
+its counts must show, and has its ranks shifted so: only L'' is eliminated,
+and the row of L is checked.
 
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).

@@ -8,10 +8,12 @@ eliminate through the kernel (checked against ``naive_rank`` elsewhere) but
 never take a rank from the torus split.  ``dd_probe_every_column`` is the
 d o d = 0 probe over every column, of which the table pushes a sample.
 The word layer (sorting words of
-generators with the super sign), ``Chain`` arithmetic, the matrix
+generators with the super sign), ``Chain`` arithmetic, multivector sums,
+multiples and wedges (``mv_add``, ``mv_scaled``, ``mv_wedge``), the matrix
 product and transpose, ``load_matrix`` (reads a ``--dump-matrix`` file),
-``algebra_document`` (writes a ``--file`` document) and ``change_basis``
-(the same algebra in another basis) live here too: only tests use them.
+``algebra_document`` (writes a ``--file`` document), ``change_basis``
+(the same algebra in another basis) and ``semidirect_product`` (seeded
+random Lie algebras) live here too: only tests use them.
 """
 
 import random
@@ -21,6 +23,7 @@ from fractions import Fraction
 from superhomology.algebra import StructureConstants, format_rational, parse_rational
 from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix,
                                  chain_basis, chain_dim, numbered_bases, support_degrees)
+from superhomology.exterior import Multivector, sort_indices
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.ranklin import RationalMatrix, rank_report
 
@@ -98,6 +101,51 @@ def change_basis(sc, B):
                             image[c] += B[a][i] * B[b][j] * x
             entries[(i + 1, j + 1)] = [sum(row[c] * image[c] for c in range(n)) for row in inverse]
     return StructureConstants(n, entries, name=sc.name)
+
+
+def semidirect_product(A, name="semidirect"):
+    """The Lie algebra Rx + R^n on (x, e_1, ..., e_n) with [x, e_i] = A e_i and [e_i, e_j] = 0.
+
+    The e_i span an abelian ideal, so the Jacobi identity holds for every
+    rational n x n matrix ``A`` (a list of rows).
+    """
+    n = len(A)
+    return StructureConstants(n + 1, {(1, i + 2): [0] + [A[k][i] for k in range(n)]
+                                      for i in range(n)}, name=name)
+
+
+def semidirect_matrix(n, kind, rng):
+    """A seeded n x n rational matrix A for ``semidirect_product``, of one ``kind``:
+
+    * ``diagonal``: nonzero integers, so ad x grades the algebra;
+    * ``singular``: the same with one zero, so that one e_i is central and
+      outside [g, g] = im A;
+    * ``jordan``: a Jordan block of a nonzero integer lam, of size n - 1 >= 2,
+      then -lam, so ad x is not semisimple;
+    * ``rational``: entries k / d with d in {2, 3}, so that D_w > 1, and
+      trace 0 (with a random trace only the row w = 0 is nonzero);
+    * ``conjugated``: P D P^-1, P from ``random_invertible`` and D a rational
+      diagonal with one zero, so that ker A, the center, is no e_i.
+    """
+    if kind == "rational":
+        A = [[Fraction(rng.randint(-2, 2), rng.choice([2, 3])) for _ in range(n)]
+             for _ in range(n)]
+        A[-1][-1] -= sum(A[i][i] for i in range(n))
+        return A
+    if kind == "jordan":
+        lam = rng.choice([-2, -1, 1, 2])
+        return [[(lam if r < n - 1 else -lam) if r == c else int(c == r + 1 < n - 1)
+                 for c in range(n)] for r in range(n)]
+    diag = [Fraction(rng.choice([-2, -1, 1, 2]),
+                     rng.choice([1, 2, 3]) if kind == "conjugated" else 1) for _ in range(n)]
+    if kind != "diagonal":
+        diag[rng.randrange(n)] = Fraction(0)
+    if kind != "conjugated":
+        return [[diag[r] if r == c else 0 for c in range(n)] for r in range(n)]
+    P = random_invertible(n, rng)
+    inverse = _inverse(P)
+    return [[sum(P[r][k] * diag[k] * inverse[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)]
 
 
 def sort_generator_word(gs, word):
@@ -193,6 +241,38 @@ class Chain:
         if not self.terms:
             return "Chain(0)"
         return "Chain(" + ", ".join(f"{c}*{m}" for m, c in sorted(self.terms.items())) + ")"
+
+
+def mv_add(*terms) -> Multivector:
+    """The sum of multivectors of one level; a zero term may have any level."""
+    nonzero = [mv for mv in terms if mv.coeffs]
+    if len({mv.level for mv in nonzero}) > 1:
+        raise ValueError("cannot add multivectors of different levels")
+    coeffs = {}
+    for mv in nonzero:
+        for idx, c in mv.coeffs.items():
+            coeffs[idx] = coeffs.get(idx, 0) + c
+    return Multivector((nonzero or terms)[0].level, coeffs)
+
+
+def mv_scaled(mv, c) -> Multivector:
+    return Multivector(mv.level, {idx: v * c for idx, v in mv.coeffs.items()})
+
+
+def mv_wedge(a, b) -> Multivector:
+    """Classical exterior product (both factors are words of z-letters)."""
+    out = {}
+    for s, cs in a.coeffs.items():
+        for t, ct in b.coeffs.items():
+            norm = sort_indices(s + t)
+            if norm is not None:
+                sign, idx = norm
+                out[idx] = out.get(idx, 0) + sign * cs * ct
+    return Multivector(a.level + b.level, out)
+
+
+def mv_is_zero(mv) -> bool:
+    return not mv.coeffs
 
 
 class _Numbering(dict):

@@ -14,13 +14,14 @@ from math import comb
 
 import pytest
 
-from superhomology import (BettiTable, TableInvariantError, betti_row,
-                           betti_table, catalog_get, generator_system, homology,
-                           verify_table)
+from superhomology import (BettiTable, GeneratorSystem, Multivector, TableInvariantError,
+                           betti_row, betti_table, catalog_get, generator_system, homology,
+                           verify_table, wedge_basis)
 from superhomology import chain
 
 from conftest import EXPECTED_DIR, REPO_ROOT
-from oracles import change_basis, dd_probe_every_column, euler_check, random_invertible
+from oracles import (change_basis, dd_probe_every_column, euler_check, mv_add, mv_scaled,
+                     random_invertible)
 
 
 @pytest.fixture(scope="module")
@@ -158,36 +159,51 @@ def test_heis3_to_w40_equals_the_closed_form():
     assert [row.to_dict() for row in table.rows[1:]] == gen_expected.central_rows(40)
 
 
+def random_invertible_basis(sc, level, rng):
+    """A seeded alias basis of one level: unit triangular in a shuffled order, so invertible."""
+    elements = wedge_basis(sc, level)
+    size = len(elements)
+    perm = list(range(size))
+    rng.shuffle(perm)
+    basis = []
+    for i in range(size):
+        coeffs = {elements[perm[i]]: F(rng.choice([1, -1, 2, F(1, 2), F(-2, 3)]))}
+        for j in range(i):
+            if rng.random() < 0.5:
+                coeffs[elements[perm[j]]] = F(rng.randint(-2, 2), rng.randint(1, 2))
+        basis.append((f"b{i + 1}", Multivector(level, coeffs)))
+    return basis
+
+
 def test_betti_invariant_under_random_alias_bases():
-    import random
-
-    from superhomology import GeneratorSystem, Multivector, wedge_basis
-
     rng = random.Random(424242)
-
-    def random_invertible_basis(sc, level):
-        elements = wedge_basis(sc, level)
-        size = len(elements)
-        perm = list(range(size))
-        rng.shuffle(perm)
-        basis = []
-        for i in range(size):
-            # unit triangular in a shuffled order: always invertible
-            coeffs = {elements[perm[i]]: F(rng.choice([1, -1, 2, F(1, 2), F(-2, 3)]))}
-            for j in range(i):
-                if rng.random() < 0.5:
-                    coeffs[elements[perm[j]]] = F(rng.randint(-2, 2), rng.randint(1, 2))
-            basis.append((f"b{i + 1}", Multivector(level, coeffs)))
-        return basis
-
     for name, binds in [("heis3", {}), ("sl2_efh", {})]:
         sc = catalog_get(name, binds)
         reference = betti_table(generator_system(sc), 4)
         for level in (1, 2, 3):
-            gs = GeneratorSystem(sc, {level: random_invertible_basis(sc, level)})
+            gs = GeneratorSystem(sc, {level: random_invertible_basis(sc, level, rng)})
             table = betti_table(gs, 4)
             assert [r.to_dict() for r in table.rows] == \
                 [r.to_dict() for r in reference.rows], (name, level)
+
+
+@pytest.mark.parametrize("name, binds", [("heis3", {}), ("g3d3", {"alpha": "2/3", "beta": "5/7"}),
+                                         ("gl2", {})])
+def test_the_alias_inverse_inverts_every_level(name, binds):
+    # each alias generator has itself as coordinates, and each canonical wedge's
+    # coordinates expand back to that wedge
+    sc = catalog_get(name, binds)
+    rng = random.Random(f"alias,{name}")
+    for level in range(1, sc.dim + 1):
+        gs = GeneratorSystem(sc, {level: random_invertible_basis(sc, level, rng)})
+        gens = [gs.generators[g] for g in gs.level_to_gens[level]]
+        for g in gens:
+            assert gs.to_generator_coords(g.expansion) == {g.index: 1}, (level, g)
+        for idx in wedge_basis(sc, level):
+            coords = gs.to_generator_coords(Multivector.basis(idx))
+            assert set(coords) <= {g.index for g in gens}
+            expanded = [mv_scaled(gs.generators[g].expansion, c) for g, c in coords.items()]
+            assert mv_add(*expanded) == Multivector.basis(idx), (level, idx)
 
 
 def test_basis_independence_of_betti():

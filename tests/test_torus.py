@@ -15,8 +15,9 @@ from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
 from oracles import (assemble, change_basis, dd_probe_every_column, naive_rank,
-                     numbered_piece_matrix, piece_tables, random_invertible,
-                     whole_matrix_betti_table, zero_piece_basis, zero_piece_matrix)
+                     numbered_piece_matrix, piece_tables, random_invertible, semidirect_matrix,
+                     semidirect_product, whole_matrix_betti_table, zero_piece_basis,
+                     zero_piece_matrix)
 from test_chain import AFF1_SQUARED
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
@@ -104,12 +105,13 @@ def test_only_ints_reach_elimination(monkeypatch):
 
 def test_int_brackets_bracket_only_pairs_the_weight_can_reach():
     # every level-1 letter is central and outside [g, g] = 0, so all of them split off and
-    # nothing is bracketed at w = 0; the torus detection skips the central level-1
-    # generators and brackets nothing.  Asked for, w = 0 brackets only the 45 level-1 pairs
+    # nothing is bracketed at w = 0; the torus detection, in the given system and in the
+    # rebuilt one, skips the central level-1 generators and brackets nothing.  Asked for,
+    # w = 0 brackets only the 45 level-1 pairs
     gs = generator_system(load_algebra({"name": "abelian10", "dim": 10, "brackets": []}))
     betti_table(gs, 0)
     assert sum(gs.ranked.split) == 10
-    assert len(gs._pair_cache) == 0
+    assert len(gs._pair_cache) == 0 and len(gs.ranked._pair_cache) == 0
     assert gs.int_brackets(0) == (1, {})
     assert len(gs._pair_cache) == 45
 
@@ -278,17 +280,26 @@ def test_gl2_is_ranked_in_a_basis_adapted_to_its_center():
     assert ranked.grading == ranked.torus + (ranked.split,) and gs.grading == gs.torus
 
 
-@pytest.mark.parametrize("name, w_max, split", [("g3d1n", 10, 1), ("abelian3", 6, 3),
-                                                ("abelian4", 4, 4)])
-def test_the_split_route_equals_the_whole_matrix_route(name, w_max, split):
-    # the given basis is adapted already: its central letters outside [g, g] split off in a
-    # copy of the given system that shares its generators and memos
-    gs = generator_system(catalog_get(name))
+SPLIT_CASES = [("g3d1n", 10, 1, "canonical"), ("abelian3", 6, 3, "canonical"),
+               ("abelian4", 4, 4, "canonical"), ("g3d1n", 10, 1, "paper")]
+
+
+@pytest.mark.parametrize("name, w_max, split, basis", SPLIT_CASES, ids=[
+    "-".join(map(str, case[:3])) + ("-paper" if case[3] == "paper" else "")
+    for case in SPLIT_CASES])
+def test_the_split_route_equals_the_whole_matrix_route(name, w_max, split, basis):
+    # the central letters outside [g, g] are given letters, and they split off in a system
+    # rebuilt in the adapted basis, with no alias level (g3d1n's paper level 2 is dropped)
+    gs = generator_system(catalog_get(name), basis)
     got = _rows(betti_table(gs, w_max))
     ranked = gs.ranked
-    assert ranked is not gs and ranked.generators is gs.generators
+    assert ranked is not gs
     assert sum(ranked.split) == split and not gs.split
-    assert got == _rows(whole_matrix_betti_table(generator_system(catalog_get(name)), w_max))
+    # 1 on exactly the first c level-1 ids, and the given system keeps no split
+    assert [x for x, s in enumerate(ranked.split) if s] == ranked.level_to_gens[1][:split]
+    assert len(ranked.split) == ranked.count and gs.split == ()
+    assert got == _rows(whole_matrix_betti_table(generator_system(catalog_get(name), basis),
+                                                 w_max))
     assert not any(dd_probe_every_column(ranked, w) for w in range(w_max + 1))
 
 
@@ -308,6 +319,29 @@ def test_the_split_route_on_gl2_equals_the_whole_matrix_route():
         assert got == want[:5]
         assert got[:3] == _rows(whole_matrix_betti_table(generator_system(sc), 2))
         assert not any(dd_probe_every_column(gs.ranked, w) for w in range(5))
+
+
+# (kind, n, w_max): Rx + R^n with [x, e_i] = A e_i for a seeded A of each kind
+SEMIDIRECT = [("diagonal", 3, 5), ("jordan", 3, 4), ("rational", 2, 6), ("singular", 3, 5),
+              ("conjugated", 3, 3)]
+
+
+@pytest.mark.parametrize("kind, n, w_max", SEMIDIRECT)
+def test_random_semidirect_products_equal_the_whole_matrix_route(kind, n, w_max):
+    # graded or not, D_w = 1 or not, a split letter that is a given letter or not: the table
+    # equals the whole-matrix route, and d o d = 0 holds on every column of the ranked system
+    sc = semidirect_product(semidirect_matrix(n, kind, random.Random(f"semidirect,{kind}")), kind)
+    gs = generator_system(sc)
+    got = _rows(betti_table(gs, w_max))
+    assert got == _rows(whole_matrix_betti_table(generator_system(sc), w_max))
+    ranked = gs.ranked
+    assert not any(dd_probe_every_column(ranked, w) for w in range(w_max + 1))
+    # each kind takes the path it is drawn for
+    central = [k for k in range(2, n + 2) if not any(k in pair for pair in sc.entries)]
+    assert bool(gs.torus) == (kind in ("diagonal", "singular"))
+    assert sum(ranked.split) == (kind in ("singular", "conjugated"))
+    assert bool(central) == (kind == "singular")
+    assert (ranked.int_brackets(w_max)[0] > 1) == (kind in ("rational", "conjugated"))
 
 
 @pytest.mark.parametrize("name, binds", [("heis3", {}), ("g3d3", {"alpha": "2/3", "beta": "5/7"}),
