@@ -9,15 +9,23 @@ and lowers degree by 1, so each weight gives a finite complex.
 
 Which monomials exist is recorded in one suffix table per generator id,
 built from the last id to the first: table i counts the ways the ids >= i
-reach each (degree, weight, torus weight) up to a weight bound, the torus
-weight being empty without a grading and ending with the number of split
-letters where there are any (``GeneratorSystem.grading``).  The counts are
-read off table 0.  A basis walks the ids in order and keeps an
-exponent only if the next table reaches what is left, so the walk meets no
-dead end, comes out in lex order, and lists the torus-weight-0 piece
-without touching another monomial.  The tables of each coordinate set, and
-table 0 by weight (which ``torus_pieces`` reads), are cached on the
-generator system and serve every weight up to their bound.
+reach each (degree, weight, torus weight) up to a weight bound W, the
+torus weight being empty without a grading and ending with the number of
+split letters where there are any (``GeneratorSystem.grading``).  A key is
+one packed int (``_packing``), as a monomial's code is: the degree, the
+weight in base W + 1, then each torus coordinate plus an offset of
+2 c (W + n), c its largest |entry| and n the number of ids, in base twice
+the offset plus one.  No state of a count or a walk holds a coordinate past
+its offset, and a step is taken only while the degree and the weight left
+stay >= 0, so no digit ever borrows from the next one, and one int addition
+steps a key by a letter.  The counts are read off table 0, decoded once
+per build into a view by weight, which ``torus_pieces`` and ``chain_dim``
+read.  The lister walks the even ids once per weight, from the target of
+every degree at once, then the odd ids once, from every state that walk
+leaves, and keeps an exponent only if the next table reaches what is left:
+the walk meets no dead end, comes out in lex order, and lists the
+torus-weight-0 piece without touching another monomial.  The tables of each
+coordinate set are cached on the generator system for every weight up to W.
 
 On a word Y_1 ^ ... ^ Y_m the boundary acts pair by pair,
 
@@ -84,21 +92,20 @@ first leading.  Every exponent of a weight-w column or target fits its
 digit, so the code is exact (19 to 26 bits, one CPython digit, on the
 benchmark tables), and int order of the codes is odd part, then even part,
 each in lex order: the numbering ``homology.betti_row`` holds.  The lister
-walks each degree in lex order and gives each monomial as its odd tail and
-its code, the even part's code plus the tail's; the tails and their codes
-are memoised for every degree of the weight, so no monomial is coded twice
-or built as a tuple.  A target is then code + P_k - P_i - P_j, P_x the
-place value of id x: one int addition and one int-keyed lookup in the row
-numbering; a target the numbering does not list raises ``KeyError``.  An
-entry that cancels to zero is deleted where it cancels, so no column holds
-a zero.
+gives each monomial as its odd tail and its code, the even part's code plus
+the tail's; each tail is listed and coded once for every degree of the
+weight, so no monomial is coded twice or built as a tuple.  A target is
+then code + P_k - P_i - P_j, P_x the place value of id x: one int addition
+and one int-keyed lookup in the row numbering; a target the numbering does
+not list raises ``KeyError``.  An entry that cancels to zero is deleted
+where it cancels, so no column holds a zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import mul
 
 from .algebra import AlgebraError
 from .exterior import GeneratorSystem
@@ -109,28 +116,39 @@ from .ranklin import RationalMatrix
 # Basis enumeration.
 # ---------------------------------------------------------------------------
 
-def _suffix_tables(grades: tuple[int, ...], coords: tuple, w: int) -> list[dict[tuple, int]]:
+def _packing(grades: tuple[int, ...], coords: tuple, w: int) -> tuple[list, list, list]:
+    """(the place and the offset of each digit: the degree, the weight, then each torus
+    coordinate; the step of each id) of the packed keys up to weight w (module docstring)."""
+    places, offsets, torus = [1], [], [0] * len(grades)
+    for coord in reversed(coords):
+        offsets.insert(0, 2 * max(map(abs, coord)) * (w + len(grades)))
+        torus = [s + c * places[0] for s, c in zip(torus, coord)]
+        places.insert(0, (2 * offsets[0] + 1) * places[0])
+    places.insert(0, (w + 1) * places[0])
+    return places, [0, 0] + offsets, [places[0] + g * places[1] + s for g, s in zip(grades, torus)]
+
+
+def _suffix_tables(grades: tuple[int, ...], coords: tuple, w: int) -> list[dict[int, int]]:
     """The suffix tables up to weight w; an id of grade above w shares the next id's table."""
-    tables = [{(0, 0) + (0,) * len(coords): 1}]
-    for i in reversed(range(len(grades))):
-        grade, below = grades[i], tables[-1]
-        vec, table = (1, grade) + tuple(coord[i] for coord in coords), {}
+    places, offsets, steps = _packing(grades, coords, w)
+    tables = [{sum(map(mul, places, offsets)): 1}]
+    for grade, step in zip(reversed(grades), reversed(steps)):
+        below, table = tables[-1], {}
         for key, ways in below.items() if grade <= w else ():
+            room = w - key % places[0] // places[1]  # the weight left
             # even letters square to zero; odd ones have grade >= 1
-            for _ in range(w + 1 if grade % 2 else 2):
-                if key[1] > w:
-                    break
+            for _ in range(room // grade + 1 if grade % 2 else 1 + (room >= grade)):
                 table[key] = table.get(key, 0) + ways
-                key = tuple(map(add, key, vec))
+                key += step
         tables.append(table if grade <= w else below)
     return tables[::-1]
 
 
 def _tables(gs: GeneratorSystem, coords: tuple, w: int) -> tuple:
-    """The cached (weight bound >= w, suffix tables, exponent choices, view) of ``coords``.
+    """The cached (weight bound >= w, suffix tables, exponent choices, view, packing) of
+    ``coords``: the view is table 0 by weight, {w: {torus weight: {degree: count}}}.
 
-    The view is table 0 by weight, {w: {torus weight: {degree: count}}}.  A
-    larger w rebuilds both at least twice as far, so rows in order rebuild
+    A larger w rebuilds them at least twice as far, so rows in order rebuild
     them O(log w) times.  That is what lets the CLI's size check walk the
     cells in weight order and refuse a huge ``--wmax`` at the first cell too
     large, having built the tables only to about twice that cell's weight.
@@ -139,9 +157,14 @@ def _tables(gs: GeneratorSystem, coords: tuple, w: int) -> tuple:
     if entry is None or entry[0] < w:
         w = max(w, 2 * entry[0]) if entry else w
         tables, view = _suffix_tables(gs.grades, coords, w), {}
-        for key, n in tables[0].items():  # key = (degree, weight, *torus weight)
-            view.setdefault(key[1], {}).setdefault(key[2:], {})[key[0]] = n
-        entry = gs._count_cache[coords] = (w, tables, {}, view)
+        places, offsets, _ = packing = _packing(gs.grades, coords, w)
+        for key, n in tables[0].items():
+            m, rest = divmod(key, places[0])
+            view.setdefault(rest // places[1], {}).setdefault(rest % places[1], {})[m] = n
+        for weight, pieces in view.items():  # each torus coordinate less its offset
+            view[weight] = {tuple(t // p % (q // p) - o for p, q, o in zip(
+                places[2:], places[1:], offsets[2:])): dims for t, dims in pieces.items()}
+        entry = gs._count_cache[coords] = (w, tables, {}, view, packing)
     return entry
 
 
@@ -161,13 +184,9 @@ def max_weight(gs: GeneratorSystem, m: int) -> int:
     if m < 0:
         return -1
     top = gs.grades[gs.odd_ids[-1]] if gs.odd_ids else 0
-    weight = 0
-    for i in reversed(gs.even_ids):  # grades rise with the id within each parity
-        if not m or gs.grades[i] <= top:
-            break
-        weight += gs.grades[i]
-        m -= 1
-    return weight + m * top
+    # grades rise with the id within each parity
+    heavy = [g for g in (gs.grades[i] for i in reversed(gs.even_ids)) if g > top][:m]
+    return sum(heavy) + (m - len(heavy)) * top
 
 
 def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
@@ -176,7 +195,8 @@ def chain_dim(gs: GeneratorSystem, m: int, w: int) -> int:
     A cell with w > ``max_weight(gs, m)`` is empty, and is answered before
     any table is built to w.
     """
-    return _tables(gs, (), w)[1][0].get((m, w), 0) if 0 <= w <= max_weight(gs, m) else 0
+    view = _tables(gs, (), w)[3] if 0 <= w <= max_weight(gs, m) else {}
+    return view.get(w, {}).get((), {}).get(m, 0)
 
 
 def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int, int]]:
@@ -189,18 +209,17 @@ def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int,
     return {key: dict(dims) for key, dims in _tables(gs, gs.grading, w)[3].get(w, {}).items()}
 
 
-def _walk(gs: GeneratorSystem, coords: tuple, entry: tuple, ids: list[int], parts: list) -> list:
-    """Extend each (exponents so far, state left) over ``ids``; each state's choices are kept."""
-    _, tables, choices, _ = entry
+def _walk(gs: GeneratorSystem, entry: tuple, ids: list[int], parts: list) -> list:
+    """Extend each (exponents so far, packed state left) over ``ids``; each state's choices are
+    kept.  A step is taken only while the degree and the weight left stay >= 0."""
+    _, tables, choices, _, ((degree_place, weight_place, *_), _, steps) = entry
     for i in ids:
-        known, below = choices.setdefault(i, {}), tables[i + 1]
-        vec = (1, gs.grades[i]) + tuple(coord[i] for coord in coords)
+        known, below, step, grade = choices.setdefault(i, {}), tables[i + 1], steps[i], gs.grades[i]
         for state in {state for _, state in parts} - known.keys():
-            known[state], left = [], state
-            for t in range(state[0] + 1 if vec[1] % 2 else 2):
-                if left in below:
-                    known[state].append((t, left))
-                left = tuple(map(sub, left, vec))
+            m, room = state // degree_place, state % degree_place // weight_place
+            known[state] = [(t, left) for t in range(
+                min(m, room // grade) + 1 if grade % 2 else 1 + (m > 0 and room >= grade))
+                if (left := state - t * step) in below]
         parts = [(e + (t,), left) for e, state in parts for t, left in known[state]]
     return parts
 
@@ -215,56 +234,52 @@ def _digits(gs: GeneratorSystem, w: int) -> list[int]:
     return values
 
 
-def _basis(gs: GeneratorSystem, coords: tuple, target: tuple[int, ...],
-           tails: dict) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-    """The monomials reaching ``target`` = (degree, weight, *torus weight), in lex order, as
-    the even part, the odd tail and the code of each.
-
-    Grades rise with the id within each parity, so the letters of grade above
-    the weight end each part and are padded with zeros, not walked.  The odd
-    tails of each state the even part leaves, with their codes, are listed
-    once into ``tails``, which serves every target of one weight.
-    """
-    m, w = target[:2]
-    evens, odd, codes = [], [], []
+def _walks(gs: GeneratorSystem, coords: tuple, w: int, degrees: list[int]) -> tuple[list, dict]:
+    """The weight-w monomials of torus weight 0 over ``coords`` in each degree, in lex order,
+    in one walk over the even ids and one over the odd ids (see the module docstring):
+    ([((m, *even part), state left)], {state left: [odd tail]}).  The ids of grade above w
+    are not walked; the odd tails are padded with zeros for them."""
     # a far cell is empty (see chain_dim), and is answered before a table is built to w
-    if not 0 <= w <= max_weight(gs, m) or target not in (entry := _tables(gs, coords, w))[1][0]:
-        return evens, odd, codes
-    walked_evens = [i for i in gs.even_ids if gs.grades[i] <= w]
+    degrees = [m for m in degrees if 0 <= w <= max_weight(gs, m)]
+    if not degrees:
+        return [], {}
+    entry = _tables(gs, coords, w)
+    places, offsets, _ = entry[4]
+    zero = w * places[1] + sum(map(mul, places, offsets))  # the target of degree 0
+    starts = [((m,), key) for m in degrees if (key := m * places[0] + zero) in entry[1][0]]
+    evens = _walk(gs, entry, [i for i in gs.even_ids if gs.grades[i] <= w], starts)
     odds = [i for i in gs.odd_ids if gs.grades[i] <= w]
-    even_pad = (0,) * (len(gs.even_ids) - len(walked_evens))
-    odd_pad = (0,) * (len(gs.odd_ids) - len(odds))
-    digits = _digits(gs, w)
-    odd_digits = digits[len(gs.even_ids):]
-    for e, left in _walk(gs, coords, entry, walked_evens, [((), target)]):
-        if left not in tails:
-            walked = [o for o, _ in _walk(gs, coords, entry, odds, [((), left)])]
-            tails[left] = ([o + odd_pad for o in walked],
-                           [sum(map(mul, o, odd_digits)) for o in walked])
-        part_odd, part_codes = tails[left]
-        evens += [e + even_pad] * len(part_odd)
-        odd += part_odd
-        codes += map(sum(map(mul, e, digits)).__add__, part_codes)
-    return evens, odd, codes
+    pad, tails = (0,) * (len(gs.odd_ids) - len(odds)), {}
+    for o, _ in _walk(gs, entry, odds, [((left,), left) for left in dict.fromkeys(
+            left for _, left in evens)]):
+        tails.setdefault(o[0], []).append(o[1:] + pad)
+    return evens, tails
 
 
 def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
     """All monomials of degree m and weight w, as exponent tuples over ids in lex order."""
-    evens, odd, _ = _basis(gs, (), (m, w), {})
-    return list(map(add, evens, odd))
+    evens, tails = _walks(gs, (), w, [m])
+    pad = (0,) * (len(gs.even_ids) + 1 - len(evens[0][0])) if evens else ()
+    return [e[1:] + pad + o for e, left in evens for o in tails[left]]
 
 
-def numbered_bases(gs: GeneratorSystem, w: int,
-                   degrees: list[int]) -> dict[int, tuple[list[tuple[int, ...]], list[int]]]:
-    """{m: (odd tails, codes)} of the torus-weight-0 piece of each degree at weight w, less
-    every monomial with a split letter (``torus_pieces``).
-
-    Each piece is in lex order, listed with one tail memo for every degree.
-    Int order of the codes is the numbering ``homology.betti_row`` holds:
-    odd letters first, then even ones.
-    """
-    tails, zero = {}, (0,) * len(gs.grading)
-    return {m: _basis(gs, gs.grading, (m, w) + zero, tails)[1:] for m in degrees}
+def numbered_bases(gs: GeneratorSystem, w: int, degrees: list[int],
+                   coords: tuple | None = None) -> dict[int, tuple[list, list[int]]]:
+    """{m: (odd tails, codes)} of the weight-w monomials of torus weight 0 over ``coords`` in
+    each degree, each in lex order: by default the piece the table eliminates, less every
+    monomial with a split letter (``torus_pieces``); with ``coords = ()`` the whole cell.
+    Each tail is coded once for every degree.  Int order of the codes is the numbering
+    ``homology.betti_row`` holds: odd letters first, then even ones."""
+    evens, tails = _walks(gs, gs.grading if coords is None else coords, w, degrees)
+    digits, n_even = _digits(gs, w), len(gs.even_ids)
+    even_digits, odd_digits = [0] + digits[:n_even], digits[n_even:]  # the start's digit is 0
+    codes = {left: [sum(map(mul, o, odd_digits)) for o in part] for left, part in tails.items()}
+    out = {m: ([], []) for m in degrees}
+    for e, left in evens:
+        part_tails, part_codes = out[e[0]]
+        part_tails += tails[left]
+        part_codes += map(sum(map(mul, e, even_digits)).__add__, codes[left])
+    return out
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
@@ -361,9 +376,7 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     """
     if m < 1:
         raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
-    tails = {}
-    _, cols, codes = _basis(gs, (), (m, w), tails)
-    rows = _basis(gs, (), (m - 1, w), tails)[2]
+    (cols, codes), (_, rows) = numbered_bases(gs, w, [m, m - 1], ()).values()
     matrix = RationalMatrix(len(rows), len(cols))
     scale = gs.int_brackets(w)[0]
     entries = matrix.entries
@@ -383,23 +396,10 @@ def format_monomial(gs: GeneratorSystem, mono: tuple[int, ...]) -> str:
     n_even = len(gs.even_ids)
     evens, odds = mono[:n_even], mono[n_even:]
     if gs.dim <= 3:
-        bits = "".join(str(b) for b in evens)
-        exps = ",".join(str(e) for e in odds)
-        if not any(evens) and not any(odds):
-            return "1"
-        if not any(odds):
-            return f"W^{{{bits}}}"
-        if not any(evens):
-            return f"U^{{{exps}}}"
-        return f"W^{{{bits}}} ∧ U^{{{exps}}}"
-    zpart = ",".join(str(i + 1) for i, b in enumerate(evens) if b)
-    upart = " ".join(
-        (f"u{i + 1}^{e}" if e > 1 else f"u{i + 1}")
-        for i, e in enumerate(odds) if e)
-    if not zpart and not upart:
-        return "1"
-    if not upart:
-        return f"Z{{{zpart}}}"
-    if not zpart:
-        return f"U{{{upart}}}"
-    return f"Z{{{zpart}}} ∧ U{{{upart}}}"
+        parts = ([f"W^{{{''.join(map(str, evens))}}}"] * any(evens)
+                 + [f"U^{{{','.join(map(str, odds))}}}"] * any(odds))
+    else:
+        zpart = ",".join(str(i + 1) for i, b in enumerate(evens) if b)
+        upart = " ".join(f"u{i + 1}^{e}" if e > 1 else f"u{i + 1}" for i, e in enumerate(odds) if e)
+        parts = [f"Z{{{zpart}}}"] * bool(zpart) + [f"U{{{upart}}}"] * bool(upart)
+    return " ∧ ".join(parts) or "1"

@@ -18,7 +18,11 @@ a level-q element to level p + q - 1 via the double sum
     sum_{i,j} (-1)^{i+j} [a_i, b_j] ^ a[i] ^ b[j]
 
 over the letters of decomposable arguments (a[i] omits the i-th letter).
-It makes the direct sum of all levels a Z-graded Lie superalgebra.
+It makes the direct sum of all levels a Z-graded Lie superalgebra.  The sum
+is taken in ints, on one table of D c_ij^k over the ordered letter pairs, D
+the lcm of the denominators of the c_ij^k (``_structure``, built once per
+generator system, at its first bracket).  ``Fraction`` enters only with an
+alias level's expansions and coordinates, and in the returned coefficients.
 """
 
 from __future__ import annotations
@@ -85,51 +89,46 @@ class Multivector:
                 and (self.level == other.level or not self.coeffs))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            name = "z" + "^z".join(map(str, idx))
-            parts.append(f"{format_rational(c)}*{name}")
-        return " + ".join(parts)
+        return " + ".join(f"{format_rational(c)}*z" + "^z".join(map(str, idx))
+                          for idx, c in sorted(self.coeffs.items())) or "0"
 
 
-def schouten(sc: StructureConstants, a: Multivector, b: Multivector) -> Multivector:
-    """Bracket of two multivectors; level p, q in gives level p + q - 1 out.
+def _structure(sc: StructureConstants) -> tuple[int, dict[tuple[int, int], tuple]]:
+    """(D, {(i, j): ((D c_ij^k, k), ...)}) on the letter pairs, D the lcm of the denominators."""
+    scale, table = lcm(*(c.denominator for vec in sc.entries.values() for c in vec)), {}
+    for (i, j), vec in sc.entries.items():
+        table[i, j] = tuple((c.numerator * (scale // c.denominator), k)
+                            for k, c in enumerate(vec, 1) if c)
+        table[j, i] = tuple((-c, k) for c, k in table[i, j])
+    return scale, table
 
-    Bilinear extension of the double-sum formula on decomposables; the inner
-    [a_i, b_j] is the Lie bracket of the algebra.  Level-0 arguments are not
-    part of the bracket's domain.
-    """
-    if a.level < 1 or b.level < 1:
-        raise AlgebraError("bracket needs level >= 1 arguments")
-    out = Multivector(a.level + b.level - 1)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for s, cs in a.coeffs.items():
-        for t, ct in b.coeffs.items():
-            cst = cs * ct
+
+def _bracket(table: dict, a: dict, b: dict) -> dict[tuple[int, ...], int | Fraction]:
+    """D times the bracket of a and b, {canonical wedge: coefficient}, by the double sum over
+    ``table`` (``_structure``); ints stay ints, and no zero is kept."""
+    acc: dict = {}
+    for s, cs in a.items():
+        for t, ct in b.items():
             for ipos, zi in enumerate(s):
                 rest_s = s[:ipos] + s[ipos + 1:]
                 for jpos, zj in enumerate(t):
-                    sign = -1 if (ipos + jpos) % 2 else 1  # (-1)^{(i+1)+(j+1)}
-                    vec = sc.bracket(zi, zj)
-                    if not any(vec):
-                        continue
                     rest = rest_s + t[:jpos] + t[jpos + 1:]
-                    for k, ck in enumerate(vec):
-                        if not ck:
-                            continue
-                        norm = sort_indices((k + 1,) + rest)
-                        if norm is None:
-                            continue
-                        psign, idx = norm
-                        v = acc.get(idx, Fraction(0)) + sign * psign * ck * cst
-                        if v:
-                            acc[idx] = v
-                        else:
-                            acc.pop(idx, None)
-    out.coeffs = acc
+                    f = -cs * ct if (ipos + jpos) % 2 else cs * ct  # (-1)^{(i+1)+(j+1)}
+                    for c, k in table.get((zi, zj), ()):
+                        norm = sort_indices((k,) + rest)
+                        if norm is not None:
+                            acc[norm[1]] = acc.get(norm[1], 0) + norm[0] * c * f
+    return {idx: v for idx, v in acc.items() if v}
+
+
+def schouten(sc: StructureConstants, a: Multivector, b: Multivector) -> Multivector:
+    """Bracket of two multivectors by the double sum (module docstring); level p, q in gives
+    level p + q - 1 out, and level-0 arguments are not part of its domain."""
+    if a.level < 1 or b.level < 1:
+        raise AlgebraError("bracket needs level >= 1 arguments")
+    scale, table = _structure(sc)
+    out = Multivector(a.level + b.level - 1)
+    out.coeffs = {idx: v / scale for idx, v in _bracket(table, a.coeffs, b.coeffs).items()}
     return out
 
 
@@ -282,8 +281,8 @@ class GeneratorSystem:
         preferring given vectors, so that its split letters are its first c level-1 ids and
         every level is a wedge of the adapted basis.  (Adapting level 1 alone, as an alias
         level over the given constants, keeps the tables but fills in seven to nine times
-        as many entries on gl2.)  ``level1`` is such an alias system, built only to bracket
-        the new letters."""
+        as many entries on gl2.)  Its constants are B^-1 [b_i, b_j], with B^-1
+        from ``_invert`` of the adapted vectors b_i."""
         if self.split:
             return self
         n, brackets, rows, gg = self.dim, [list(v) for v in self.sc.entries.values()], [], []
@@ -298,13 +297,15 @@ class GeneratorSystem:
         if not split:
             return self
         rows = []
-        basis = [v for v in split + [u for u in units + brackets if not any(_reduce(gg, u))]
-                 + units if _grow(rows, v)]
-        level1 = GeneratorSystem(self.sc, {1: [
-            ("", Multivector(1, dict(zip(wedge_basis(self.sc, 1), v)))) for v in basis]})
-        ranked = GeneratorSystem(StructureConstants(n, {(i + 1, j + 1): [
-            {k: c for c, k in level1.pair_bracket(i, j)}.get(k, 0) for k in range(n)]
-            for i in range(n) for j in range(i + 1, n)}, self.sc.name))
+        basis = [{(k + 1,): c for k, c in enumerate(v) if c} for v in split + [
+            u for u in units + brackets if not any(_reduce(gg, u))] + units if _grow(rows, v)]
+        inverse, (scale, table) = _invert({x: Multivector(1, v) for x, v in enumerate(basis)},
+                                          wedge_basis(self.sc, 1)), self._letters
+        entries = {(i + 1, j + 1): _bracket(table, basis[i], basis[j])
+                   for i, j in combinations(range(n), 2)}  # D [b_i, b_j] on the given letters
+        ranked = GeneratorSystem(StructureConstants(n, {pair: [
+            Fraction(sum(inverse[idx].get(x, 0) * v for idx, v in vec.items()), scale)
+            for x in range(n)] for pair, vec in entries.items()}, self.sc.name))
         ranked.split = tuple(int(x < len(split)) for x in range(self.count))
         return ranked
 
@@ -344,24 +345,23 @@ class GeneratorSystem:
                     coords.append(tuple(int(c * scale) for c in eigen))
         return tuple(coords)
 
-    def to_generator_coords(self, mv: Multivector) -> dict[int, Fraction]:
-        """Express a multivector in the active basis of its level."""
-        out: dict[int, Fraction] = {}
-        for idx, c in mv.coeffs.items():
-            for g, v in self._coords[mv.level][idx].items():
-                out[g] = out.get(g, 0) + v * c
-        return {g: v for g, v in out.items() if v}
+    @cached_property
+    def _letters(self) -> tuple[int, dict]:
+        """``_structure`` of the structure constants, built on the first bracket."""
+        return _structure(self.sc)
 
     def pair_bracket(self, gi: int, gj: int) -> tuple[tuple[Fraction, int], ...]:
         """[generator, generator] as ((coefficient, generator id), ...) by id, memoized."""
-        key = (gi, gj)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        a = self.generators[gi].expansion
-        b = self.generators[gj].expansion
-        coords = self.to_generator_coords(schouten(self.sc, a, b))
-        value = tuple((c, g) for g, c in sorted(coords.items()))
+        if (key := (gi, gj)) in self._pair_cache:
+            return self._pair_cache[key]
+        scale, table = self._letters
+        a, b = ({idx: c.numerator if c.denominator == 1 else c
+                 for idx, c in self.generators[g].expansion.coeffs.items()} for g in key)
+        coords, out = self._coords.get(sum(self.generators[g].level for g in key) - 1), {}
+        for idx, v in _bracket(table, a, b).items():
+            for g, c in coords[idx].items():
+                out[g] = out.get(g, 0) + c * v
+        value = tuple((Fraction(c, scale), g) for g, c in sorted(out.items()) if c)
         self._pair_cache[key] = value
         return value
 

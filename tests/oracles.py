@@ -5,8 +5,12 @@ avoids the path it checks: ``naive_rank`` shares nothing with the
 elimination kernel, ``brute_basis`` nothing with the suffix tables that
 count and list the bases, and the whole-matrix and per-piece Betti routes
 eliminate through the kernel (checked against ``naive_rank`` elsewhere) but
-never take a rank from the torus split.  ``dd_probe_every_column`` is the
-d o d = 0 probe over every column, of which the table pushes a sample.
+never take a rank from the torus split.  ``suffix_tables`` counts with
+tuple keys stepped one letter at a time, not the packed int keys of
+``chain``, and ``fraction_schouten`` sums the bracket in ``Fraction`` on
+``sc.bracket``, not on the int table of ``exterior``.
+``dd_probe_every_column`` is the d o d = 0 probe over every column, of
+which the table pushes a sample.
 The word layer (sorting words of
 generators with the super sign), ``Chain`` arithmetic, multivector sums,
 multiples and wedges (``mv_add``, ``mv_scaled``, ``mv_wedge``), the matrix
@@ -19,6 +23,7 @@ random Lie algebras) live here too: only tests use them.
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 from superhomology.algebra import StructureConstants, format_rational, parse_rational
 from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix,
@@ -275,6 +280,38 @@ def mv_is_zero(mv) -> bool:
     return not mv.coeffs
 
 
+def fraction_schouten(sc, a, b) -> Multivector:
+    """The bracket of two multivectors by the double sum in ``Fraction`` on ``sc.bracket``,
+    with no int table: the second route of ``schouten`` and ``pair_bracket``."""
+    acc: dict = {}
+    for s, cs in a.coeffs.items():
+        for t, ct in b.coeffs.items():
+            for ipos, zi in enumerate(s):
+                for jpos, zj in enumerate(t):
+                    sign = -1 if (ipos + jpos) % 2 else 1  # (-1)^{(i+1)+(j+1)}
+                    rest = s[:ipos] + s[ipos + 1:] + t[:jpos] + t[jpos + 1:]
+                    for k, ck in enumerate(sc.bracket(zi, zj), 1):
+                        norm = sort_indices((k,) + rest) if ck else None
+                        if norm is not None:
+                            acc[norm[1]] = acc.get(norm[1], 0) + sign * norm[0] * ck * cs * ct
+    return Multivector(a.level + b.level - 1, acc)
+
+
+def generator_coords(gs, mv) -> dict:
+    """A multivector in the active basis of its level, {generator id: Fraction}."""
+    out: dict = {}
+    for idx, c in mv.coeffs.items():
+        for g, v in gs._coords[mv.level][idx].items():
+            out[g] = out.get(g, 0) + v * c
+    return {g: Fraction(v) for g, v in out.items() if v}
+
+
+def fraction_pair_bracket(gs, gi, gj) -> tuple:
+    """``gs.pair_bracket(gi, gj)`` through ``fraction_schouten`` and ``generator_coords``."""
+    mv = fraction_schouten(gs.sc, gs.generators[gi].expansion, gs.generators[gj].expansion)
+    return tuple((c, g) for g, c in sorted(generator_coords(gs, mv).items()))
+
+
 class _Numbering(dict):
     """{code: row} that numbers a code it has not seen when it is looked up."""
 
@@ -464,6 +501,24 @@ def brute_basis(gs, m, w, torus=None) -> list:
     if torus is not None:
         out = [mono for mono in out if torus_weight(gs, mono) == tuple(torus)]
     return sorted(out)
+
+
+def suffix_tables(grades, coords, w) -> list[dict[tuple, int]]:
+    """The suffix tables of ``chain`` up to weight w, keyed by (degree, weight, *torus weight)
+    tuples stepped one letter at a time, with no packed key: table i counts the ways the
+    ids >= i reach each key."""
+    tables = [{(0, 0) + (0,) * len(coords): 1}]
+    for i in reversed(range(len(grades))):
+        grade, below = grades[i], tables[-1]
+        vec, table = (1, grade) + tuple(coord[i] for coord in coords), {}
+        for key, ways in below.items() if grade <= w else ():
+            for _ in range(w + 1 if grade % 2 else 2):  # even letters square to zero
+                if key[1] > w:
+                    break
+                table[key] = table.get(key, 0) + ways
+                key = tuple(map(add, key, vec))
+        tables.append(table if grade <= w else below)
+    return tables[::-1]
 
 
 def zero_piece_matrix(gs, m, w) -> RationalMatrix:

@@ -8,13 +8,13 @@ import pytest
 from superhomology import (boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
                            generator_system, load_algebra, support_degrees, torus_pieces)
-from superhomology.chain import max_weight, numbered_bases
+from superhomology.chain import count_up_to, max_weight, numbered_bases
 
 from oracles import (Chain, _word_matrix, assemble, boundary_monomial, brute_basis,
                      induced_bracket, kernel_column, load_matrix, matmul, monomial_code,
                      monomial_degree, monomial_weight, monomial_word, naive_rank, normalize_word,
                      odd_first, piece_dims, torus_weight, wedge_chain, word_boundary_matrix,
-                     word_boundary_monomial, zero_piece_basis)
+                     suffix_tables, word_boundary_monomial, zero_piece_basis)
 
 # aff1 + aff1: two torus coordinates, ad z2 and ad z4
 AFF1_SQUARED = {"name": "aff1x2", "dim": 4, "brackets": [{"i": 1, "j": 2, "out": {"1": "1"}},
@@ -156,6 +156,55 @@ def test_torus_pieces_follow_the_count_tables_through_a_rebuild(name):
     for dims in torus_pieces(gs, w_max).values():
         dims.clear()
     assert torus_pieces(gs, w_max) == listed[w_max]
+
+
+def _tuple_counts(gs, w_max):
+    """{(m, w): dim} and {w: {torus weight: {m: dim}}} from the tuple-keyed oracle tables."""
+    dims, pieces = suffix_tables(gs.grades, (), w_max)[0], {}
+    for (m, w, *key), n in suffix_tables(gs.grades, gs.grading, w_max)[0].items():
+        pieces.setdefault(w, {}).setdefault(tuple(key), {})[m] = n
+    return dims, pieces
+
+
+# (system, first bound w, then asked at 2w + 1): gl2's ranked system has negative torus
+# weights and the split coordinate, aff1x2 two torus coordinates, g3d3 no grading
+_COUNT_CASES = {"gl2": (lambda: generator_system(catalog_get("gl2")).ranked, 6),
+                "sl2_efh": (lambda: generator_system(catalog_get("sl2_efh")), 20),
+                "heis3": (lambda: generator_system(catalog_get("heis3")), 30),
+                "g3d3-paper": (lambda: generator_system(catalog_get(
+                    "g3d3", {"alpha": F(2, 3), "beta": F(-5, 7)}), "paper"), 8),
+                "abelian4": (lambda: generator_system(catalog_get("abelian4")), 5),
+                "aff1x2": (lambda: generator_system(load_algebra(AFF1_SQUARED)), 5)}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CASES))
+def test_packed_counts_equal_the_tuple_tables(name):
+    # the count tables are keyed by packed ints; the oracle steps (degree, weight, *torus
+    # weight) tuples.  Built at w, the tables are asked at 2w + 1 and rebuilt there
+    system, w = _COUNT_CASES[name]
+    gs = system()
+    for w_max in (w, 2 * w + 1):
+        dims, pieces = _tuple_counts(gs, w_max)
+        assert torus_pieces(gs, w_max) == pieces.get(w_max, {})
+        assert gs._count_cache[gs.grading][0] == w_max
+        for v in range(w_max + 1):
+            assert torus_pieces(gs, v) == pieces.get(v, {}), (w_max, v)
+            assert [chain_dim(gs, m, v) for m in range(v + gs.count + 2)] == [
+                dims.get((m, v), 0) for m in range(v + gs.count + 2)], (w_max, v)
+
+
+@pytest.mark.parametrize("ranked", [False, True])
+def test_a_walk_never_borrows_across_digits(ranked):
+    # abelian6 with its tables built to w = 5: at a level-5 letter (grade 4) the cell
+    # (4, 5) walks the state (degree 3, weight 3) left after a level-3 letter.  Stepping
+    # that letter anyway would take the weight below 0 and borrow from the degree digit,
+    # landing on (1, 5), which the level-6 letter reaches: 120 monomials too many
+    gs = generator_system(catalog_get("abelian6"))
+    gs = gs.ranked if ranked else gs
+    count_up_to(gs, 5)
+    (tails, codes), = numbered_bases(gs, 5, [4], None if ranked else ()).values()
+    counted = torus_pieces(gs, 5)[(0,)][4] if ranked else chain_dim(gs, 4, 5)
+    assert len(set(codes)) == len(codes) == len(tails) == counted
 
 
 @pytest.mark.parametrize("name", catalog_names())

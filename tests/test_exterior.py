@@ -9,7 +9,26 @@ from superhomology import (AlgebraError, GeneratorSystem, Multivector, catalog_g
                            generator_system, schouten, wedge_basis)
 from superhomology.exterior import render_bracket_table
 
-from oracles import mv_add, mv_is_zero, mv_scaled, mv_wedge, sort_generator_word as normalize_word
+from oracles import (change_basis, fraction_pair_bracket, fraction_schouten, mv_add, mv_is_zero,
+                     mv_scaled, mv_wedge, random_invertible, sort_generator_word as normalize_word)
+from test_torus import catalog_cases
+
+# the (alpha, beta) pairs the g3d3-rational benchmark draws from
+RATIONAL_PAIRS = [("2/3", "5/7"), ("3/5", "7/4"), ("-4/3", "2/5"), ("5/2", "-3/7"),
+                  ("-3/4", "5/3"), ("7/5", "-2/3"), ("4/7", "3/2"), ("-5/3", "-4/5")]
+
+
+def bracket_systems():
+    """Every catalog algebra in each basis, g3d3 in the paper basis over the benchmark's
+    (alpha, beta) pairs, and gl2 in two seeded random bases."""
+    for name, binds, basis in catalog_cases():
+        yield f"{name}-{'-'.join(binds.values())}-{basis}", catalog_get(name, binds), basis
+    for alpha, beta in RATIONAL_PAIRS:
+        sc = catalog_get("g3d3", {"alpha": alpha, "beta": beta})
+        yield f"g3d3-{alpha}-{beta}-paper", sc, "paper"
+    for seed in (1, 2):
+        B = random_invertible(4, random.Random(f"gl2,{seed}"))
+        yield f"gl2-conjugated-{seed}", change_basis(catalog_get("gl2"), B), "canonical"
 
 
 def test_wedge_basis_enumeration():
@@ -286,6 +305,18 @@ def test_bracket_table_render_brackets_only_the_printed_pairs(name, basis):
     printed = zero_rows * gs.count + len(gs.odd_ids) * (len(gs.odd_ids) + high_even)
     render_bracket_table(gs)
     assert len(gs._pair_cache) == printed < gs.count ** 2
+
+
+@pytest.mark.parametrize("sc, basis", [case[1:] for case in bracket_systems()],
+                         ids=[case[0] for case in bracket_systems()])
+def test_brackets_equal_the_fraction_route(sc, basis):
+    # pair_bracket and schouten bracket on the int table D c_ij^k; the oracle sums Fractions
+    gs = generator_system(sc, basis)
+    for i, a in enumerate(gs.generators):
+        for j, b in enumerate(gs.generators):
+            assert gs.pair_bracket(i, j) == fraction_pair_bracket(gs, i, j), (a, b)
+            assert schouten(sc, a.expansion, b.expansion) == fraction_schouten(
+                sc, a.expansion, b.expansion), (a, b)
 
 
 def test_alias_basis_must_be_invertible():

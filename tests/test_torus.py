@@ -11,6 +11,7 @@ import pytest
 
 from superhomology import (GeneratorSystem, betti_row, betti_table, catalog_get, catalog_names,
                            generator_system, homology, load_algebra, torus_pieces)
+from superhomology import exterior
 from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
@@ -278,6 +279,34 @@ def test_gl2_is_ranked_in_a_basis_adapted_to_its_center():
         (2, 3): [0, 0, 0, 1], (2, 4): [0, -2, 0, 0], (3, 4): [0, 0, 2, 0]}
     assert ranked.torus == ((0, 2, -2, 0, 0, 2, -2, 0, 2, -2, 0, 0, 2, -2, 0),)
     assert ranked.grading == ranked.torus + (ranked.split,) and gs.grading == gs.torus
+
+
+@pytest.mark.parametrize("name", ["gl2", "g3d1n", "abelian4", "gl2-conjugated"])
+def test_ranked_is_one_system_on_the_constants_in_the_adapted_basis(name, monkeypatch):
+    # ranked inverts the adapted level-1 vectors b_i and brackets them on the given
+    # constants, building no system but the one it returns: c'_ij = B^-1 [b_i, b_j], with
+    # B holding the b_i as columns, as change_basis computes it apart
+    if name == "gl2-conjugated":
+        sc = change_basis(catalog_get("gl2"), random_invertible(4, random.Random("gl2,1")))
+    else:
+        sc = catalog_get(name)
+    gs = generator_system(sc)
+    built, inverted = [], []
+    real_init, real_invert = GeneratorSystem.__init__, exterior._invert
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def seen(expansions, order):
+        inverted.append([[mv.coeffs.get(idx, 0) for mv in expansions.values()] for idx in order])
+        return real_invert(expansions, order)
+
+    monkeypatch.setattr(GeneratorSystem, "__init__", counted)
+    monkeypatch.setattr(exterior, "_invert", seen)
+    ranked = gs.ranked
+    assert built == [ranked] and ranked is not gs and len(inverted) == 1
+    assert ranked.sc == change_basis(sc, inverted[0])
 
 
 SPLIT_CASES = [("g3d1n", 10, 1, "canonical"), ("abelian3", 6, 3, "canonical"),
