@@ -5,12 +5,11 @@ final table holds, for every degree in the support, the space dimension,
 the kernel dimension of the outgoing boundary, and the Betti number
 (kernel minus the rank of the incoming boundary).  The Euler alternating
 sum of the dimensions vanishes for every weight.  So the rows are computed
-apart: ``betti_table`` splits the weights into one share per CPU, runs one
-share here and each other one in a forked child, and returns the rows in w
-order, replaying the ``on_cell`` calls in the order one process makes them.
-A child hands back rows and calls as tuples of their fields with the built-in
-``marshal``; only a share that ends in a raise imports ``pickle``, for that
-exception.
+apart: in ``betti_table`` this process and a forked child per other CPU
+claim the weights, heaviest first, from one pipe, and the rows come back in
+w order, with the ``on_cell`` calls replayed in the order one process makes
+them.  A child hands back rows and calls as tuples of their fields with the
+built-in ``marshal``; only a child that raised imports ``pickle``.
 
 When the algebra has a torus grading (``GeneratorSystem.torus``), the
 weighted complex splits into pieces by torus weight.  A level-1 generator x
@@ -20,7 +19,7 @@ scalar torus weight on a piece, so every piece of nonzero torus weight is
 acyclic.  Its ranks follow from its dimensions: 0 at its lowest degree,
 then r_{m+1} = dim_m - r_m.  Only the torus-weight-0 piece is assembled and
 eliminated; without a grading it is the whole complex.  Its counted
-dimensions (``chain.torus_pieces``) weigh each weight in the shares.
+dimensions (``chain.torus_pieces``) order the weights, heaviest first.
 
 A level-1 letter z central in g and outside [g, g] is central in L and
 outside [L, L], so L = L'' + kz, and by Künneth H(L) = H(L'') ⊗ Λ(z) (z is
@@ -325,75 +324,72 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if alone else 1
 
 
-def _shares(gs: GeneratorSystem, w_max: int) -> list[list[int]]:
-    """The weights in one share per worker, each in w order, the lightest share first.
-
-    The heaviest weight goes out first, each to the least loaded share; a
-    weight weighs its counted torus-weight-0 dimensions (``torus_pieces``).
-    The first share is the caller's, which also gathers the others.
-    """
-    zero = (0,) * len(gs.grading)
-    size = [sum(torus_pieces(gs, w).get(zero, {}).values()) for w in range(w_max + 1)]
-    shares = [[0, []] for _ in range(max(1, min(_workers(), w_max + 1)))]
-    for w in sorted(range(w_max + 1), key=size.__getitem__, reverse=True):
-        share = min(shares, key=itemgetter(0))
-        share[0] += size[w]
-        share[1].append(w)
-    return [sorted(ws) for _, ws in sorted(shares, key=itemgetter(0))]
-
-
 def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | None = None,
                 on_cell: CellCallback | None = None) -> BettiTable:
     """Checked rows for every weight up to w_max, named from ``gs.sc.name``.
 
     The rows come from ``gs.ranked``, which eliminates L'' only (see the
-    module docstring); ``on_cell`` describes its cells.  The first share of
-    ``_shares`` runs here, each other one in a forked child that sends its
-    rows and ``on_cell`` calls through a pipe as plain tuples of their fields,
-    with ``marshal``; the rows and reports are rebuilt here.  Where a weight
-    raises, the calls before its raise are replayed, then it raises; a child
-    pickles that exception, the one object ``marshal`` cannot carry.  Every
-    child is reaped (killed first if this process raises), and one that dies
-    without a result raises ``RuntimeError``.
+    module docstring); ``on_cell`` describes its cells.  Before any fork, the
+    weights, heaviest first, go into one pipe as at most 1024 records of 4
+    bytes, each the start of a run of that order, in one write of at most
+    4096 bytes, which fits even a one-page pipe.  This process and a forked
+    child per other CPU read a record at a time until EOF; after a raise at
+    w, a worker computes only weights below w.  A child sends its rows and
+    ``on_cell`` calls back through a pipe of its own as tuples of their
+    fields, with ``marshal``, pickling only an exception.  The calls are
+    replayed here in w order, up to the lowest raise, which is raised.  Every
+    child is reaped (killed first if this process raises) and every pipe
+    closed; a child that dies without a result, or rows that are not
+    w = 0..w_max each once, raise ``RuntimeError``.
     """
     gs = gs.ranked
     count_up_to(gs, w_max)
-    shares, children, done = _shares(gs, w_max), {}, []
+    zero = (0,) * len(gs.grading)  # a weight weighs its counted torus-weight-0 dimensions
+    order = sorted(range(w_max + 1), key=lambda w: -sum(torus_pieces(gs, w).get(zero, {}).values()))
+    step = max(1, -(-len(order) // 1024))  # at most 1024 records: one write, one pipe page
+    fds, children = list(os.pipe()), {}  # every fd open here; {pid: the read end of its pipe}
 
-    def run(ws: list[int]) -> list[tuple]:  # [(w, its on_cell calls, its row's fields)]
-        out = []
-        for w in ws:
-            calls: list[tuple] = []
-            try:
-                row = betti_row(gs, w, (lambda w, m, shape, report, forced: calls.append(
-                    (w, m, shape, report.fields(), forced))) if on_cell else None)
-            except Exception as exc:  # the share ends at its first raise, with its exception
-                return out + [(w, calls, exc)]
-            out.append((w, calls, (row.w, row.degrees, row.dims, row.kernels, row.betti)))
-        return out
+    def run() -> list[tuple]:  # [(w, its on_cell calls, its row's fields)], its lowest raise last
+        out, failed = [], None
+        while record := os.read(fds[0], 4):  # a pipe read: no two workers get one record
+            start = int.from_bytes(record, "little")
+            for w in order[start:start + step]:
+                if failed and w >= failed[0]:  # the replay stops at the lower weight
+                    continue
+                calls: list[tuple] = []
+                try:
+                    row = betti_row(gs, w, (lambda w, m, shape, report, forced: calls.append(
+                        (w, m, shape, report.fields(), forced))) if on_cell else None)
+                except Exception as exc:
+                    failed = (w, calls, exc)
+                    continue
+                out.append((w, calls, (row.w, row.degrees, row.dims, row.kernels, row.betti)))
+        return out if failed is None else out + [failed]
 
     try:
-        for ws in shares[1:]:
-            read, write = os.pipe()
+        os.write(fds[1], b"".join(s.to_bytes(4, "little") for s in range(0, len(order), step)))
+        os.close(fds.pop())  # the queue ends at EOF
+        for _ in range(min(_workers(), len(order)) - 1):
+            fds += os.pipe()
             if (pid := os.fork()) == 0:  # the child never returns from here
                 status = 1
                 try:
-                    out = run(ws)
+                    out = run()
                     if out and isinstance(out[-1][2], Exception):
                         import pickle  # only after a raise: its import costs milliseconds
                         out[-1] = out[-1][:2] + (pickle.dumps(out[-1][2]),)
-                    with os.fdopen(write, "wb") as pipe:
+                    with open(fds[-1], "wb") as pipe:
                         marshal.dump(out, pipe)
                     status = 0
                 finally:
                     os._exit(status)
-            os.close(write)
-            children[pid] = os.fdopen(read, "rb")
-        done += run(shares[0])
-        for pid in list(children):
-            data = children[pid].read()
+            os.close(fds.pop())
+            children[pid] = fds[-1]
+        done = run()
+        for pid, read in list(children.items()):
+            data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
             status = os.waitpid(pid, 0)[1]
-            children.pop(pid).close()
+            del children[pid]
             if status or not data:
                 raise RuntimeError(f"a table worker exited with status "
                                    f"{os.waitstatus_to_exitcode(status)} and no result")
@@ -401,20 +397,24 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
     finally:
         if children:  # left only by a raise: kill, then reap
             import signal  # only here: its import costs most of a millisecond
-            for pid, pipe in children.items():
-                pipe.close()
+            for pid in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
     rows = []
-    for _, calls, row in sorted(done, key=itemgetter(0)):
+    for w, calls, row in sorted(done, key=itemgetter(0)):
+        if w != len(rows):  # a weight claimed twice or by no one
+            break
         for w, m, shape, report, forced in calls:
             on_cell(w, m, shape, EliminationReport(*report), forced)
-        if isinstance(row, bytes):  # a child's exception
+        if not isinstance(row, tuple):  # an exception, pickled if a child's
             import pickle
-            row = pickle.loads(row)
-        if isinstance(row, Exception):
-            raise row
+            raise pickle.loads(row) if isinstance(row, bytes) else row
         rows.append(BettiRow(*row))
+    if len(done) != w_max + 1 or [row.w for row in rows] != list(range(w_max + 1)):
+        raise RuntimeError(f"rows are not w = 0..{w_max}, each once: weights "
+                           f"{sorted(w for w, *_ in done)}, rows {[row.w for row in rows]}")
     return BettiTable(algebra=gs.sc.name, params=dict(params or {}), rows=rows)
 
 

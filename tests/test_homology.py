@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -396,15 +397,20 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
 def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, monkeypatch):
     # d o d = 0: the columns of the cell (w, m) indexed by pivots of the cell (w, m+1)
     # are never assembled, so cols - rank(w, m+1) columns enter elimination
-    real = homology.rank_rows
-    entered = []
+    real_row, real, current = homology.betti_row, homology.rank_rows, []
+    entered = {}  # {w: (rows, nonzero rows) of each elimination of that weight's row}
+
+    def row(gs, w, on_cell=None):
+        current.append(w)
+        return real_row(gs, w, on_cell)
 
     def counting(rows):
-        entered.append((len(rows), sum(1 for row in rows if row)))
+        entered.setdefault(current[-1], []).append((len(rows), sum(1 for row in rows if row)))
         report = real(rows)
-        assert report.nonzero_rows == entered[-1][1]
+        assert report.nonzero_rows == entered[current[-1]][-1][1]
         return report
 
+    monkeypatch.setattr(homology, "betti_row", row)
     monkeypatch.setattr(homology, "rank_rows", counting)
     # a forked worker's eliminations are not counted here, so every weight runs in this process
     monkeypatch.setattr(homology, "_workers", lambda: 1)
@@ -414,11 +420,21 @@ def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, mo
         cells[w, m] = (shape[1], report.rank)
 
     betti_table(generator_system(catalog_get(name)), w_max, on_cell=on_cell)
-    assert len(entered) == len(cells)
+    # the rows run heaviest first and their cells are replayed in w order, so each
+    # elimination is matched to its cell by (w, m): a row ranks its cells in their order
+    assert sorted(current) == list(range(w_max + 1))
+    assert current != sorted(current)
+    live = {}
+    for w, calls in entered.items():
+        degrees = [m for v, m in cells if v == w]
+        assert len(degrees) == len(calls), w
+        live.update(((w, m), call) for m, call in zip(degrees, calls))
+    assert live.keys() == cells.keys()
     # each weight from its top degree down
     assert list(cells) == sorted(cells, key=lambda cell: (cell[0], -cell[1]))
     skipped = 0
-    for ((w, m), (cols, _)), (kept, nonzero) in zip(cells.items(), entered):
+    for (w, m), (cols, _) in cells.items():
+        kept, nonzero = live[w, m]
         above = cells.get((w, m + 1), (0, 0))[1]
         assert nonzero <= kept == cols - above, (w, m)
         skipped += above
@@ -453,16 +469,17 @@ def _no_child_is_left():
 
 @pytest.mark.parametrize("name, binds, w_max, fill_in", BENCHMARK_TABLES)
 def test_the_worker_count_changes_no_table_and_no_cell(name, binds, w_max, fill_in, monkeypatch):
-    # the weights split over 1, 2 or 3 forked workers: the same JSON, the same on_cell
-    # calls in the same order, and every report field but the time equal
-    seen = []
+    # the weights claimed by 1, 2 or 3 workers, 0, 1 or 2 of them forked: the same JSON, the
+    # same on_cell calls in the same order, and every report field but the time equal
+    real_fork, seen = os.fork, []
     for workers in (1, 2, 3):
         monkeypatch.setattr(homology, "_workers", lambda n=workers: n)
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         gs = generator_system(catalog_get(name, binds))
-        shares = homology._shares(gs, w_max)
-        assert len(shares) == workers and sorted(sum(shares, [])) == list(range(w_max + 1))
         calls = []
         table = betti_table(gs, w_max, on_cell=lambda *call: calls.append(_timeless(*call)))
+        assert len(forks) == workers - 1 and [row.w for row in table.rows] == list(range(w_max + 1))
         assert sum(report["fill_in"] for _, _, _, report, _ in calls) == fill_in
         seen.append((table.to_json(), calls))
     assert seen[0] == seen[1] == seen[2]
@@ -498,12 +515,39 @@ def test_a_live_thread_keeps_every_share_in_this_process(monkeypatch):
     _no_child_is_left()
 
 
-def test_a_fault_in_a_forked_share_raises_as_in_one_process(monkeypatch):
-    # one rank off by one at a weight of the child's share: the same exception after the
-    # same on_cell calls, those of every weight up to it, and no child is left
-    monkeypatch.setattr(homology, "_workers", lambda: 2)
-    bad = homology._shares(generator_system(catalog_get("heis3")), 10)[1][1]
-    real_row, real_rank, current = homology.betti_row, homology.rank_rows, []
+@pytest.fixture
+def child_first(monkeypatch):
+    """Stubs ``betti_row`` with a given one whose first call in this process waits until a
+    forked worker has begun a row, so that a child claims a weight whoever wins the race.
+    Each stub signals through a pipe of its own, which replaces the last one."""
+    parent, pipe = os.getpid(), []
+
+    def stub(row):
+        for fd in pipe:
+            os.close(fd)
+        pipe[:] = ready, began = os.pipe()
+        waited = []
+
+        def first_in_a_child(gs, w, on_cell=None):
+            if os.getpid() != parent:
+                os.write(began, b".")
+            elif not waited:
+                waited.append(os.read(ready, 1))
+            return row(gs, w, on_cell)
+
+        monkeypatch.setattr(homology, "betti_row", first_in_a_child)
+
+    yield stub
+    for fd in pipe:
+        os.close(fd)
+
+
+def test_a_fault_in_a_forked_share_raises_as_in_one_process(monkeypatch, child_first):
+    # one rank off by one at a weight, in any worker or only in a forked one: the same
+    # exception after the same on_cell calls, those of every weight up to it, and no child
+    # is left
+    parent, real_row, real_rank, current = os.getpid(), homology.betti_row, homology.rank_rows, []
+    bad = 6
 
     def row(gs, w, on_cell=None):
         current.append(w)
@@ -514,53 +558,174 @@ def test_a_fault_in_a_forked_share_raises_as_in_one_process(monkeypatch):
         report.rank += current[-1] == bad
         return report
 
-    monkeypatch.setattr(homology, "betti_row", row)
     monkeypatch.setattr(homology, "rank_rows", off_by_one)
-    raised = []
-    for workers in (1, 2):
-        monkeypatch.setattr(homology, "_workers", lambda n=workers: n)
+
+    def table(workers):
+        monkeypatch.setattr(homology, "_workers", lambda: workers)
         calls = []
         with pytest.raises(TableInvariantError) as exc:
             betti_table(generator_system(catalog_get("heis3")), 10,
                         on_cell=lambda *call: calls.append(_timeless(*call)))
-        raised.append((type(exc.value), str(exc.value), calls))
-    assert raised[0] == raised[1]
+        _no_child_is_left()
+        return type(exc.value), str(exc.value), calls
+
+    monkeypatch.setattr(homology, "betti_row", row)
+    raised = [table(workers) for workers in (1, 2, 3)]
+    assert raised[0] == raised[1] == raised[2]
     assert f"at weight {bad}:" in raised[1][1]
     assert {w for w, *_ in raised[1][2]} == set(range(bad + 1))
-    _no_child_is_left()
+
+    # a fault in every elimination of a forked worker and none here: the lowest weight a
+    # child ranked raises, after the calls one process makes before that fault
+    def in_a_child(rows):
+        if os.getpid() != parent or current[-1] == bad:
+            raise TableInvariantError(f"a rank fault at weight {current[-1]}")
+        return real_rank(rows)
+
+    monkeypatch.setattr(homology, "rank_rows", in_a_child)
+    for workers in (2, 3):
+        bad = None
+        child_first(row)
+        got = table(workers)
+        bad = int(got[1].rsplit(" ", 1)[1])
+        monkeypatch.setattr(homology, "betti_row", row)
+        assert table(1) == got
+        assert {w for w, *_ in got[2]} <= set(range(bad))
 
 
-def test_a_dead_worker_or_an_interrupt_leaves_no_process(monkeypatch):
+def test_a_dead_worker_or_an_interrupt_leaves_no_process(monkeypatch, child_first):
     # a child that exits without a result raises RuntimeError with its status; an
-    # interrupt of the parent's own share kills and reaps the child
+    # interrupt of the parent's own rows kills and reaps the child
     monkeypatch.setattr(homology, "_workers", lambda: 2)
     parent, real_row = os.getpid(), homology.betti_row
-    last_here = homology._shares(generator_system(catalog_get("heis3")), 10)[0][-1]
 
     def dying(gs, w, on_cell=None):
         if os.getpid() != parent:
             os._exit(3)
         return real_row(gs, w, on_cell)
 
-    monkeypatch.setattr(homology, "betti_row", dying)
+    child_first(dying)
     with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
         betti_table(generator_system(catalog_get("heis3")), 10)
     _no_child_is_left()
 
     def interrupted(gs, w, on_cell=None):
-        if os.getpid() == parent and w == last_here:
+        if os.getpid() == parent:
             raise KeyboardInterrupt
         return real_row(gs, w, on_cell)
 
-    monkeypatch.setattr(homology, "betti_row", interrupted)
+    child_first(interrupted)
     with pytest.raises(KeyboardInterrupt):
         betti_table(generator_system(catalog_get("heis3")), 10)
     _no_child_is_left()
 
 
+def test_rows_that_are_not_each_weight_once_raise(monkeypatch, child_first):
+    # a child's row for a weight it did not claim, or a weight claimed twice (the first
+    # record written twice to the queue), is a RuntimeError, not a table
+    monkeypatch.setattr(homology, "_workers", lambda: 2)
+    parent, real_row = os.getpid(), homology.betti_row
+    child_first(lambda gs, w, on_cell=None: real_row(gs, w + (os.getpid() != parent), on_cell))
+    with pytest.raises(RuntimeError, match=r"rows are not w = 0\.\.10, each once"):
+        betti_table(generator_system(catalog_get("heis3")), 10)
+    _no_child_is_left()
+    monkeypatch.setattr(homology, "betti_row", real_row)
+    real_write = os.write
+    for workers in (1, 2):
+        monkeypatch.setattr(homology, "_workers", lambda n=workers: n)
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data + data[:4]))
+        with pytest.raises(RuntimeError, match=r"rows are not w = 0\.\.10, each once"):
+            betti_table(generator_system(catalog_get("heis3")), 10)
+        monkeypatch.setattr(os, "write", real_write)
+        _no_child_is_left()
+
+
+def test_more_weights_than_records_come_back_once_each(monkeypatch):
+    # 3,001 weights in 1,001 records of 3 (one write of 4,004 bytes): every row once, under
+    # 1, 2 and 3 workers, within the alarm
+    gs = generator_system(catalog_get("heis3"))
+    monkeypatch.setattr(homology, "count_up_to", lambda gs, w_max: None)
+    monkeypatch.setattr(homology, "torus_pieces",
+                        lambda gs, w: {(0,) * len(gs.grading): {0: w % 7}})
+    monkeypatch.setattr(homology, "betti_row",
+                        lambda gs, w, on_cell=None: homology.BettiRow(w, [], [], [], []))
+    real_write, written = os.write, []
+    monkeypatch.setattr(os, "write",
+                        lambda fd, data: written.append(len(data)) or real_write(fd, data))
+
+    def hung(signum, frame):
+        raise TimeoutError("the table hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(homology, "_workers", lambda n=workers: n)
+            signal.alarm(60)
+            table = betti_table(gs, 3000)
+            signal.alarm(0)
+            assert [row.w for row in table.rows] == list(range(3001))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert written == [4004] * 3
+    _no_child_is_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the fds in /proc/self/fd")
+def test_a_table_closes_every_pipe_it_opens(monkeypatch, child_first):
+    # the queue pipe and each child's pipe are closed after a table, a raise, a dead child,
+    # and os.fork raising on the second of three workers
+    parent, real_row, real_rank = os.getpid(), homology.betti_row, homology.rank_rows
+    gs = generator_system(catalog_get("heis3"))
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    child_first(real_row)  # its pipe is open before and after, then replaced by one as many
+    before = open_fds()
+    monkeypatch.setattr(homology, "_workers", lambda: 3)
+    betti_table(gs, 10)
+    assert open_fds() == before
+
+    def faulty(rows):
+        report = real_rank(rows)
+        report.rank += 1
+        return report
+
+    monkeypatch.setattr(homology, "rank_rows", faulty)
+    with pytest.raises(TableInvariantError):
+        betti_table(gs, 10)
+    monkeypatch.setattr(homology, "rank_rows", real_rank)
+    assert open_fds() == before
+
+    def dying(gs, w, on_cell=None):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_row(gs, w, on_cell)
+
+    child_first(dying)
+    with pytest.raises(RuntimeError, match="no result"):
+        betti_table(gs, 10)
+    monkeypatch.setattr(homology, "betti_row", real_row)
+    assert open_fds() == before
+    real_fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError("fork: no process left")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    with pytest.raises(BlockingIOError):
+        betti_table(gs, 10)
+    assert len(forks) == 2 and open_fds() == before
+    _no_child_is_left()
+
+
 def test_a_forked_table_loads_no_module_it_does_not_use():
     # a table's start-up time is mostly imports: none of these is on its path, forked
-    # shares included; -S keeps site's .pth files from loading any of them first
+    # workers included; -S keeps site's .pth files from loading any of them first
     script = (
         "import sys\n"
         "from superhomology import betti_table, catalog_get, generator_system, homology\n"
