@@ -168,8 +168,8 @@ def _cmd_table(args, out) -> int:
     reports: list[dict] = []
 
     def on_cell(w, m, shape, report, forced_rank):
-        reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1],
-                        **dict(zip(report.FIELDS, report.fields())), "forced_rank": forced_rank,
+        reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1], "rank": report.rank,
+                        **vars(report), "backend": report.backend, "forced_rank": forced_rank,
                         "cell_rank": report.rank + forced_rank})
 
     table = _table(args, gs, params, on_cell if args.report else None)

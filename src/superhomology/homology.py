@@ -8,8 +8,7 @@ sum of the dimensions vanishes for every weight.  So the rows are computed
 apart: in ``betti_table`` this process and a forked child per other CPU
 claim the weights, heaviest first, from one pipe, and the rows come back in
 w order, with the ``on_cell`` calls replayed in the order one process makes
-them.  A child hands back rows and calls as tuples of their fields with the
-built-in ``marshal``; only a child that raised imports ``pickle``.
+them; a forked child's rows and reports cross its pipe as their ``vars``.
 
 When the algebra has a torus grading (``GeneratorSystem.torus``), the
 weighted complex splits into pieces by torus weight.  A level-1 generator x
@@ -49,13 +48,13 @@ columns have distinct lowest ones in P.  So, by induction from the end of
 the numbering, each monomial of P is, modulo that image, a combination of
 the monomials outside P, and the columns of the cell (w, m) indexed by P are
 combinations of its other columns.  They are never assembled: the rank is
-that of the kept columns.  Any numbering gives the rank, but not the same
-fill-in: numbered in basis order from the last, g3d3 to w = 16 fills in
-29,873 entries instead of 4,523 and loses its gain; from the first, the gl2
-row w = 8 takes 11 s instead of 0.3 s.  The kernel breaks ties between
-columns of equal length in input order, and that order matters too: kept in
-the numbering instead of lex order, the gl2 table to w = 8 fills in 102,497
-entries instead of 88,530.
+that of the kept columns, the size of P (pivots that share a monomial
+raise).  Any numbering gives the rank, but not the same fill-in: in basis
+order from the last, g3d3 to w = 16 fills in 29,873 entries instead of
+4,523; from the first, the gl2 row w = 8 fills in 52,548 instead of 2,185
+and takes 4 times the CPU.  The kernel breaks ties between columns of equal
+length in input order, and that order matters too: kept in the numbering
+instead of lex order, the gl2 table to w = 8 fills in 5,048, not 4,921.
 
 ``betti_row`` checks the piece dimensions, the forced ranks and every row it
 computes and raises :class:`TableInvariantError` when one breaks these
@@ -88,7 +87,7 @@ from .chain import (boundary_columns, chain_dim, count_up_to, numbered_bases, su
 from .exterior import GeneratorSystem
 from .ranklin import EliminationReport, rank_rows
 
-# (w, m, (rows, cols) of the eliminated piece, its report, rank forced by the acyclic pieces)
+# (w, m, (rows, cols) of the eliminated piece, its report (rank: its pivots), forced rank)
 CellCallback = Callable[[int, int, tuple[int, int], EliminationReport, int], None]
 
 
@@ -131,8 +130,7 @@ class BettiRow:
             raise TableInvariantError(f"nonzero Euler sum of Betti numbers at weight {self.w}")
 
     def to_dict(self) -> dict:
-        return {"w": self.w, "degrees": list(self.degrees), "dims": list(self.dims),
-                "kernels": list(self.kernels), "betti": list(self.betti)}
+        return {name: value if name == "w" else list(value) for name, value in vars(self).items()}
 
 
 class BettiTable:
@@ -298,10 +296,12 @@ def betti_row(gs: GeneratorSystem, w: int,
             for r, v in columns[c].items():
                 push[r] = push.get(r, 0) + x * v
         report = rank_rows([columns[c] for c in kept])
-        above = {m - 1: ({order[r] for _, r in report.pivots},
-                         {order[r]: x for r, x in push.items() if x})}
+        pivoted = {order[r] for _, r in report.pivots}  # the skip set below, and the rank
+        if len(pivoted) < len(report.pivots):
+            raise TableInvariantError(f"a pivot column repeats at w={w}, m={m}")
+        above = {m - 1: (pivoted, {order[r]: x for r, x in push.items() if x})}
         forced = ranks.get(m, 0)
-        ranks[m] = forced + report.rank
+        ranks[m] = forced + len(pivoted)
         if on_cell is not None:  # the pivots' only reader: (row, column) in the numbering
             number = numbered[m][1]
             report.pivots = [(r, number[codes[kept[k]]]) for k, r in report.pivots]
@@ -335,8 +335,8 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
     4096 bytes, which fits even a one-page pipe.  This process and a forked
     child per other CPU read a record at a time until EOF; after a raise at
     w, a worker computes only weights below w.  A child sends its rows and
-    ``on_cell`` calls back through a pipe of its own as tuples of their
-    fields, with ``marshal``, pickling only an exception.  The calls are
+    ``on_cell`` calls back through a pipe of its own, each row and report as
+    its ``vars``, with ``marshal``, pickling only an exception.  The calls are
     replayed here in w order, up to the lowest raise, which is raised.  Every
     child is reaped (killed first if this process raises) and every pipe
     closed; a child that dies without a result, or rows that are not
@@ -349,7 +349,7 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
     step = max(1, -(-len(order) // 1024))  # at most 1024 records: one write, one pipe page
     fds, children = list(os.pipe()), {}  # every fd open here; {pid: the read end of its pipe}
 
-    def run() -> list[tuple]:  # [(w, its on_cell calls, its row's fields)], its lowest raise last
+    def run() -> list[tuple]:  # [(w, its on_cell calls, vars of its row)], its lowest raise last
         out, failed = [], None
         while record := os.read(fds[0], 4):  # a pipe read: no two workers get one record
             start = int.from_bytes(record, "little")
@@ -359,11 +359,11 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
                 calls: list[tuple] = []
                 try:
                     row = betti_row(gs, w, (lambda w, m, shape, report, forced: calls.append(
-                        (w, m, shape, report.fields(), forced))) if on_cell else None)
+                        (w, m, shape, vars(report), forced))) if on_cell else None)
                 except Exception as exc:
                     failed = (w, calls, exc)
                     continue
-                out.append((w, calls, (row.w, row.degrees, row.dims, row.kernels, row.betti)))
+                out.append((w, calls, vars(row)))
         return out if failed is None else out + [failed]
 
     try:
@@ -407,11 +407,11 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
         if w != len(rows):  # a weight claimed twice or by no one
             break
         for w, m, shape, report, forced in calls:
-            on_cell(w, m, shape, EliminationReport(*report), forced)
-        if not isinstance(row, tuple):  # an exception, pickled if a child's
+            on_cell(w, m, shape, EliminationReport(**report), forced)
+        if not isinstance(row, dict):  # an exception, pickled if a child's
             import pickle
             raise pickle.loads(row) if isinstance(row, bytes) else row
-        rows.append(BettiRow(*row))
+        rows.append(BettiRow(**row))
     if len(done) != w_max + 1 or [row.w for row in rows] != list(range(w_max + 1)):
         raise RuntimeError(f"rows are not w = 0..{w_max}, each once: weights "
                            f"{sorted(w for w, *_ in done)}, rows {[row.w for row in rows]}")

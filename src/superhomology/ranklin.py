@@ -14,8 +14,8 @@ no owner yet, which makes it that column's pivot row.  All arithmetic stays
 in arbitrary-precision integers, so the result is exact unconditionally.
 
 ``rank_rows`` is the kernel: it times the pass, counts the rows that enter
-with entries, and returns an :class:`EliminationReport` whose fields are in
-the order of the ``superhomology table --report`` keys.  The table hands it
+with entries, and returns an :class:`EliminationReport`, whose rank is the
+number of its pivots: no second record of it is kept.  The table hands it
 the columns of D_w times the boundary (``chain.boundary_columns``, same rank)
 as its input rows, only those the cell above does not prove dependent (d o d
 = 0, the "twist", in ``homology.betti_row``), in lex order.  Both degrees of
@@ -26,8 +26,8 @@ of a cell, as ``chain.boundary_matrix`` gives it and ``--dump-matrix`` writes
 it) and first clears each row to integers (multiplied by the lcm of its
 denominators).
 
-There is no modular/CRT path (that would be the natural extension for
-weights far beyond the tables computed here).
+There is no modular/CRT path here (``tests/oracles.py`` ranks the kernel's
+input mod a prime near 2^61, a witness that shares nothing with the kernel).
 """
 
 from __future__ import annotations
@@ -94,25 +94,25 @@ class RationalMatrix:
 
 
 class EliminationReport:
-    """What one elimination did; ``FIELDS`` is their order, that of the ``--report`` keys.
+    """What one elimination found: ``rank`` is the number of ``pivots``, ``backend`` a constant.
 
     ``pivots`` are (row, column) of the input in the order they were found
     (``homology.betti_row`` maps each input row to the column of the piece it
     came from, so its pivots are (row, column) in the numbering of the piece,
-    odd letters first), and
-    ``nonzero_rows`` counts the rows that entered with entries.
+    odd letters first), and ``nonzero_rows`` counts the rows that entered
+    with entries.  ``EliminationReport(**vars(r))`` copies r.
     """
 
-    FIELDS = ("rank", "pivots", "fill_in", "nonzero_rows", "elapsed", "backend")
+    backend = BACKEND
 
-    def __init__(self, rank: int, pivots: list[tuple[int, int]], fill_in: int,
-                 nonzero_rows: int, elapsed: float, backend: str = BACKEND):
-        self.rank, self.pivots, self.fill_in = rank, pivots, fill_in
-        self.nonzero_rows, self.elapsed, self.backend = nonzero_rows, elapsed, backend
+    def __init__(self, pivots: list[tuple[int, int]], fill_in: int, nonzero_rows: int,
+                 elapsed: float):
+        self.pivots, self.fill_in = pivots, fill_in
+        self.nonzero_rows, self.elapsed = nonzero_rows, elapsed
 
-    def fields(self) -> tuple:
-        """The field values in ``FIELDS`` order: ``EliminationReport(*r.fields())`` copies r."""
-        return tuple(getattr(self, name) for name in self.FIELDS)
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def _integer_rows(matrix: RationalMatrix) -> list[dict[int, int]]:
@@ -165,7 +165,7 @@ def rank_rows(rows: list[dict[int, int]]) -> EliminationReport:
             if content > 1:
                 for c in row:
                     row[c] //= content
-    return EliminationReport(len(pivots), pivots, fill, nonzero, time.perf_counter() - start)
+    return EliminationReport(pivots, fill, nonzero, time.perf_counter() - start)
 
 
 def rank_report(matrix: RationalMatrix) -> EliminationReport:

@@ -10,7 +10,10 @@ tuple keys stepped one letter at a time, not the packed int keys of
 ``chain``, and ``fraction_schouten`` sums the bracket in ``Fraction`` on
 ``sc.bracket``, not on the int table of ``exterior``.
 ``dd_probe_every_column`` is the d o d = 0 probe over every column, of
-which the table pushes a sample.
+which the table pushes a sample.  ``witness_every_cell`` checks every rank
+a table takes against ``rank_mod_p``, a mod-p echelon at a seeded prime
+near 2^61 that shares nothing with the exact kernel (homology through ranks
+mod p: Dumas, Heckenbach, Saunders & Welker 2003).
 The word layer (sorting words of
 generators with the super sign), ``Chain`` arithmetic, multivector sums,
 multiples and wedges (``mv_add``, ``mv_scaled``, ``mv_wedge``), the matrix
@@ -28,6 +31,7 @@ from operator import add
 from superhomology.algebra import StructureConstants, format_rational, parse_rational
 from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix,
                                  chain_basis, chain_dim, numbered_bases, support_degrees)
+from superhomology import homology
 from superhomology.exterior import Multivector, sort_indices
 from superhomology.homology import BettiRow, BettiTable
 from superhomology.ranklin import RationalMatrix, rank_report
@@ -626,6 +630,105 @@ def naive_rank(matrix) -> int:
         if rank == matrix.rows:
             break
     return rank
+
+
+def is_prime(n) -> bool:
+    """Miller-Rabin on the first twelve primes as bases, exact below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_near_2_61(seed) -> int:
+    """The first prime that ``random.Random(seed)`` draws from [2^61 - 2^40, 2^61)."""
+    rng = random.Random(seed)
+    while not is_prime(n := rng.randrange(2**61 - 2**40, 2**61)):
+        pass
+    return n
+
+
+def rank_mod_p(rows, p) -> int:
+    """Rank mod the prime p of int rows ({column: entry}), which it leaves as they are.
+
+    Rows are taken in input order and each is reduced against pivot rows
+    scaled to 1 at their lowest column, so it shares neither its arithmetic
+    nor its row order with ``ranklin.rank_rows`` (fraction-free integers,
+    shortest row first).  The lowest column, as in the kernel, keeps the
+    fill-in of the table's input low: the highest took 7 times as long on
+    gl2 w <= 10.  rank mod p <= the rational rank, equal unless p divides
+    every maximal nonzero minor.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}  # leading column -> its row, 1 there
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            if lead not in pivot_rows:
+                inverse = pow(row[lead], -1, p)
+                pivot_rows[lead] = {c: v * inverse % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in pivot_rows[lead].items():
+                if x := (row.get(c, 0) - f * v) % p:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivot_rows)
+
+
+def pivot_minor_is_nonsingular(rows, pivots, p) -> bool:
+    """The rows x columns that ``pivots`` ((row, column) pairs) name, each once, are a
+    square minor of ``rows`` that is nonsingular mod p, which proves rank >= len(pivots)."""
+    picked, columns = {r for r, _ in pivots}, {c for _, c in pivots}
+    minor = [{c: v for c, v in rows[r].items() if c in columns} for r in picked]
+    return len(picked) == len(columns) == len(pivots) == rank_mod_p(minor, p)
+
+
+def witness_every_cell(gs, w_max, seed="rank witness") -> list[tuple[int, int, int]]:
+    """(w, m, rank) of every cell a table of gs to w_max ranks, each rank witnessed mod p.
+
+    ``homology.rank_rows`` is patched, for the weights run one after another
+    in this process, to copy each kept matrix before the kernel consumes it;
+    at the prime ``prime_near_2_61(seed)`` its rank must be the number of
+    pivots the kernel reports (a dropped pivot shows as a larger rank mod p)
+    and the pivot minor must be nonsingular (a pivot the rows do not have
+    makes it singular).  Any other result raises ``AssertionError``, also
+    under ``python -O``.
+    """
+    p, real, cells = prime_near_2_61(seed), homology.rank_rows, []
+
+    def witnessed(rows):
+        kept = [dict(row) for row in rows]
+        report = real(rows)
+        rank_p, whole = rank_mod_p(kept, p), pivot_minor_is_nonsingular(kept, report.pivots, p)
+        if rank_p != len(report.pivots) or not whole:
+            raise AssertionError(f"at w={w}, cell {len(cells) + 1} of the run: rank mod {p} is "
+                                 f"{rank_p}, {len(report.pivots)} pivots, pivot minor "
+                                 f"nonsingular: {whole}")
+        return report
+
+    homology.rank_rows, ranked = witnessed, gs.ranked
+    try:
+        for w in range(w_max + 1):
+            homology.betti_row(ranked, w, lambda w, m, shape, report, forced:
+                               cells.append((w, m, report.rank)))
+    finally:
+        homology.rank_rows = real
+    return cells
 
 
 def dense_jacobi_violations(sc):

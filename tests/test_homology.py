@@ -22,7 +22,7 @@ from superhomology import chain
 
 from conftest import EXPECTED_DIR, REPO_ROOT
 from oracles import (change_basis, dd_probe_every_column, euler_check, generator_coords, mv_add,
-                     mv_scaled, random_invertible)
+                     mv_scaled, random_invertible, witness_every_cell)
 
 
 @pytest.fixture(scope="module")
@@ -328,17 +328,41 @@ def test_validate_raises_under_optimize():
         assert why in line
 
 
+def _repeat_last_pivot(report):
+    """A rank one too high that the pivots carry: the last pivot, when there is one, twice."""
+    report.pivots += report.pivots[-1:]
+    return report
+
+
 def test_wrong_rank_raises_instead_of_returning_row(monkeypatch):
     real = homology.rank_rows
-
-    def off_by_one(rows):
-        report = real(rows)
-        report.rank += 1
-        return report
-
-    monkeypatch.setattr(homology, "rank_rows", off_by_one)
-    with pytest.raises(TableInvariantError):
+    monkeypatch.setattr(homology, "rank_rows", lambda rows: _repeat_last_pivot(real(rows)))
+    with pytest.raises(TableInvariantError, match="pivot column repeats"):
         betti_table(generator_system(catalog_get("heis3")), 3)
+
+
+def test_a_repeated_pivot_raises_at_weight_0_under_python_O():
+    # heis3 w = 0 passes every row check with each rank one too high, so the one guard on
+    # the pivots must raise there, also with asserts stripped
+    script = (
+        "from superhomology import TableInvariantError, betti_row, catalog_get, "
+        "generator_system, homology\n"
+        "real = homology.rank_rows\n"
+        "def repeated(rows):\n"
+        "    report = real(rows)\n"
+        "    report.pivots += report.pivots[-1:]\n"
+        "    return report\n"
+        "homology.rank_rows = repeated\n"
+        "try:\n"
+        "    print(betti_row(generator_system(catalog_get('heis3')), 0).betti)\n"
+        "except TableInvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "a pivot column repeats at w=0, m=2\n"
 
 
 class _Listed(tuple):
@@ -459,7 +483,7 @@ def test_benchmark_tables_fill_in_is_pinned(name, binds, w_max, fill_in):
 def _timeless(*call):
     """An ``on_cell`` call with its report as a dict, less the elapsed time."""
     w, m, shape, report, forced = call
-    return w, m, shape, {**dict(zip(report.FIELDS, report.fields())), "elapsed": None}, forced
+    return w, m, shape, {**vars(report), "elapsed": None}, forced
 
 
 def _no_child_is_left():
@@ -547,16 +571,17 @@ def test_a_fault_in_a_forked_share_raises_as_in_one_process(monkeypatch, child_f
     # exception after the same on_cell calls, those of every weight up to it, and no child
     # is left
     parent, real_row, real_rank, current = os.getpid(), homology.betti_row, homology.rank_rows, []
-    bad = 6
+    bad, ranked = 6, []  # ranked: a 1 for each cell of the current row ranked so far
 
     def row(gs, w, on_cell=None):
         current.append(w)
+        ranked.clear()
         return real_row(gs, w, on_cell)
 
-    def off_by_one(rows):
+    def off_by_one(rows):  # at the second cell of the row, so the first one's call is made
         report = real_rank(rows)
-        report.rank += current[-1] == bad
-        return report
+        ranked.append(1)
+        return _repeat_last_pivot(report) if current[-1] == bad and len(ranked) == 2 else report
 
     monkeypatch.setattr(homology, "rank_rows", off_by_one)
 
@@ -572,7 +597,7 @@ def test_a_fault_in_a_forked_share_raises_as_in_one_process(monkeypatch, child_f
     monkeypatch.setattr(homology, "betti_row", row)
     raised = [table(workers) for workers in (1, 2, 3)]
     assert raised[0] == raised[1] == raised[2]
-    assert f"at weight {bad}:" in raised[1][1]
+    assert f"at w={bad}," in raised[1][1]
     assert {w for w, *_ in raised[1][2]} == set(range(bad + 1))
 
     # a fault in every elimination of a forked worker and none here: the lowest weight a
@@ -687,12 +712,7 @@ def test_a_table_closes_every_pipe_it_opens(monkeypatch, child_first):
     betti_table(gs, 10)
     assert open_fds() == before
 
-    def faulty(rows):
-        report = real_rank(rows)
-        report.rank += 1
-        return report
-
-    monkeypatch.setattr(homology, "rank_rows", faulty)
+    monkeypatch.setattr(homology, "rank_rows", lambda rows: _repeat_last_pivot(real_rank(rows)))
     with pytest.raises(TableInvariantError):
         betti_table(gs, 10)
     monkeypatch.setattr(homology, "rank_rows", real_rank)
@@ -779,6 +799,46 @@ def test_assembly_passes_the_probe_over_every_column(name, binds, w_max):
     # the table's probe samples; this one reads every column the assembly can give
     gs = generator_system(catalog_get(name, binds))
     assert not [(w, bad) for w in range(w_max + 1) if (bad := dd_probe_every_column(gs, w))]
+
+
+@pytest.mark.parametrize("name, binds, w_max", [
+    ("heis3", {}, 25), ("gl2", {}, 10), ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 16)])
+def test_every_rank_a_table_takes_has_a_mod_p_witness(name, binds, w_max):
+    # each kept matrix has as many pivots as its rank mod a prime near 2^61, and a pivot
+    # minor nonsingular mod p; the witness covers exactly the cells the table reports
+    gs = generator_system(catalog_get(name, binds))
+    cells = []
+    betti_table(gs, w_max, on_cell=lambda w, m, shape, report, forced:
+                cells.append((w, m, report.rank)))
+    assert witness_every_cell(gs, w_max) == sorted(cells, key=lambda cell: (cell[0], -cell[1]))
+
+
+def test_the_mod_p_witness_refuses_a_dropped_or_a_made_up_pivot(monkeypatch):
+    # a kernel that drops its last pivot, or adds one at a row it reduced to zero and a
+    # column no pivot holds: whatever the table's own checks make of it, the witness raises
+    # at the first cell it changes
+    gs, real = generator_system(catalog_get("heis3")), homology.rank_rows
+
+    def dropped(rows):
+        report = real(rows)
+        del report.pivots[-1:]
+        return report
+
+    def made_up(rows):
+        columns = set().union(*rows)
+        report = real(rows)
+        spare = set(range(len(rows))) - {r for r, _ in report.pivots}
+        free = columns - {c for _, c in report.pivots}
+        if spare and free:
+            report.pivots.append((min(spare), min(free)))
+        return report
+
+    # a dropped pivot leaves a nonsingular minor, so only the rank mod p can refuse it
+    for fault, why in ((dropped, "nonsingular: True"), (made_up, "nonsingular: False")):
+        monkeypatch.setattr(homology, "rank_rows", fault)
+        with pytest.raises(AssertionError, match=why):
+            witness_every_cell(gs, 6)
+        assert homology.rank_rows is fault  # the witness puts back the kernel it wrapped
 
 
 # the sign exponent of each case of chain._boundary_terms, as its source writes it

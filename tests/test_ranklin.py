@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhomology import (boundary_matrix, catalog_get, generator_system,
-                           rank_report, support_degrees)
-from superhomology.ranklin import RationalMatrix, rank_rows
+from superhomology import (BACKEND, EliminationReport, boundary_matrix, catalog_get,
+                           generator_system, rank_report, support_degrees)
+from superhomology.ranklin import RationalMatrix, _integer_rows, rank_rows
 
-from oracles import kernel_dim, matmul, naive_rank, rank, transpose
+from oracles import (is_prime, kernel_dim, matmul, naive_rank, pivot_minor_is_nonsingular,
+                     prime_near_2_61, rank, rank_mod_p, transpose)
 
 
 def random_matrix(rng, rows, cols, density=0.3, denominators=True):
@@ -132,10 +133,14 @@ def test_report_fields():
     assert len(set(pivot_rows)) == len(report.pivots)
     assert len(set(pivot_cols)) == len(report.pivots)
     assert report.fill_in >= 0 and report.elapsed >= 0.0
-    payload = dict(zip(report.FIELDS, report.fields()))
-    assert payload["rank"] == report.rank and "backend" in payload
-    # the order of the --report keys between the shape and the forced ranks
-    assert list(payload) == ["rank", "pivots", "fill_in", "nonzero_rows", "elapsed", "backend"]
+    # what the kernel found, in the order of the --report keys between rank and backend;
+    # the rank is read from the pivots and cannot be set apart from them
+    assert list(vars(report)) == ["pivots", "fill_in", "nonzero_rows", "elapsed"]
+    assert report.rank == len(report.pivots) and report.backend == BACKEND == "python"
+    with pytest.raises(AttributeError):
+        report.rank += 1
+    copied = EliminationReport(**vars(report))
+    assert vars(copied) == vars(report) and copied.rank == report.rank
 
 
 def test_pivot_is_the_lowest_column_of_the_input():
@@ -185,3 +190,32 @@ def test_rank_bounds_random_shapes(rows, cols, seed):
     r = rank(matrix)
     assert 0 <= r <= min(rows, cols)
     assert kernel_dim(matrix) == cols - r
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-2, 2000) if is_prime(n)] == \
+        [n for n in range(2, 2000) if all(n % q for q in range(2, int(n ** 0.5) + 1))]
+    assert is_prime(2**61 - 1) and not is_prime(3215031751)  # a strong pseudoprime to 2..7
+    p = prime_near_2_61("rank witness")
+    assert 2**61 - 2**40 <= p < 2**61 and is_prime(p)
+
+
+def test_rank_mod_p_and_the_pivot_minor_agree_with_the_rational_rank():
+    # at a prime near 2^61 the small entries here lose no rank, so rank mod p is the rank
+    # over Q, and the kernel's pivot minor is nonsingular mod p; a pivot dropped or made
+    # up is told apart
+    rng, p = random.Random(7), prime_near_2_61("rank witness")
+    for trial in range(40):
+        matrix = random_matrix(rng, rng.randint(0, 9), rng.randint(0, 9), density=0.4)
+        rows = _integer_rows(matrix)
+        before = [dict(row) for row in rows]
+        assert rank_mod_p(rows, p) == naive_rank(matrix), trial
+        assert rows == before  # the witness leaves its rows as they are
+        report = rank_rows(rows)
+        assert pivot_minor_is_nonsingular(before, report.pivots, p), trial
+        if report.pivots:
+            assert not pivot_minor_is_nonsingular(before, report.pivots + report.pivots[-1:], p)
+        spare = [r for r in range(len(before)) if r not in {r for r, _ in report.pivots}]
+        if spare and (free := set(range(matrix.cols)) - {c for _, c in report.pivots}):
+            made_up = report.pivots + [(spare[0], min(free))]
+            assert not pivot_minor_is_nonsingular(before, made_up, p), trial
