@@ -21,16 +21,17 @@ from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` (q > 0 after reduction) into a Fraction."""
-    if isinstance(text, int):
+    """Parse ``"p"`` or ``"p/q"`` (q > 0 after reduction), or an int, into a Fraction; a bool
+    (an int to Python) or a float raises."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     s = str(text).strip()
     if not s or "." in s or "e" in s.lower():
-        raise ValueError(f"not a decimal-free rational: {text!r}")
+        raise AlgebraError(f"not a decimal-free rational: {text!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise AlgebraError(f"not a rational: {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -152,7 +153,9 @@ def _parse_coefficient(value) -> tuple[Fraction, str | None]:
         if param is not None and not isinstance(param, str):
             raise AlgebraError(f"bad param reference: {value!r}")
         return coef, param
-    s = str(value).strip()
+    if not isinstance(value, str):
+        return parse_rational(value), None
+    s = value.strip()
     try:
         return parse_rational(s), None
     except ValueError:

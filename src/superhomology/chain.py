@@ -89,7 +89,7 @@ A weight-w monomial is coded as one int in an odd-major mixed radix
 (``_digits``): one binary digit per even id, the least significant, id 0
 leading, and above them a digit of base w // grade_x + 1 per odd id x, the
 first leading.  Every exponent of a weight-w column or target fits its
-digit, so the code is exact (19 to 26 bits, one CPython digit, on the
+digit, so the code is exact (17 to 26 bits, one CPython digit, on the
 benchmark tables), and int order of the codes is odd part, then even part,
 each in lex order: the numbering ``homology.betti_row`` holds.  The lister
 gives each monomial as its odd tail and its code, the even part's code plus

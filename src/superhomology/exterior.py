@@ -216,6 +216,9 @@ class GeneratorSystem:
             raise AlgebraError(f"dim {n} needs 2^{n} - 1 generators; at most dim {MAX_DIM} "
                                f"({2 ** MAX_DIM - 1} generators) is supported")
         level_bases = level_bases or {}
+        for k in level_bases:
+            if k not in range(1, n + 1):
+                raise AlgebraError(f"alias basis at level {k!r}: levels are 1..{n}")
         per_level: dict[int, list[tuple[str, Multivector]]] = {}
         for k in range(1, n + 1):
             if k in level_bases:
@@ -259,8 +262,8 @@ class GeneratorSystem:
         self._pair_cache: dict[tuple[int, int], tuple[tuple[Fraction, int], ...]] = {}
         # owned by int_brackets: w -> (D_w, int bracket table)
         self._int_cache: dict[int, tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]] = {}
-        # owned by chain._tables: coords -> (bound, suffix tables, choices, view); no basis kept
-        self._count_cache: dict[tuple, tuple[int, list[dict], dict, dict]] = {}
+        # owned by chain._tables: coords -> (bound, suffix tables, choices, view, packing)
+        self._count_cache: dict[tuple, tuple[int, list[dict], dict, dict, tuple]] = {}
         # 1 at each split letter of a system ``ranked`` returns, () on any other
         self.split: tuple[int, ...] = ()
 

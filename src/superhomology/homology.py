@@ -33,20 +33,21 @@ and the row of L is checked.
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
 Each weight runs from its top support degree down to degree 1.  The
-torus-weight-0 piece of each degree is listed in lex order with its int
-codes (``chain.numbered_bases``), whose int order is odd letters first, then
-even ones, and numbered once for the whole weight by one sort of its
-positions on their codes.  That one numbering gives the rows of the cell
-above and the columns of the cell itself.  The kept columns of the cell
-(w, m+1) enter elimination as the kernel's input rows in lex order, the
-listing less the skipped columns, so that a pivot (the lowest input
-column) is the first monomial of its reduced column in that numbering, the
-"lowest one" of persistence.  Let P be
-those pivot monomials.  A reduced column lies in the image of the boundary
-from degree m+1, which the boundary from degree m kills, and the reduced
-columns have distinct lowest ones in P.  So, by induction from the end of
-the numbering, each monomial of P is, modulo that image, a combination of
-the monomials outside P, and the columns of the cell (w, m) indexed by P are
+torus-weight-0 piece of each degree is listed once per weight in lex order
+with its int codes (``chain.numbered_bases``), whose int order is odd
+letters first, then even ones.  One sort of its positions on their codes
+numbers a degree as the rows of the cell above, and as columns only for
+``on_cell``.  A cell hands the one below only its pivots and its probe
+vector: its listing is dropped with it, its kept columns when the kernel
+returns.  The kept columns of the cell (w, m+1) enter elimination as the
+kernel's input rows in lex order, the listing less the skipped columns, so
+that a pivot (the lowest input column) is the first monomial of its reduced
+column in that numbering, the "lowest one" of persistence.  Let P be those
+pivot monomials.  A reduced column lies in the image of the boundary from
+degree m+1, which the boundary from degree m kills, and the reduced columns
+have distinct lowest ones in P.  So, by induction from the end of the
+numbering, each monomial of P is, modulo that image, a combination of the
+monomials outside P, and the columns of the cell (w, m) indexed by P are
 combinations of its other columns.  They are never assembled: the rank is
 that of the kept columns, the size of P (pivots that share a monomial
 raise).  Any numbering gives the rank, but not the same fill-in: in basis
@@ -238,17 +239,17 @@ def betti_row(gs: GeneratorSystem, w: int,
               on_cell: CellCallback | None = None) -> BettiRow:
     """Assemble and check one weight: supports by counting, cells from the top degree down.
 
-    The torus-weight-0 basis of each support degree is listed and numbered
-    once and kept only while the row is computed.  Each support degree m >= 1 has the
-    columns of its piece that the cell above leaves assembled as int columns
-    of D_w times the boundary (``chain.boundary_columns``), is probed against
-    the vector the cell above pushes into it, and is ranked once (0 x k when
-    m-1 is empty); without a torus grading that piece is the whole cell.
-    ``on_cell(w, m, shape, report, forced)`` receives the (rows, cols) shape
-    of the piece, the report with its pivots as (row, column) of the piece
-    with both degrees numbered odd letters first (see the module docstring),
-    and the rank the other pieces of L'' add to it; the cells of a weight come
-    from the top degree down.
+    The torus-weight-0 basis of each support degree is listed once and
+    numbered as the rows of the cell above (see the module docstring).  Each
+    support degree m >= 1 has the columns of its piece that the cell above
+    leaves assembled as int columns of D_w times the boundary
+    (``chain.boundary_columns``), is probed against the vector the cell above
+    pushes into it, and is ranked once (0 x k when m-1 is empty), which drops
+    its listing and its kept columns; without a torus grading that piece is
+    the whole cell.  ``on_cell(w, m, shape, report, forced)`` receives the
+    (rows, cols) shape of the piece, the report with its pivots as (row,
+    column) of the piece with both degrees numbered odd letters first, and
+    the rank the other pieces of L'' add to it.
     """
     degrees = support_degrees(gs, w)
     if not degrees:
@@ -256,18 +257,16 @@ def betti_row(gs: GeneratorSystem, w: int,
     dims = [chain_dim(gs, m, w) for m in degrees]
     ranks, piece_dims = _piece_ranks(gs, w, degrees)
     bases = numbered_bases(gs, w, degrees)  # {m: (odd tails, codes)} in lex order
-    # each degree numbered once, odd letters first: (lex index at each number, {code: number})
-    numbered = {}
-    for m, (_, codes) in bases.items():
-        order = sorted(range(len(codes)), key=codes.__getitem__)
-        numbered[m] = order, dict(zip(map(codes.__getitem__, order), range(len(order))))
     # lex indices of the pivot monomials of the last ranked cell and its probe vector over
     # them, keyed by degree
     above: dict[int, tuple[set[int], dict[int, int]]] = {}
     for m in reversed(degrees):
         if m < 1:
             continue
-        (tails, codes), (order, row_index) = bases[m], numbered.get(m - 1, ([], {}))
+        (tails, codes), below = bases.pop(m), bases.get(m - 1, ([], []))[1]
+        # the rows numbered odd letters first: (lex index at each number, {code: number})
+        order = sorted(range(len(below)), key=below.__getitem__)
+        row_index = dict(zip(map(below.__getitem__, order), range(len(order))))
         shape = (len(order), len(codes))
         counted = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
         if shape != counted:
@@ -295,7 +294,7 @@ def betti_row(gs: GeneratorSystem, w: int,
             x = rng.getrandbits(30)
             for r, v in columns[c].items():
                 push[r] = push.get(r, 0) + x * v
-        report = rank_rows([columns[c] for c in kept])
+        report = rank_rows([columns.pop(c) for c in kept])  # freed when the kernel returns
         pivoted = {order[r] for _, r in report.pivots}  # the skip set below, and the rank
         if len(pivoted) < len(report.pivots):
             raise TableInvariantError(f"a pivot column repeats at w={w}, m={m}")
@@ -303,7 +302,7 @@ def betti_row(gs: GeneratorSystem, w: int,
         forced = ranks.get(m, 0)
         ranks[m] = forced + len(pivoted)
         if on_cell is not None:  # the pivots' only reader: (row, column) in the numbering
-            number = numbered[m][1]
+            number = dict(zip(sorted(codes), range(len(codes))))
             report.pivots = [(r, number[codes[kept[k]]]) for k, r in report.pivots]
             on_cell(w, m, shape, report, forced)
 
@@ -340,8 +339,11 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
     replayed here in w order, up to the lowest raise, which is raised.  Every
     child is reaped (killed first if this process raises) and every pipe
     closed; a child that dies without a result, or rows that are not
-    w = 0..w_max each once, raise ``RuntimeError``.
+    w = 0..w_max each once, raise ``RuntimeError``.  A negative w_max raises
+    ``ValueError`` before any table is built.
     """
+    if w_max < 0:
+        raise ValueError(f"w_max must be >= 0, got {w_max}")
     gs = gs.ranked
     count_up_to(gs, w_max)
     zero = (0,) * len(gs.grading)  # a weight weighs its counted torus-weight-0 dimensions

@@ -228,6 +228,13 @@ MALFORMED_DOCUMENTS = [
      "unknown key 'positive'"),
     ({"dim": 2, "params": ["a"], "brackets": [{"i": 1, "j": 2, "out": {"1": {"coeff": "2"}}}]},
      "unknown key 'coeff'"),
+    # a bool is an int to Python: true would read as 1, and false would drop the bracket
+    ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": {"coef": True}}}]},
+     "rational: True"),
+    ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": {"1": {"coef": False}}}]},
+     "rational: False"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": 2.0}}]},
+     "decimal-free rational: 2.0"),
 ]
 
 

@@ -330,6 +330,15 @@ def test_alias_basis_must_be_invertible():
         GeneratorSystem(sc, {2: degenerate[:2]})
 
 
+def test_an_alias_basis_outside_the_levels_is_refused():
+    # a level past dim would otherwise be ignored, and the canonical system built
+    sc = catalog_get("heis3")
+    canonical = [("a", Multivector(2, {idx: F(1)})) for idx in wedge_basis(sc, 2)]
+    for level in (0, 4, 5):
+        with pytest.raises(AlgebraError, match=f"alias basis at level {level}: levels are 1..3"):
+            GeneratorSystem(sc, {level: canonical})
+
+
 def test_paper_basis_availability():
     # dim 2 has a printed basis (the canonical one); gl2 and abelian do not
     gs = generator_system(catalog_get("aff1"), "paper")

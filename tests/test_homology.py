@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import weakref
 from fractions import Fraction as F
 from math import comb
 
@@ -415,6 +416,106 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
     for bound, tables, *_ in gs._count_cache.values():
         assert bound == w_max
         assert all(type(n) is int for table in tables for n in table.values())
+
+
+class _Tails(list):
+    """A degree's listing of odd tails, which a weak reference can watch."""
+
+
+class _Column(dict):
+    """An assembled column, which a weak reference can watch."""
+
+
+class _Codes(list):
+    """A degree's codes, which tell the numbering that sorts them which degree it is."""
+
+
+@pytest.mark.parametrize("name, w_max", [("gl2", 8), ("heis3", 25)])
+def test_a_row_holds_one_cell_at_a_time(name, w_max, monkeypatch):
+    # a cell hands the one below only its pivots and its probe vector: while the cell
+    # (w, m) is assembled, no listing of a degree above m and no kept column of the cell
+    # above is alive, and a degree is numbered only as the rows of the cell above it, or
+    # as the columns of its own cell when on_cell reads its pivots
+    real_bases, real_columns, real_rank = (homology.numbered_bases, homology.boundary_columns,
+                                           homology.rank_rows)
+    listings, cells, kept, events, expected = {}, [], [], [], []
+
+    def bases(gs, w, degrees):
+        out = {m: (_Tails(tails), _Codes(codes)) for m, (tails, codes) in
+               real_bases(gs, w, degrees).items()}
+        listings.clear()
+        for m, (tails, codes) in out.items():
+            listings[m], codes.degree = weakref.ref(tails), (w, m)
+        kept.clear()
+        cells[:] = [m for m in reversed(degrees) if m >= 1]  # the cells of the row, in order
+        for m in cells:
+            expected.extend([("number", w, m - 1)] * (m - 1 in degrees) + [("assemble", w, m)]
+                            + [("number", w, m)] * numbers_columns)
+        return out
+
+    def columns(gs, w, tails, codes, rows):
+        m = cells.pop(0)
+        assert listings[m]() is not None and len(tails) <= len(listings[m]())
+        assert [d for d, ref in listings.items() if d > m and ref() is not None] == [], (w, m)
+        assert sum(ref() is not None for ref in kept) == 0, (w, m)
+        kept.clear()
+        events.append(("assemble", w, m))
+        return list(map(_Column, real_columns(gs, w, tails, codes, rows)))
+
+    def rank(rows):
+        kept.extend(map(weakref.ref, rows))
+        return real_rank(rows)
+
+    def spy(iterable, key=None, **kwargs):  # each numbering sorts one degree's codes
+        codes = getattr(key, "__self__", iterable)
+        if isinstance(codes, _Codes):
+            events.append(("number", *codes.degree))
+        return sorted(iterable, key=key, **kwargs)
+
+    monkeypatch.setattr(homology, "numbered_bases", bases)
+    monkeypatch.setattr(homology, "boundary_columns", columns)
+    monkeypatch.setattr(homology, "rank_rows", rank)
+    monkeypatch.setattr(homology, "sorted", spy, raising=False)
+    # a forked worker's cells are not seen here, so every weight runs in this process
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
+    gs = generator_system(catalog_get(name))
+    for numbers_columns in (False, True):
+        events.clear()
+        expected.clear()
+        betti_table(gs, w_max, on_cell=(lambda *call: None) if numbers_columns else None)
+        assert not cells and events == expected
+        assert any(m > 1 for _, _, m in events)
+
+
+def test_a_negative_w_max_is_refused_before_any_table_is_built():
+    gs = generator_system(catalog_get("heis3"))
+    with pytest.raises(ValueError, match="w_max must be >= 0, got -1"):
+        betti_table(gs, -1)
+    assert "ranked" not in vars(gs) and not gs._count_cache
+
+
+def test_a_worker_that_raised_claims_no_heavier_weight(monkeypatch):
+    # every g3d1n weight weighs 2, so the weights are claimed in w order: after the raise at
+    # w = 3, the worker skips every later claim, and the table raises that error
+    real_row, entered = homology.betti_row, []
+
+    def row(gs, w, on_cell=None):
+        entered.append(w)
+        if w == 3:
+            raise TableInvariantError("a fault at w = 3")
+        return real_row(gs, w, on_cell)
+
+    monkeypatch.setattr(homology, "betti_row", row)
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
+    with pytest.raises(TableInvariantError, match="a fault at w = 3"):
+        betti_table(generator_system(catalog_get("g3d1n")), 8)
+    assert entered == [0, 1, 2, 3]
+
+
+def test_the_ranked_system_of_a_ranked_system_is_itself():
+    gs = generator_system(catalog_get("gl2"))
+    assert gs.ranked is not gs and gs.ranked.ranked is gs.ranked
+    assert betti_table(gs.ranked, 6).to_dict() == betti_table(gs, 6).to_dict()
 
 
 @pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 10)])
