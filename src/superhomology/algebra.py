@@ -160,9 +160,10 @@ def _parse_coefficient(value) -> tuple[Fraction, str | None]:
         return parse_rational(s), None
     except ValueError:
         pass
-    if s.startswith("-"):
-        return Fraction(-1), s[1:].strip()
-    return Fraction(1), s
+    sign, name = (Fraction(-1), s[1:].strip()) if s.startswith("-") else (Fraction(1), s)
+    if not name.isidentifier():  # "2.0" or "1e3" would read as an unbound parameter
+        raise AlgebraError(f"malformed number {value!r}: neither a rational nor a parameter name")
+    return sign, name
 
 
 def _known_keys(entry: dict, keys: tuple[str, ...], what: str) -> None:

@@ -23,8 +23,9 @@ per build into a view by weight, which ``torus_pieces`` and ``chain_dim``
 read.  The lister walks the even ids once per weight, from the target of
 every degree at once, then the odd ids once, from every state that walk
 leaves, and keeps an exponent only if the next table reaches what is left:
-the walk meets no dead end, comes out in lex order, and lists the
-torus-weight-0 piece without touching another monomial.  The tables of each
+the walk meets no dead end, comes out in lex order, and lists one piece
+(of torus weight 0 unless another is asked for: its start holds that
+weight) without touching another monomial.  The tables of each
 coordinate set are cached on the generator system for every weight up to W.
 
 On a word Y_1 ^ ... ^ Y_m the boundary acts pair by pair,
@@ -234,18 +235,21 @@ def _digits(gs: GeneratorSystem, w: int) -> list[int]:
     return values
 
 
-def _walks(gs: GeneratorSystem, coords: tuple, w: int, degrees: list[int]) -> tuple[list, dict]:
-    """The weight-w monomials of torus weight 0 over ``coords`` in each degree, in lex order,
-    in one walk over the even ids and one over the odd ids (see the module docstring):
-    ([((m, *even part), state left)], {state left: [odd tail]}).  The ids of grade above w
-    are not walked; the odd tails are padded with zeros for them."""
+def _walks(gs: GeneratorSystem, coords: tuple, w: int, degrees: list[int],
+           piece: tuple = ()) -> tuple[list, dict]:
+    """The weight-w monomials of torus weight ``piece`` over ``coords`` (0 where it is
+    shorter) in each degree, in lex order, in one walk over the even ids and one over the
+    odd ids (see the module docstring): ([((m, *even part), state left)], {state left: [odd
+    tail]}).  The ids of grade above w are not walked; the odd tails are padded with zeros
+    for them."""
     # a far cell is empty (see chain_dim), and is answered before a table is built to w
     degrees = [m for m in degrees if 0 <= w <= max_weight(gs, m)]
     if not degrees:
         return [], {}
     entry = _tables(gs, coords, w)
     places, offsets, _ = entry[4]
-    zero = w * places[1] + sum(map(mul, places, offsets))  # the target of degree 0
+    # the target of degree 0: each torus digit holds its offset plus the piece's weight
+    zero = w * places[1] + sum(map(mul, places, offsets)) + sum(map(mul, places[2:], piece))
     starts = [((m,), key) for m in degrees if (key := m * places[0] + zero) in entry[1][0]]
     evens = _walk(gs, entry, [i for i in gs.even_ids if gs.grades[i] <= w], starts)
     odds = [i for i in gs.odd_ids if gs.grades[i] <= w]
@@ -263,14 +267,14 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
     return [e[1:] + pad + o for e, left in evens for o in tails[left]]
 
 
-def numbered_bases(gs: GeneratorSystem, w: int, degrees: list[int],
-                   coords: tuple | None = None) -> dict[int, tuple[list, list[int]]]:
-    """{m: (odd tails, codes)} of the weight-w monomials of torus weight 0 over ``coords`` in
-    each degree, each in lex order: by default the piece the table eliminates, less every
-    monomial with a split letter (``torus_pieces``); with ``coords = ()`` the whole cell.
-    Each tail is coded once for every degree.  Int order of the codes is the numbering
+def numbered_bases(gs: GeneratorSystem, w: int, degrees: list[int], coords: tuple | None = None,
+                   piece: tuple = ()) -> dict[int, tuple[list, list[int]]]:
+    """{m: (odd tails, codes)} of the weight-w monomials of torus weight ``piece`` (0 by
+    default) over ``coords`` in each degree, each in lex order: by default a piece of
+    ``torus_pieces``, with no split letter; with ``coords = ()`` the whole cell.  Each tail
+    is coded once for every degree.  Int order of the codes is the numbering
     ``homology.betti_row`` holds: odd letters first, then even ones."""
-    evens, tails = _walks(gs, gs.grading if coords is None else coords, w, degrees)
+    evens, tails = _walks(gs, gs.grading if coords is None else coords, w, degrees, piece)
     digits, n_even = _digits(gs, w), len(gs.even_ids)
     even_digits, odd_digits = [0] + digits[:n_even], digits[n_even:]  # the start's digit is 0
     codes = {left: [sum(map(mul, o, odd_digits)) for o in part] for left, part in tails.items()}

@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write every boundary matrix as 'rows cols' + 'r c p/q' triplets")
     p.add_argument("--report", metavar="PATH",
                    help="write elimination reports (shape, rank, pivots, fill-in, time, "
-                        "forced and cell rank) as JSON")
+                        "forced and cell rank, the torus weight of the piece) as JSON")
     p.add_argument("--sweep", metavar="NAME=V1,V2,...",
                    help="run the table per parameter value and report differing cells")
 
@@ -167,10 +167,10 @@ def _cmd_table(args, out) -> int:
     gs = _system(args, params)
     reports: list[dict] = []
 
-    def on_cell(w, m, shape, report, forced_rank):
+    def on_cell(w, m, shape, report, forced_rank, piece):
         reports.append({"w": w, "m": m, "rows": shape[0], "cols": shape[1], "rank": report.rank,
                         **vars(report), "backend": report.backend, "forced_rank": forced_rank,
-                        "cell_rank": report.rank + forced_rank})
+                        "cell_rank": report.rank + forced_rank, "piece": list(piece)})
 
     table = _table(args, gs, params, on_cell if args.report else None)
     if args.dump_matrix:
@@ -190,8 +190,8 @@ def _cmd_table(args, out) -> int:
                         boundary_matrix(gs, m, row.w).dump(fh)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            # each weight's cells arrive from the top degree down
-            json.dump(sorted(reports, key=lambda r: (r["w"], r["m"])), fh, indent=2)
+            # each piece's cells arrive from the top degree down
+            json.dump(sorted(reports, key=lambda r: (r["w"], r["m"], r["piece"])), fh, indent=2)
             fh.write("\n")
     if args.format == "json":
         out.write(table.to_json())

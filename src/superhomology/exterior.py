@@ -266,6 +266,8 @@ class GeneratorSystem:
         self._count_cache: dict[tuple, tuple[int, list[dict], dict, dict, tuple]] = {}
         # 1 at each split letter of a system ``ranked`` returns, () on any other
         self.split: tuple[int, ...] = ()
+        # e's torus weight where ``ranked`` splits an sl2 off too (``_sl2_weight``), else 0
+        self.sl2 = 0
 
     @property
     def dim(self) -> int:
@@ -285,7 +287,12 @@ class GeneratorSystem:
         every level is a wedge of the adapted basis.  (Adapting level 1 alone, as an alias
         level over the given constants, keeps the tables but fills in seven to nine times
         as many entries on gl2.)  Its constants are B^-1 [b_i, b_j], with B^-1
-        from ``_invert`` of the adapted vectors b_i."""
+        from ``_invert`` of the adapted vectors b_i.
+
+        Where g = Z(g) + [g, g] with [g, g] of dim 3 (then [g, g] = [[g, g], [g, g]] is
+        perfect, so a form of sl2), the system is built so too, and when ``_sl2_weight``
+        finds the torus of its h, every level-1 letter is split and ``sl2`` is e's torus
+        weight (see ``homology``: Hochschild-Serre)."""
         if self.split:
             return self
         n, brackets, rows, gg = self.dim, [list(v) for v in self.sc.entries.values()], [], []
@@ -297,7 +304,10 @@ class GeneratorSystem:
             _grow(gg, v)
         rows = list(gg)
         split = [z for z in center if _grow(rows, z)]
-        if not split:
+        reductive = len(gg) == 3 and len(split) == len(center) == n - 3
+        # with no split letter, an sl2 is rebuilt only with a torus (ranked has the same
+        # constants then: its basis is the given one)
+        if not split and not (reductive and self.torus):
             return self
         rows = []
         basis = [{(k + 1,): c for k, c in enumerate(v) if c} for v in split + [
@@ -309,7 +319,10 @@ class GeneratorSystem:
         ranked = GeneratorSystem(StructureConstants(n, {pair: [
             Fraction(sum(inverse[idx].get(x, 0) * v for idx, v in vec.items()), scale)
             for x in range(n)] for pair, vec in entries.items()}, self.sc.name))
-        ranked.split = tuple(int(x < len(split)) for x in range(self.count))
+        ranked.sl2 = _sl2_weight(ranked) if reductive else 0
+        if not split and not ranked.sl2:
+            return self
+        ranked.split = tuple(int(x < (n if ranked.sl2 else len(split))) for x in range(self.count))
         return ranked
 
     @cached_property
@@ -395,6 +408,16 @@ class GeneratorSystem:
                  for pair, bracket in brackets.items()}
         self._int_cache[w] = scale, table
         return scale, table
+
+
+def _sl2_weight(gs: GeneratorSystem) -> int:
+    """e's torus weight alpha on a system whose level 1 is central letters and an sl2 (in
+    that order, as ``ranked`` builds it), or 0 when its torus is empty.
+
+    Such a torus has one coordinate, from h: only a semisimple element gives one, and the
+    Cartan subalgebra of sl2 is a line.  e and f weigh +-alpha, h and the central letters 0.
+    """
+    return max(map(abs, gs.torus[0][:gs.dim])) if gs.torus else 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,26 +16,46 @@ is even, so by the Cartan homotopy formula d e(x) + e(x) d = +-theta(x),
 with e(x) the wedge with x, it acts by zero on homology; theta(x) is the
 scalar torus weight on a piece, so every piece of nonzero torus weight is
 acyclic.  Its ranks follow from its dimensions: 0 at its lowest degree,
-then r_{m+1} = dim_m - r_m.  Only the torus-weight-0 piece is assembled and
-eliminated; without a grading it is the whole complex.  Its counted
-dimensions (``chain.torus_pieces``) order the weights, heaviest first.
+then r_{m+1} = dim_m - r_m, which must stay in range (the "forced" ranks).
+Only the torus-weight-0 piece is assembled and eliminated; without a
+grading it is the whole complex.  Its Betti numbers are the row's, and the
+ranks of the row follow from them and the counted dimensions, from the top
+degree down: r_m = dim_m - Betti_m - r_{m+1}, each in [0, min(dim_m,
+dim_{m-1})].  The counted dimensions of the eliminated pieces
+(``chain.torus_pieces``) order the weights, heaviest first.
 
 A level-1 letter z central in g and outside [g, g] is central in L and
 outside [L, L], so L = L'' + kz, and by Künneth H(L) = H(L'') ⊗ Λ(z) (z is
 even, of weight 0).  ``betti_table`` runs on ``GeneratorSystem.ranked``:
-the given system when there is no such letter, else the algebra rebuilt on
-its structure constants in a level-1 basis adapted to Z(g) and [g, g], whose
-first c letters split off and are one more coordinate of the pieces.  The
-piece with j of them is C(c, j) copies of the one with none, j degrees up, as
-its counts must show, and has its ranks shifted so: only L'' is eliminated,
-and the row of L is checked.
+the given system when there is no such letter (and no sl2, below), else the
+algebra rebuilt on its structure constants in a level-1 basis adapted to
+Z(g) and [g, g], whose first c letters split off and are one more
+coordinate of the pieces.  The piece with j of them is C(c, j) copies of
+the one with none, j degrees up, as its counts must show: only L'' is
+eliminated, and the Betti numbers of L are those of L'' times (1 + t)^c.
+
+Where level 1 is reductive, g = Z(g) + [g, g] with [g, g] of dim 3 (a form
+of sl2), and the torus comes from its h, every level-1 letter splits off
+(``GeneratorSystem.sl2`` is then alpha, the torus weight of e).  Levels >= 2
+form an ideal r, so L = g ⋉ r, and by Hochschild & Serre ("Cohomology of Lie
+algebras", Ann. Math. 57, 1953) H(L) = Λ(Z(g)) ⊗ H(sl2) ⊗ H(r)^sl2, with
+H(sl2) in degrees 0 and 3.  H(r) at a weight is a finite sl2-module whose h
+weights are even, so its invariants have dimension b_0 - b_alpha: the Betti
+numbers of C(r), the monomials with no level-1 letter, at torus weights 0
+and alpha.  Only those two pieces are eliminated (on gl2 at w = 6, 215 and
+190 monomials against the 1,620 of the torus-weight-0 piece of L''), the
+pieces of r at other torus weights force nothing, as they need not be
+acyclic, b_0 - b_alpha must be >= 0, and the Betti numbers of L are
+b_0 - b_alpha times (1 + t)^c (1 + t^3), c = dim Z(g).  The counts of the
+pieces with level-1 letters are checked as copies too, each set of letters
+shifting the torus weight by its own.
 
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
-Each weight runs from its top support degree down to degree 1.  The
-torus-weight-0 piece of each degree is listed once per weight in lex order
-with its int codes (``chain.numbered_bases``), whose int order is odd
-letters first, then even ones.  One sort of its positions on their codes
+Each ranked piece of a weight runs from its top degree down to degree 1.
+Its degrees are listed in one walk, each in lex order with its int codes
+(``chain.numbered_bases``), whose int order is odd letters first, then even
+ones.  One sort of its positions on their codes
 numbers a degree as the rows of the cell above, and as columns only for
 ``on_cell``.  A cell hands the one below only its pivots and its probe
 vector: its listing is dropped with it, its kept columns when the kernel
@@ -52,16 +72,19 @@ combinations of its other columns.  They are never assembled: the rank is
 that of the kept columns, the size of P (pivots that share a monomial
 raise).  Any numbering gives the rank, but not the same fill-in: in basis
 order from the last, g3d3 to w = 16 fills in 29,873 entries instead of
-4,523; from the first, the gl2 row w = 8 fills in 52,548 instead of 2,185
-and takes 4 times the CPU.  The kernel breaks ties between columns of equal
-length in input order, and that order matters too: kept in the numbering
-instead of lex order, the gl2 table to w = 8 fills in 5,048, not 4,921.
+4,523; from the first, the gl2 row w = 8 fills in 809 instead of 543 (on
+the torus-weight-0 piece of L'' it ranked before Hochschild-Serre, 52,548
+instead of 2,185 at 4 times the CPU).  The kernel breaks ties between
+columns of equal length in input order, and that order matters too: kept in
+the numbering instead of lex order, the gl2 table to w = 8 fills in 1,022,
+not 1,019 (on L'', 5,048, not 4,921).
 
-``betti_row`` checks the piece dimensions, the forced ranks and every row it
-computes and raises :class:`TableInvariantError` when one breaks these
-identities.  A rank can no longer exceed dim_m - r_{m+1}, so "Betti >= 0"
-cannot catch an assembly fault any more; a probe of d o d = 0 between every
-two cells does instead.  Before the cell (w, m+1) is eliminated, a sample of
+``betti_row`` checks the piece dimensions, the forced ranks, b_0 - b_alpha,
+the ranks that follow from the Betti numbers and every row it computes and
+raises :class:`TableInvariantError` when one breaks these identities.  A
+rank can no longer exceed dim_m - r_{m+1}, so "Betti >= 0" cannot catch an
+assembly fault any more; a probe of d o d = 0 between every two cells does
+instead.  Before the cell (w, m+1) is eliminated, a sample of
 max(8, kept / 16) of its kept columns is combined with random coefficients
 xi (30-bit, seeded by (w, m+1)); the boundary from degree m must take that
 vector to zero, in exact integers.  That reads the columns of the cell
@@ -79,8 +102,7 @@ import random
 import threading
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .algebra import _integer, _known_keys, format_rational
 from .chain import (boundary_columns, chain_dim, count_up_to, numbered_bases, support_degrees,
@@ -88,8 +110,9 @@ from .chain import (boundary_columns, chain_dim, count_up_to, numbered_bases, su
 from .exterior import GeneratorSystem
 from .ranklin import EliminationReport, rank_rows
 
-# (w, m, (rows, cols) of the eliminated piece, its report (rank: its pivots), forced rank)
-CellCallback = Callable[[int, int, tuple[int, int], EliminationReport, int], None]
+# (w, m, (rows, cols) of the eliminated piece, its report (rank: its pivots), forced rank,
+# the piece's torus weight)
+CellCallback = Callable[[int, int, tuple[int, int], EliminationReport, int, tuple[int, ...]], None]
 
 
 class TableInvariantError(RuntimeError):
@@ -191,34 +214,59 @@ class BettiTable:
         return "\n".join(out)
 
 
-def _piece_ranks(gs: GeneratorSystem, w: int,
-                 degrees: list[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Ranks forced by the nonzero torus pieces of L'', and the dimensions of the zero piece.
+def _ranked_pieces(gs: GeneratorSystem) -> list[tuple[int, tuple[int, ...]]]:
+    """(sign, key) of the pieces ``betti_row`` ranks: the zero key of ``torus_pieces`` and,
+    where an sl2 is split off, minus torus weight alpha with no split letter."""
+    zero = (0,) * len(gs.grading)
+    return [(1, zero), (-1, (gs.sl2,) + zero[1:])] if gs.sl2 else [(1, zero)]
 
-    Returns ({m: summed rank of the boundary from degree m over those pieces},
-    {m: dim of the zero piece}).  Raises :class:`TableInvariantError` unless
-    the piece dimensions add up to ``chain_dim``, every forced rank lies in
-    [0, min(rows, cols)] of its piece, which at one past the top degree means
-    the recurrence ends at 0, and each piece with split letters is the copies
-    of one without them that the module docstring says.
+
+def _piece_ranks(gs: GeneratorSystem, w: int,
+                 degrees: list[int]) -> tuple[dict[int, int], dict[tuple, dict[int, int]]]:
+    """Ranks forced by the acyclic torus pieces, and the pieces (``torus_pieces``).
+
+    The forced ranks are {m: summed rank of the boundary from degree m over the
+    nonzero torus pieces with no split letter}, none where an sl2 is split off
+    (the pieces of L>=2 are not acyclic).  Raises :class:`TableInvariantError`
+    unless the piece dimensions add up to ``chain_dim``, every forced rank lies
+    in [0, min(rows, cols)] of its piece, which at one past the top degree
+    means the recurrence ends at 0, and the pieces with split letters count as
+    the copies of those without that the module docstring says.
     """
-    pieces = torus_pieces(gs, w)
-    for m in set(degrees).union(*pieces.values()):
-        total = sum(dims.get(m, 0) for dims in pieces.values())
+    pieces, totals = torus_pieces(gs, w), dict.fromkeys(degrees, 0)
+    for dims in pieces.values():
+        for m, d in dims.items():
+            totals[m] = totals.get(m, 0) + d
+    for m, total in totals.items():
         if total != chain_dim(gs, m, w):
             raise TableInvariantError(
                 f"torus pieces at w={w}, m={m} add up to {total}, "
                 f"not chain_dim {chain_dim(gs, m, w)}")
-    zero, split = (0,) * len(gs.grading), sum(gs.split)
+    zero = (0,) * len(gs.grading)
+    if gs.split:  # each set of j split letters shifts a piece without them j degrees up
+        sets = {zero: 1}  # {(torus weight, j): the sets of j split letters of that weight}
+        for x in (x for x, s in enumerate(gs.split) if s):
+            step, grown = tuple(coord[x] for coord in gs.torus) + (1,), dict(sets)
+            for key, n in sets.items():
+                key = tuple(map(add, key, step))
+                grown[key] = grown.get(key, 0) + n
+            sets = grown
+        copies: dict[tuple, dict[int, int]] = {}
+        for base, dims in pieces.items():
+            for shift, n in sets.items() if not base[-1] else ():
+                if j := shift[-1]:
+                    into = copies.setdefault(tuple(map(add, base, shift)), {})
+                    for m, d in dims.items():
+                        into[m + j] = into.get(m + j, 0) + n * d
+        if wrong := [key for key in copies.keys() | pieces.keys()
+                     if key[-1] and copies.get(key) != pieces.get(key)]:
+            raise TableInvariantError(
+                f"piece {min(wrong)} at w={w} does not count as the copies of pieces with no "
+                f"split letter that its {min(wrong)[-1]} split letters give, "
+                f"{min(wrong)[-1]} degrees up")
     forced: dict[int, int] = {}
-    for key, dims in pieces.items():
-        if split and key[-1]:  # a copy of a piece of L'' (see the module docstring)
-            base, copies = key[:-1] + (0,), comb(split, key[-1])
-            if dims != {m + key[-1]: copies * d for m, d in pieces.get(base, {}).items()}:
-                raise TableInvariantError(f"piece {key} at w={w} is not {copies} copies of "
-                                          f"piece {base}, {key[-1]} degrees up")
-            continue
-        if key == zero:
+    for key, dims in pieces.items() if not gs.sl2 else ():
+        if key == zero or gs.split and key[-1]:
             continue
         r = 0  # rank of the boundary into the lowest degree
         for m in range(min(dims), max(dims) + 2):
@@ -228,38 +276,24 @@ def _piece_ranks(gs: GeneratorSystem, w: int,
                     f"[0, min({dims.get(m - 1, 0)}, {dims.get(m, 0)})]")
             forced[m] = forced.get(m, 0) + r
             r = dims.get(m, 0) - r
-    return forced, pieces.get(zero, {})
+    return forced, pieces
 
 
 # the probe combines max(PROBE_MIN, kept // PROBE_SHARE) kept columns of each cell
 PROBE_MIN, PROBE_SHARE = 8, 16
 
 
-def betti_row(gs: GeneratorSystem, w: int,
-              on_cell: CellCallback | None = None) -> BettiRow:
-    """Assemble and check one weight: supports by counting, cells from the top degree down.
-
-    The torus-weight-0 basis of each support degree is listed once and
-    numbered as the rows of the cell above (see the module docstring).  Each
-    support degree m >= 1 has the columns of its piece that the cell above
-    leaves assembled as int columns of D_w times the boundary
-    (``chain.boundary_columns``), is probed against the vector the cell above
-    pushes into it, and is ranked once (0 x k when m-1 is empty), which drops
-    its listing and its kept columns; without a torus grading that piece is
-    the whole cell.  ``on_cell(w, m, shape, report, forced)`` receives the
-    (rows, cols) shape of the piece, the report with its pivots as (row,
-    column) of the piece with both degrees numbered odd letters first, and
-    the rank the other pieces of L'' add to it.
-    """
-    degrees = support_degrees(gs, w)
-    if not degrees:
-        return BettiRow(w, [], [], [], [])
-    dims = [chain_dim(gs, m, w) for m in degrees]
-    ranks, piece_dims = _piece_ranks(gs, w, degrees)
-    bases = numbered_bases(gs, w, degrees)  # {m: (odd tails, codes)} in lex order
+def _rank_piece(gs: GeneratorSystem, w: int, degrees: list[int], key: tuple[int, ...],
+                dims: dict[int, int], forced: dict[int, int],
+                on_cell: CellCallback | None) -> dict[int, int]:
+    """{m: rank of the boundary from degree m} on the piece ``key`` of weight w, whose
+    counted dimensions are ``dims``: listed once in the support ``degrees``, then its cells
+    from the top degree down (see ``betti_row``)."""
+    bases = numbered_bases(gs, w, degrees, None, key)  # {m: (odd tails, codes)} in lex order
     # lex indices of the pivot monomials of the last ranked cell and its probe vector over
     # them, keyed by degree
     above: dict[int, tuple[set[int], dict[int, int]]] = {}
+    ranks: dict[int, int] = {}
     for m in reversed(degrees):
         if m < 1:
             continue
@@ -268,7 +302,7 @@ def betti_row(gs: GeneratorSystem, w: int,
         order = sorted(range(len(below)), key=below.__getitem__)
         row_index = dict(zip(map(below.__getitem__, order), range(len(order))))
         shape = (len(order), len(codes))
-        counted = (piece_dims.get(m - 1, 0), piece_dims.get(m, 0))
+        counted = (dims.get(m - 1, 0), dims.get(m, 0))
         if shape != counted:
             raise TableInvariantError(
                 f"matrix at w={w}, m={m} is {shape[0]} x {shape[1]}, "
@@ -299,19 +333,68 @@ def betti_row(gs: GeneratorSystem, w: int,
         if len(pivoted) < len(report.pivots):
             raise TableInvariantError(f"a pivot column repeats at w={w}, m={m}")
         above = {m - 1: (pivoted, {order[r]: x for r, x in push.items() if x})}
-        forced = ranks.get(m, 0)
-        ranks[m] = forced + len(pivoted)
+        ranks[m] = len(pivoted)
         if on_cell is not None:  # the pivots' only reader: (row, column) in the numbering
             number = dict(zip(sorted(codes), range(len(codes))))
             report.pivots = [(r, number[codes[kept[k]]]) for k, r in report.pivots]
-            on_cell(w, m, shape, report, forced)
+            on_cell(w, m, shape, report, forced.get(m, 0), key[:len(gs.torus)])
+    return ranks
 
-    split = sum(gs.split)  # Künneth: the ranks of L'', C(split, j) times each, j degrees up
-    ranks = {m: sum(comb(split, j) * ranks.get(m - j, 0) for j in range(split + 1))
-             for m in range(degrees[0], degrees[-1] + 2)}
-    kernels = [d - ranks.get(m, 0) for m, d in zip(degrees, dims)]
-    betti = [k - ranks.get(m + 1, 0) for m, k in zip(degrees, kernels)]
-    row = BettiRow(w, degrees, dims, kernels, betti)
+
+def betti_row(gs: GeneratorSystem, w: int,
+              on_cell: CellCallback | None = None) -> BettiRow:
+    """Assemble and check one weight: supports by counting, ranked pieces cell by cell,
+    then the row of L from their Betti numbers.
+
+    Each piece ``_ranked_pieces`` names is listed once and numbered as the
+    rows of the cell above (see the module docstring).  Each support degree
+    m >= 1 has the columns of the piece that the cell above leaves assembled as int columns
+    of D_w times the boundary (``chain.boundary_columns``), is probed against
+    the vector the cell above pushes into it, and is ranked once (0 x k when
+    m-1 is empty), which drops its listing and its kept columns; without a
+    torus grading the piece is the whole cell.  ``on_cell(w, m, shape, report,
+    forced, piece)`` receives the (rows, cols) shape of the piece, the report
+    with its pivots as (row, column) of the piece with both degrees numbered
+    odd letters first, the rank the acyclic pieces of L'' add to it (0 where an
+    sl2 is split off), and the piece's torus weight.
+
+    The Betti numbers of L are those of the ranked pieces (b_0, or b_0 - b_alpha
+    where an sl2 is split off, which must be >= 0) times (1 + t)^c, c central
+    split letters, and (1 + t^3) with an sl2; the ranks then follow from the
+    top degree down, r_m = dim_m - Betti_m - r_{m+1}, and each must lie in
+    [0, min(dim_m, dim_{m-1})], so that the recurrence ends at 0.
+    """
+    degrees = support_degrees(gs, w)
+    if not degrees:
+        return BettiRow(w, [], [], [], [])
+    dims = {m: chain_dim(gs, m, w) for m in degrees}
+    forced, pieces = _piece_ranks(gs, w, degrees)
+    core: dict[int, int] = {}  # the Betti numbers of the ranked pieces, signed
+    for sign, key in _ranked_pieces(gs):
+        piece = pieces.get(key, {})
+        ranks = _rank_piece(gs, w, degrees, key, piece, forced, on_cell)
+        for m, d in piece.items():
+            core[m] = core.get(m, 0) + sign * (d - ranks.get(m, 0) - ranks.get(m + 1, 0))
+    if any(b < 0 for b in core.values()):
+        raise TableInvariantError(f"negative Betti number of the ranked pieces at weight {w}: "
+                                  f"{dict(sorted(core.items()))}")
+    factor = [1]  # (1 + t)^c, c central split letters, times 1 + t^3 with an sl2
+    for p in [1] * (sum(gs.split) - 3 * bool(gs.sl2)) + [3] * bool(gs.sl2):
+        factor = [a + b for a, b in zip(factor + [0] * p, [0] * p + factor)]
+    betti: dict[int, int] = {}
+    for m, b in core.items():
+        for j, f in enumerate(factor):
+            betti[m + j] = betti.get(m + j, 0) + f * b
+    ranks, r = {}, 0  # r: the rank of the boundary from the degree above
+    for m in range(max([degrees[-1], *betti]), min([degrees[0], *betti]) - 1, -1):
+        r = dims.get(m, 0) - betti.get(m, 0) - r
+        if not 0 <= r <= min(dims.get(m, 0), dims.get(m - 1, 0)):
+            raise TableInvariantError(
+                f"rank {r} at w={w}, m={m} from the Betti numbers is outside "
+                f"[0, min({dims.get(m, 0)}, {dims.get(m - 1, 0)})]")
+        ranks[m] = r
+    row = BettiRow(w, degrees, [dims[m] for m in degrees], [dims[m] - ranks[m] for m in degrees],
+                   [betti.get(m, 0) for m in degrees])
     row.validate()
     return row
 
@@ -346,8 +429,9 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
         raise ValueError(f"w_max must be >= 0, got {w_max}")
     gs = gs.ranked
     count_up_to(gs, w_max)
-    zero = (0,) * len(gs.grading)  # a weight weighs its counted torus-weight-0 dimensions
-    order = sorted(range(w_max + 1), key=lambda w: -sum(torus_pieces(gs, w).get(zero, {}).values()))
+    pieces = _ranked_pieces(gs)  # a weight weighs the counted dimensions of its ranked pieces
+    order = sorted(range(w_max + 1), key=lambda w: -sum(
+        sum(dims.get(key, {}).values()) for dims in [torus_pieces(gs, w)] for _, key in pieces))
     step = max(1, -(-len(order) // 1024))  # at most 1024 records: one write, one pipe page
     fds, children = list(os.pipe()), {}  # every fd open here; {pid: the read end of its pipe}
 
@@ -360,8 +444,8 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
                     continue
                 calls: list[tuple] = []
                 try:
-                    row = betti_row(gs, w, (lambda w, m, shape, report, forced: calls.append(
-                        (w, m, shape, vars(report), forced))) if on_cell else None)
+                    row = betti_row(gs, w, (lambda w, m, shape, report, *rest: calls.append(
+                        (w, m, shape, vars(report), *rest))) if on_cell else None)
                 except Exception as exc:
                     failed = (w, calls, exc)
                     continue
@@ -408,8 +492,8 @@ def betti_table(gs: GeneratorSystem, w_max: int, params: dict[str, Fraction] | N
     for w, calls, row in sorted(done, key=itemgetter(0)):
         if w != len(rows):  # a weight claimed twice or by no one
             break
-        for w, m, shape, report, forced in calls:
-            on_cell(w, m, shape, EliminationReport(**report), forced)
+        for w, m, shape, report, *rest in calls:
+            on_cell(w, m, shape, EliminationReport(**report), *rest)
         if not isinstance(row, dict):  # an exception, pickled if a child's
             import pickle
             raise pickle.loads(row) if isinstance(row, bytes) else row

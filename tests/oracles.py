@@ -324,10 +324,11 @@ class _Numbering(dict):
         return self[code]
 
 
-def zero_piece_basis(gs, m, w) -> list:
-    """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0, in its order, as the
-    lister walks them for the table: ``numbered_bases`` codes decoded by ``code_monomial``."""
-    return [code_monomial(gs, w, code) for code in numbered_bases(gs, w, [m])[m][1]]
+def zero_piece_basis(gs, m, w, piece=()) -> list:
+    """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0 (or ``piece``), in its
+    order, as the lister walks them for the table: ``numbered_bases`` codes decoded by
+    ``code_monomial``."""
+    return [code_monomial(gs, w, code) for code in numbered_bases(gs, w, [m], None, piece)[m][1]]
 
 
 def _digit_bases(gs, w) -> list:
@@ -447,15 +448,16 @@ def whole_matrix_betti_table(gs, w_max) -> BettiTable:
     return BettiTable(algebra=gs.sc.name, rows=rows)
 
 
-def dd_probe_every_column(gs, w) -> list[tuple[int, int]]:
-    """(m, column) wherever xi^T d_{m-1} d_m is nonzero on the weight-w zero piece.
+def dd_probe_every_column(gs, w, piece=()) -> list[tuple[int, int]]:
+    """(m, column) wherever xi^T d_{m-1} d_m is nonzero on the weight-w zero piece (or the
+    piece of torus weight ``piece``, as ``numbered_bases`` takes it).
 
     The full-strength Freivalds probe: every column of every cell is
     assembled (``assemble``, nothing skipped) and the composite is
     taken on all of them, with xi seeded by (w, m).  The table's probe only
     pushes a sample of each cell's kept columns.
     """
-    bases = {m: zero_piece_basis(gs, m, w) for m in support_degrees(gs, w)}
+    bases = {m: zero_piece_basis(gs, m, w, piece) for m in support_degrees(gs, w)}
     bad: list[tuple[int, int]] = []
     eta: dict[int, int] = {}  # xi^T d_{m-1}, over the degree-(m-1) monomials
     for m in sorted(bases):
@@ -525,9 +527,10 @@ def suffix_tables(grades, coords, w) -> list[dict[tuple, int]]:
     return tables[::-1]
 
 
-def zero_piece_matrix(gs, m, w) -> RationalMatrix:
-    """The boundary on the torus-weight-0 piece, in ``zero_piece_basis`` order, by the word route."""
-    return _word_matrix(gs, zero_piece_basis(gs, m, w), zero_piece_basis(gs, m - 1, w))
+def zero_piece_matrix(gs, m, w, piece=()) -> RationalMatrix:
+    """The boundary on the torus-weight-0 piece (or ``piece``), in ``zero_piece_basis``
+    order, by the word route."""
+    return _word_matrix(gs, zero_piece_basis(gs, m, w, piece), zero_piece_basis(gs, m - 1, w, piece))
 
 
 def odd_first(gs, basis) -> list:
@@ -536,10 +539,11 @@ def odd_first(gs, basis) -> list:
     return sorted(basis, key=lambda e: (e[n_even:], e[:n_even]))
 
 
-def numbered_piece_matrix(gs, m, w) -> RationalMatrix:
-    """``zero_piece_matrix`` in the numbering ``betti_row`` documents (``odd_first``)."""
-    return _word_matrix(gs, odd_first(gs, zero_piece_basis(gs, m, w)),
-                        odd_first(gs, zero_piece_basis(gs, m - 1, w)))
+def numbered_piece_matrix(gs, m, w, piece=()) -> RationalMatrix:
+    """``zero_piece_matrix`` (of ``piece``) in the numbering ``betti_row`` documents
+    (``odd_first``)."""
+    return _word_matrix(gs, odd_first(gs, zero_piece_basis(gs, m, w, piece)),
+                        odd_first(gs, zero_piece_basis(gs, m - 1, w, piece)))
 
 
 def _positions(keys):
@@ -724,7 +728,7 @@ def witness_every_cell(gs, w_max, seed="rank witness") -> list[tuple[int, int, i
     homology.rank_rows, ranked = witnessed, gs.ranked
     try:
         for w in range(w_max + 1):
-            homology.betti_row(ranked, w, lambda w, m, shape, report, forced:
+            homology.betti_row(ranked, w, lambda w, m, shape, report, *_:
                                cells.append((w, m, report.rank)))
     finally:
         homology.rank_rows = real

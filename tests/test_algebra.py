@@ -235,6 +235,9 @@ MALFORMED_DOCUMENTS = [
      "rational: False"),
     ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": 2.0}}]},
      "decimal-free rational: 2.0"),
+    # a decimal in a string is no parameter name: it must not read as an unbound one
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": "2.0"}}]}, "malformed number '2.0'"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": {"3": "1e3"}}]}, "malformed number '1e3'"),
 ]
 
 

@@ -204,9 +204,14 @@ def test_sweep_reports_kappa_jump():
 
 def test_dump_matrix_and_report(tmp_path, monkeypatch):
     # record the assemblies the table makes: betti_row assembles each cell's columns through
-    # homology.boundary_columns, and the whole matrices of --dump-matrix do not pass there
-    assembled = []
-    real = homology.boundary_columns
+    # homology.boundary_columns, and the whole matrices of --dump-matrix do not pass there;
+    # each piece is listed through homology.numbered_bases before its cells are assembled
+    assembled, listed = [], [()]
+    real, real_bases = homology.boundary_columns, homology.numbered_bases
+
+    def listing(gs, w, degrees, coords=None, piece=()):
+        listed[0] = piece[:len(gs.torus)]  # the torus weight the report names
+        return real_bases(gs, w, degrees, coords, piece)
 
     def recording(gs, w, tails, codes, rows):
         columns = real(gs, w, tails, codes, rows)
@@ -215,14 +220,18 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
                             for basis, s in ((codes, 0), (list(rows), 1)) if basis), (None, 0))
         cell = None if mono is None else (monomial_weight(gs, mono), monomial_degree(mono) + shift)
         assert cell is None or cell[0] == w
-        assembled.append((w, cell, len(rows), len(codes)))
+        assembled.append((w, listed[0], cell, len(rows), len(codes)))
         return columns
 
-    def in_report_order():
-        # each weight's cells are assembled from the top degree down, and reported sorted
-        weights = sorted({w for w, *_ in assembled})
-        return [a[1:] for w in weights for a in reversed([a for a in assembled if a[0] == w])]
+    def in_report_order(reports):
+        # each piece of a weight is assembled from its top degree down, once per reported
+        # cell, and the cells are reported sorted by (w, m, piece)
+        queues = {}
+        for w, piece, *rest in reversed(assembled):
+            queues.setdefault((w, piece), []).append(tuple(rest))
+        return [queues[r["w"], tuple(r["piece"])].pop(0) for r in reports]
 
+    monkeypatch.setattr(homology, "numbered_bases", listing)
     monkeypatch.setattr(homology, "boundary_columns", recording)
     # a forked worker's assemblies are not counted here, so every weight runs in this process
     monkeypatch.setattr(homology, "_workers", lambda: 1)
@@ -245,10 +254,11 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assert entries == sorted(entries, key=lambda e: (int(e[0]), int(e[1])))
     reports = json.loads(report.read_text())
     assert any(r["w"] == 2 and r["m"] == 3 for r in reports)
-    # the shape, then the elimination report's fields in order, then the forced ranks
+    # the shape, then the elimination report's fields in order, then the forced ranks and
+    # the torus weight of the piece (heis3 has no torus)
     assert all(list(r) == ["w", "m", "rows", "cols", "rank", "pivots", "fill_in",
-                           "nonzero_rows", "elapsed", "backend", "forced_rank", "cell_rank"]
-               for r in reports)
+                           "nonzero_rows", "elapsed", "backend", "forced_rank", "cell_rank",
+                           "piece"] and r["piece"] == [] for r in reports)
     assert all(r["rank"] >= 0 and "pivots" in r for r in reports)
     # the columns indexed by pivot rows of the cell above are never assembled
     ranks = {(r["w"], r["m"]): r["rank"] for r in reports}
@@ -259,7 +269,7 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     # dump and the report cover the same cells
     cells = [(r["w"], r["m"]) for r in reports]
     assert cells == sorted(set(cells)) and len(assembled) == len(reports)
-    for (cell, rows, cols), r, reported in zip(in_report_order(), reports, cells):
+    for (cell, rows, cols), r, reported in zip(in_report_order(reports), reports, cells):
         assert (cell, rows) == (reported, r["rows"])
         assert r["cols"] - ranks.get((r["w"], r["m"] + 1), 0) <= cols <= r["cols"]
     assert sorted(f"boundary_w{w}_m{m}.txt" for w, m in cells) == \
@@ -270,43 +280,49 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         assert [r["rows"], r["cols"]] == list(map(int, header.split()))
         assert r["forced_rank"] == 0 and r["cell_rank"] == r["rank"]
 
-    # gl2 is graded and splits off z = e1 + e4: only the torus-weight-0 piece of L'' is
-    # eliminated, in the adapted basis of gl2.ranked, and the dump stays whole, in gl2's basis
+    # gl2 is graded, and its level 1 is z = e1 + e4 and an sl2 whose h gives the torus: only
+    # the pieces of L>=2 at torus weights 0 and 2 are eliminated (Hochschild-Serre), in the
+    # adapted basis of gl2.ranked, and the dump stays whole, in gl2's basis
     assembled.clear()
     gl2_dir = tmp_path / "gl2"
     gl2_report = tmp_path / "gl2.json"
-    code, _, _ = run(["table", "--algebra", "gl2", "--wmax", "3", "--format", "csv",
-                      "--dump-matrix", str(gl2_dir), "--report", str(gl2_report)])
+    code, out, _ = run(["table", "--algebra", "gl2", "--wmax", "3", "--format", "csv",
+                        "--dump-matrix", str(gl2_dir), "--report", str(gl2_report)])
     assert code == 0
     gs = generator_system(catalog_get("gl2")).ranked
-    assert sum(gs.split) == 1
+    assert sum(gs.split) == 4 and gs.sl2 == 2
     reports = json.loads(gl2_report.read_text())
     # one assembly per cell: the i-th assembly in report order made the i-th reported
     # matrix, and its cell is that report's wherever a basis monomial names it
-    cells = [(r["w"], r["m"]) for r in reports]
+    cells = [(r["w"], r["m"], tuple(r["piece"])) for r in reports]
     assert cells and cells == sorted(set(cells)) and len(assembled) == len(reports)
-    for (cell, rows, cols), r, reported in zip(in_report_order(), reports, cells):
-        assert cell in (None, reported) and rows == r["rows"] and cols <= r["cols"]
-    assert any(cell for _, cell, _, _ in assembled)
-    assert any(r["forced_rank"] for r in reports)
-    cell_ranks = {(r["w"], r["m"]): r["cell_rank"] for r in reports}
+    assert {piece for _, _, piece in cells} == {(0,), (2,)}
+    for (cell, rows, cols), r in zip(in_report_order(reports), reports):
+        assert cell in (None, (r["w"], r["m"])) and rows == r["rows"] and cols <= r["cols"]
+    assert any(cell for _, _, cell, _, _ in assembled)
+    # the pieces of L>=2 are not acyclic, so no rank is forced
+    assert not any(r["forced_rank"] for r in reports)
+    kernels = {(int(w), int(m)): int(k) for w, m, _, k, _ in
+               (line.split(",") for line in out.splitlines()[1:])}
+    for w, m in kernels:
+        if m >= 1:  # the whole matrices give the kernels of the table, by a second route
+            with open(gl2_dir / f"boundary_w{w}_m{m}.txt", encoding="utf-8") as fh:
+                whole = load_matrix(fh)
+            assert (whole.rows, whole.cols) == (chain_dim(gs, m - 1, w), chain_dim(gs, m, w))
+            assert whole.cols - naive_rank(whole) == kernels[w, m], (w, m)
     for r in reports:
         w, m = r["w"], r["m"]
-        with open(gl2_dir / f"boundary_w{w}_m{m}.txt", encoding="utf-8") as fh:
-            whole = load_matrix(fh)
-        assert (whole.rows, whole.cols) == (chain_dim(gs, m - 1, w), chain_dim(gs, m, w))
-        # the cells are those of L'', and by Künneth a cell of L has the rank of two of them
-        assert r["cell_rank"] == r["rank"] + r["forced_rank"]
-        assert r["cell_rank"] + cell_ranks.get((w, m - 1), 0) == naive_rank(whole)
-        piece = zero_piece_matrix(gs, m, w)
+        assert r["cell_rank"] == r["rank"]
+        piece = zero_piece_matrix(gs, m, w, tuple(r["piece"]))
         assert (r["rows"], r["cols"]) == (piece.rows, piece.cols)
-        assert len(r["pivots"]) == r["rank"] <= min(piece.rows, piece.cols)
+        assert len(r["pivots"]) == r["rank"] == naive_rank(piece) <= min(piece.rows, piece.cols)
         assert r["rank"] <= r["nonzero_rows"] <= r["cols"]
 
 
 # sha256 of every dump file (name and content, in sorted order) and of the
 # report's kernel-order-free fields; a change to the assembled boundary or to
-# a rank shows here.
+# a rank shows here.  gl2 and sl2_efh report the cells of two pieces of L>=2
+# (torus weights 0, then 2, at each (w, m)).
 PINNED_DUMPS = [
     (["--algebra", "heis3", "--wmax", "4"],
      "3d52606cd7dcd65357b55568a6aaa1652476af38cae922c9d937c0ccfd3ef7a5",
@@ -321,10 +337,10 @@ PINNED_DUMPS = [
      "48b63a80bd953c90290528e5d8a91bb5cdf74518cf5b48be1c584ddd53a3bcf7"),
     (["--algebra", "gl2", "--wmax", "3"],
      "5f1411677660ffdf6d771cb9f00a4cf3342ace45ee185f2afaf9e51545cc99d0",
-     "36b81fb90270eb349178b9b610f8902e946d15f375dd5126e4d8c25ba790961d"),
+     "65612149fca06413e2b2aeac06ac8d3e6c86dc3ac1583ca536e50b79bf9e47be"),
     (["--algebra", "sl2_efh", "--wmax", "8"],
      "1057698ad62d3f89d96ef8e0f3705dedb0054fce32bd752c048bee78ca2cba3c",
-     "7aa60bcc85ba572367841572fb818d911aa170bae310675c7e3fa9ca371be6ea"),
+     "73b88fee142a9cb828f17b56a4d4a0a854a40268ce19d18954805627834c8a6d"),
 ]
 
 

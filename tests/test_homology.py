@@ -388,9 +388,9 @@ def test_table_leaves_no_basis_on_the_generator_system(name, w_max, monkeypatch)
     real = homology.numbered_bases
     listed = []
 
-    def marked(gs, w, degrees):
+    def marked(gs, w, degrees, *piece):
         bases = {m: ([_Listed(tail) for tail in tails], codes)
-                 for m, (tails, codes) in real(gs, w, degrees).items()}
+                 for m, (tails, codes) in real(gs, w, degrees, *piece).items()}
         listed.append(sum(len(tails) for tails, _ in bases.values()))
         return bases
 
@@ -440,9 +440,9 @@ def test_a_row_holds_one_cell_at_a_time(name, w_max, monkeypatch):
                                            homology.rank_rows)
     listings, cells, kept, events, expected = {}, [], [], [], []
 
-    def bases(gs, w, degrees):
+    def bases(gs, w, degrees, *piece):
         out = {m: (_Tails(tails), _Codes(codes)) for m, (tails, codes) in
-               real_bases(gs, w, degrees).items()}
+               real_bases(gs, w, degrees, *piece).items()}
         listings.clear()
         for m, (tails, codes) in out.items():
             listings[m], codes.degree = weakref.ref(tails), (w, m)
@@ -541,33 +541,34 @@ def test_twist_skips_the_columns_the_cell_above_proves_dependent(name, w_max, mo
     monkeypatch.setattr(homology, "_workers", lambda: 1)
     cells = {}
 
-    def on_cell(w, m, shape, report, forced):
-        cells[w, m] = (shape[1], report.rank)
+    def on_cell(w, m, shape, report, forced, piece):
+        cells[w, piece, m] = (shape[1], report.rank)
 
     betti_table(generator_system(catalog_get(name)), w_max, on_cell=on_cell)
     # the rows run heaviest first and their cells are replayed in w order, so each
-    # elimination is matched to its cell by (w, m): a row ranks its cells in their order
+    # elimination is matched to its cell by (w, piece, m): a row ranks its pieces one after
+    # the other (gl2: torus weights 0 and 2), and a piece its cells in their order
     assert sorted(current) == list(range(w_max + 1))
     assert current != sorted(current)
     live = {}
     for w, calls in entered.items():
-        degrees = [m for v, m in cells if v == w]
-        assert len(degrees) == len(calls), w
-        live.update(((w, m), call) for m, call in zip(degrees, calls))
+        keys = [(piece, m) for v, piece, m in cells if v == w]
+        assert len(keys) == len(calls), w
+        live.update(((w, *key), call) for key, call in zip(keys, calls))
     assert live.keys() == cells.keys()
-    # each weight from its top degree down
-    assert list(cells) == sorted(cells, key=lambda cell: (cell[0], -cell[1]))
+    # each piece of each weight from its top degree down
+    assert list(cells) == sorted(cells, key=lambda cell: (cell[0], cell[1], -cell[2]))
     skipped = 0
-    for (w, m), (cols, _) in cells.items():
-        kept, nonzero = live[w, m]
-        above = cells.get((w, m + 1), (0, 0))[1]
+    for (w, piece, m), (cols, _) in cells.items():
+        kept, nonzero = live[w, piece, m]
+        above = cells.get((w, piece, m + 1), (0, 0))[1]
         assert nonzero <= kept == cols - above, (w, m)
         skipped += above
     assert skipped > 0
 
 
 # the three benchmark tables and their summed fill-in
-BENCHMARK_TABLES = [("heis3", {}, 25, 0), ("gl2", {}, 6, 1_378),
+BENCHMARK_TABLES = [("heis3", {}, 25, 0), ("gl2", {}, 6, 193),
                     ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 16, 4_523)]
 
 
@@ -577,14 +578,14 @@ def test_benchmark_tables_fill_in_is_pinned(name, binds, w_max, fill_in):
     # input rows (kept columns in lex order) even where the tables and ranks do not
     filled = []
     betti_table(generator_system(catalog_get(name, binds)), w_max,
-                on_cell=lambda w, m, shape, report, forced: filled.append(report.fill_in))
+                on_cell=lambda w, m, shape, report, *_: filled.append(report.fill_in))
     assert sum(filled) == fill_in
 
 
 def _timeless(*call):
     """An ``on_cell`` call with its report as a dict, less the elapsed time."""
-    w, m, shape, report, forced = call
-    return w, m, shape, {**vars(report), "elapsed": None}, forced
+    w, m, shape, report, *rest = call
+    return w, m, shape, {**vars(report), "elapsed": None}, *rest
 
 
 def _no_child_is_left():
@@ -605,7 +606,7 @@ def test_the_worker_count_changes_no_table_and_no_cell(name, binds, w_max, fill_
         calls = []
         table = betti_table(gs, w_max, on_cell=lambda *call: calls.append(_timeless(*call)))
         assert len(forks) == workers - 1 and [row.w for row in table.rows] == list(range(w_max + 1))
-        assert sum(report["fill_in"] for _, _, _, report, _ in calls) == fill_in
+        assert sum(report["fill_in"] for _, _, _, report, *_ in calls) == fill_in
         seen.append((table.to_json(), calls))
     assert seen[0] == seen[1] == seen[2]
     _no_child_is_left()
@@ -884,7 +885,7 @@ def test_a_gap_in_the_support_skips_nothing(monkeypatch):
                         lambda rows: entered.append(len(rows)) or real_rank(rows))
     reports = {}
     with pytest.raises(TableInvariantError, match="Euler sum"):  # the row lacks a degree
-        betti_row(gs, 3, on_cell=lambda w, m, shape, report, forced:
+        betti_row(gs, 3, on_cell=lambda w, m, shape, report, *_:
                   reports.__setitem__(m, (shape, report, entered[-1])))
     assert reports[hidden + 2][1].rank > 0
     shape, report, kept = reports[hidden + 1]
@@ -906,12 +907,13 @@ def test_assembly_passes_the_probe_over_every_column(name, binds, w_max):
     ("heis3", {}, 25), ("gl2", {}, 10), ("g3d3", {"alpha": F(2, 3), "beta": F(5, 7)}, 16)])
 def test_every_rank_a_table_takes_has_a_mod_p_witness(name, binds, w_max):
     # each kept matrix has as many pivots as its rank mod a prime near 2^61, and a pivot
-    # minor nonsingular mod p; the witness covers exactly the cells the table reports
+    # minor nonsingular mod p; the witness covers exactly the cells the table reports, in
+    # the order it reports them: by weight, then piece by piece from the top degree down
     gs = generator_system(catalog_get(name, binds))
     cells = []
-    betti_table(gs, w_max, on_cell=lambda w, m, shape, report, forced:
+    betti_table(gs, w_max, on_cell=lambda w, m, shape, report, *_:
                 cells.append((w, m, report.rank)))
-    assert witness_every_cell(gs, w_max) == sorted(cells, key=lambda cell: (cell[0], -cell[1]))
+    assert witness_every_cell(gs, w_max) == cells
 
 
 def test_the_mod_p_witness_refuses_a_dropped_or_a_made_up_pivot(monkeypatch):
@@ -969,8 +971,8 @@ def _sign_faults():
 @pytest.mark.parametrize("name, w_max", [("gl2", 6), ("heis3", 25), ("g3d3", 16)])
 def test_systematic_sign_faults_make_the_probe_raise(name, w_max, monkeypatch):
     # a fault the sampled probe lets through must be one no d o d = 0 probe can see:
-    # the full-strength probe passes it (to w = 10) and the table is unchanged; g3d3
-    # assembles D_w times the boundary, D_w > 1
+    # the full-strength probe passes it (to w = 10) on every piece the table ranks, and the
+    # table is unchanged; g3d3 assembles D_w times the boundary, D_w > 1
     binds = {"alpha": F(2, 3), "beta": F(5, 7)} if name == "g3d3" else None
     truth = betti_table(generator_system(catalog_get(name, binds)), w_max).to_dict()
     faults, raised = list(_sign_faults()), set()
@@ -986,11 +988,18 @@ def test_systematic_sign_faults_make_the_probe_raise(name, w_max, monkeypatch):
             raised.add(label)
         else:
             assert table.to_dict() == truth, label
-            assert not any(dd_probe_every_column(gs, w) for w in range(min(w_max, 10) + 1)), label
+            assert not any(dd_probe_every_column(gs.ranked, w, key)
+                           for w in range(min(w_max, 10) + 1)
+                           for _, key in homology._ranked_pieces(gs.ranked)), label
     # every fault that drops a summand of case A or B moves a sign that d o d = 0 sees
     assert {"A without si", "B without start[k]"} <= raised
     if name == "gl2":
-        assert len(raised) == len(faults) - 1  # all but "B negated"
+        # gl2 ranks pieces of L>=2 (Hochschild-Serre), whose even letters are all of level
+        # 3: no two bracket to a letter, so no C term is assembled and no C fault shows.
+        # Conjugating d by (-1)^(e + o // 2), e and o the even and odd letters of a
+        # monomial, negates A and C terms; with no C that is "A negated", which so keeps
+        # d o d = 0 and every rank, as (-1)^(o // 2) does for "B negated" anywhere
+        assert raised == {"A without si", "B without start[k]"}
     if name == "g3d3":
         assert len(raised) == len(faults) - 2  # all but "B negated" and "C without si"
 

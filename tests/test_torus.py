@@ -1,6 +1,7 @@
 """The torus split: grading detection, the whole-matrix second route,
 acyclic nonzero pieces, the twist, and the checks on forced ranks and d o d = 0;
-and the split letters: the central level-1 letters outside [g, g]."""
+and the split letters: the central level-1 letters outside [g, g], and a level-1 sl2
+with a torus (the Hochschild-Serre route)."""
 
 import os
 import random
@@ -17,8 +18,8 @@ from superhomology.ranklin import RationalMatrix
 from conftest import REPO_ROOT
 from oracles import (assemble, change_basis, dd_probe_every_column, naive_rank,
                      numbered_piece_matrix, piece_tables, random_invertible, semidirect_matrix,
-                     semidirect_product, whole_matrix_betti_table, zero_piece_basis,
-                     zero_piece_matrix)
+                     semidirect_product, whole_matrix_betti_table, witness_every_cell,
+                     zero_piece_basis, zero_piece_matrix)
 from test_chain import AFF1_SQUARED
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
@@ -170,17 +171,17 @@ def test_gl2_w7_ranks_pinned():
 def test_table_pivots_are_nonsingular_in_the_uncleared_piece(name, w_max):
     # the pivots name rows and columns of the piece with both degrees numbered odd
     # part first, and they span a nonsingular submatrix of it; on gl2 that is a piece of
-    # L'' in the adapted basis of the ranked system
+    # L>=2 at torus weight 0 or 2 in the adapted basis of the ranked system
     given = generator_system(catalog_get(name))
     gs = given.ranked
 
-    def on_cell(w, m, shape, report, forced):
-        piece = numbered_piece_matrix(gs, m, w)
+    def on_cell(w, m, shape, report, forced, piece):
+        matrix = numbered_piece_matrix(gs, m, w, piece)
         square = RationalMatrix(report.rank, report.rank)
         for i, (r, _) in enumerate(report.pivots):
             for j, (_, c) in enumerate(report.pivots):
-                square.set(i, j, piece.entries.get((r, c), 0))
-        assert naive_rank(square) == report.rank, (w, m)
+                square.set(i, j, matrix.entries.get((r, c), 0))
+        assert naive_rank(square) == report.rank, (w, m, piece)
 
     betti_table(given, w_max, on_cell=on_cell)
 
@@ -210,8 +211,8 @@ def corrupted(move):
         return out
     return pieces
 
-def padded(gs, w, degrees):  # one monomial listed twice in each degree
-    bases = real_basis(gs, w, degrees)
+def padded(gs, w, degrees, *piece):  # one monomial listed twice in each degree
+    bases = real_basis(gs, w, degrees, *piece)
     return {m: (tails + tails[:1], codes + codes[:1]) for m, (tails, codes) in bases.items()}
 
 def flipped():  # one sign flipped in each column of the second cell from the top
@@ -271,10 +272,12 @@ def _rows(table):
 
 def test_gl2_is_ranked_in_a_basis_adapted_to_its_center():
     # z = e1 + e4 spans the center and lies outside [g, g] = span(e2, e3, e1 - e4): the
-    # ranked system is gl2 on (z, e, f, h) = (e1 + e4, e2, e3, e1 - e4), z its split letter
+    # ranked system is gl2 on (z, e, f, h) = (e1 + e4, e2, e3, e1 - e4).  Level 1 is z and
+    # an sl2 whose h gives the torus, so all four letters split off, and e weighs 2
     gs = generator_system(catalog_get("gl2"))
     ranked = gs.ranked
-    assert ranked is not gs and ranked.split == (1,) + (0,) * 14 and not gs.split
+    assert ranked is not gs and ranked.split == (1,) * 4 + (0,) * 11 and not gs.split
+    assert ranked.sl2 == 2 and gs.sl2 == 0
     assert {pair: list(map(int, vec)) for pair, vec in ranked.sc.entries.items()} == {
         (2, 3): [0, 0, 0, 1], (2, 4): [0, -2, 0, 0], (3, 4): [0, 0, 2, 0]}
     assert ranked.torus == ((0, 2, -2, 0, 0, 2, -2, 0, 2, -2, 0, 0, 2, -2, 0),)
@@ -373,11 +376,11 @@ def test_random_semidirect_products_equal_the_whole_matrix_route(kind, n, w_max)
     assert (ranked.int_brackets(w_max)[0] > 1) == (kind in ("rational", "conjugated"))
 
 
-@pytest.mark.parametrize("name, binds", [("heis3", {}), ("g3d3", {"alpha": "2/3", "beta": "5/7"}),
-                                         ("sl2_efh", {})])
+@pytest.mark.parametrize("name, binds", [("heis3", {}), ("g3d3", {"alpha": "2/3", "beta": "5/7"})])
 def test_an_algebra_without_split_letters_runs_on_the_given_system(name, binds, monkeypatch):
-    # its center lies in [g, g] (heis3) or is 0: the table runs on the given object, and
-    # no second system is built
+    # its center lies in [g, g] (heis3) or is 0, and it is no sl2 with a torus (g3d3 at
+    # these parameters is a form of sl2 with no rational h): the table runs on the given
+    # object, and no second system is built
     real_row, real_init, seen, built = homology.betti_row, GeneratorSystem.__init__, set(), []
     monkeypatch.setattr(homology, "betti_row",
                         lambda gs, w, on_cell=None: seen.add(id(gs)) or real_row(gs, w, on_cell))
@@ -425,3 +428,83 @@ def test_a_piece_with_split_letters_must_count_as_copies(monkeypatch, capsys):
     assert done.returncode == 0, done.stderr
     for out in (capsys.readouterr().out, done.stdout):
         assert out.count("\n") == 1 and "copies of piece" in out, out
+
+
+def test_an_sl2_with_a_torus_splits_off_its_level_1():
+    # sl2_efh is rebuilt on its own constants (e, f, h are given letters of [g, g]), with
+    # e, f and h split off; e weighs 2 on h's torus coordinate
+    gs = generator_system(catalog_get("sl2_efh"))
+    ranked = gs.ranked
+    assert ranked is not gs and ranked.sc == gs.sc and ranked.ranked is ranked
+    assert ranked.split == (1, 1, 1, 0, 0, 0, 0) and ranked.sl2 == 2
+    assert ranked.torus == gs.torus == ((-2, 2, 0, 0, 0, -2, 2),)
+    assert not gs.split and gs.sl2 == 0
+
+
+@pytest.mark.parametrize("name, w_max", [("gl2", 10), ("sl2_efh", 30)])
+def test_the_hochschild_serre_route_equals_the_split_route(name, w_max, monkeypatch):
+    # the table ranks the pieces of L>=2 at torus weights 0 and 2 (each rank witnessed mod
+    # p).  With the sl2 left unseen it ranks the torus-weight-0 piece of L'' instead, gl2
+    # with z split off and sl2_efh on its given system; the two tables are byte-identical
+    gs = generator_system(catalog_get(name))
+    new = betti_table(gs, w_max).to_json()
+    assert gs.ranked.sl2 == 2 and sum(gs.ranked.split) == gs.dim
+    assert witness_every_cell(gs, w_max)
+    monkeypatch.setattr(exterior, "_sl2_weight", lambda gs: 0)
+    given = generator_system(catalog_get(name))
+    assert betti_table(given, w_max).to_json() == new
+    ranked = given.ranked
+    assert ranked.sl2 == 0 and sum(ranked.split) == (name == "gl2")
+    assert (ranked is given) == (name == "sl2_efh")
+
+
+ALPHA_FAULTS = """
+from superhomology import TableInvariantError, betti_table, catalog_get, generator_system, homology
+real_bases, real_rank = homology.numbered_bases, homology.rank_rows
+piece = []
+
+def bases(gs, w, degrees, coords=None, key=()):  # notes which piece is being ranked
+    piece[:] = key[:1]
+    return real_bases(gs, w, degrees, coords, key)
+
+def made_up(rows):  # one pivot more, at a row reduced to zero and a column no pivot holds
+    report = real_rank(rows)
+    spare = set(range(len(rows))) - {r for r, _ in report.pivots}
+    free = set().union(*rows) - {c for _, c in report.pivots}
+    if piece == [2] and spare and free:
+        report.pivots.append((min(spare), min(free)))
+    return report
+
+def dropped(rows):  # one pivot fewer
+    report = real_rank(rows)
+    if piece == [2]:
+        del report.pivots[-1:]
+    return report
+
+homology.numbered_bases = bases
+for fault in (made_up, dropped):
+    homology.rank_rows = fault
+    try:
+        betti_table(generator_system(catalog_get("gl2")), 6)
+    except TableInvariantError as exc:
+        print(exc)
+    else:
+        print("accepted")
+homology.numbered_bases, homology.rank_rows = real_bases, real_rank
+"""
+
+
+def test_a_wrong_rank_in_the_alpha_piece_raises(monkeypatch, capsys):
+    # a kernel that reports one rank more, or one pivot fewer, in the piece of torus weight
+    # 2 of gl2: b_0 - b_2 goes negative, and the table raises, also under python -O
+    for name in ("numbered_bases", "rank_rows"):  # restored after
+        monkeypatch.setattr(homology, name, getattr(homology, name))
+    exec(compile(ALPHA_FAULTS, "alpha_faults", "exec"), {})
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", ALPHA_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for out in (capsys.readouterr().out, done.stdout):
+        lines = out.splitlines()
+        assert len(lines) == 2, out
+        assert all("negative Betti number of the ranked pieces" in line for line in lines), out
