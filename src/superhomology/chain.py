@@ -9,24 +9,26 @@ and lowers degree by 1, so each weight gives a finite complex.
 
 Which monomials exist is recorded in one suffix table per generator id,
 built from the last id to the first: table i counts the ways the ids >= i
-reach each (degree, weight, torus weight) up to a weight bound W, the
-torus weight being empty without a grading and ending with the number of
-split letters where there are any (``GeneratorSystem.grading``).  A key is
-one packed int (``_packing``), as a monomial's code is: the degree, the
-weight in base W + 1, then each torus coordinate plus an offset of
-2 c (W + n), c its largest |entry| and n the number of ids, in base twice
-the offset plus one.  No state of a count or a walk holds a coordinate past
-its offset, and a step is taken only while the degree and the weight left
-stay >= 0, so no digit ever borrows from the next one, and one int addition
-steps a key by a letter.  The counts are read off table 0, decoded once
-per build into a view by weight, which ``torus_pieces`` and ``chain_dim``
-read.  The lister walks the even ids once per weight, from the target of
-every degree at once, then the odd ids once, from every state that walk
-leaves, and keeps an exponent only if the next table reaches what is left:
-the walk meets no dead end, comes out in lex order, and lists one piece
-(of torus weight 0 unless another is asked for: its start holds that
-weight) without touching another monomial.  The tables of each
-coordinate set are cached on the generator system for every weight up to W.
+reach each (degree, weight, torus weight) up to a weight bound W, the torus
+weight being empty without a grading and ending with the number of split
+letters where there are any (``GeneratorSystem.grading``): 0, as the graded
+tables leave those letters out (each shares the next id's table), while the
+plain table counts whole cells.  A key is one packed int (``_packing``), as
+a monomial's code is: the degree, the weight in base W + 1, then each torus
+coordinate plus an offset of 2 c (W + n), c its largest |entry| and n the
+number of ids, in base twice the offset plus one.  No state of a count or a
+walk holds a coordinate past its offset, and a step is taken only while the
+degree and the weight left stay >= 0, so no digit ever borrows from the
+next one, and one int addition steps a key by a letter.  The counts are
+read off table 0, decoded once per build into a view by weight, which
+``torus_pieces`` and ``chain_dim`` read.  The lister walks the even ids
+once per weight, from the target of every degree at once, then the odd ids
+once, from every state that walk leaves, and keeps an exponent only if the
+next table reaches what is left: the walk meets no dead end, comes out in
+lex order, and lists one piece (of torus weight 0 unless another is asked
+for: its start holds that weight) without touching another monomial.  The
+tables of each coordinate set are cached on the generator system for every
+weight up to W.
 
 On a word Y_1 ^ ... ^ Y_m the boundary acts pair by pair,
 
@@ -157,7 +159,9 @@ def _tables(gs: GeneratorSystem, coords: tuple, w: int) -> tuple:
     entry = gs._count_cache.get(coords)
     if entry is None or entry[0] < w:
         w = max(w, 2 * entry[0]) if entry else w
-        tables, view = _suffix_tables(gs.grades, coords, w), {}
+        # the graded tables leave out the split letters, the first ids, as if of grade above w
+        c = sum(gs.split) if coords == gs.grading else 0
+        tables, view = _suffix_tables((w + 1,) * c + gs.grades[c:], coords, w), {}
         places, offsets, _ = packing = _packing(gs.grades, coords, w)
         for key, n in tables[0].items():
             m, rest = divmod(key, places[0])
@@ -204,8 +208,9 @@ def torus_pieces(gs: GeneratorSystem, w: int) -> dict[tuple[int, ...], dict[int,
     """{torus weight: {degree: dim}} of the pieces of the weight-w complex, by counting.
 
     The boundary keeps the torus weight, so each piece is a subcomplex.
-    Without a grading there is one piece, keyed ().  With split letters a key
-    ends with their number (``GeneratorSystem.grading``).  Pieces are fresh dicts.
+    Without a grading there is one piece, keyed ().  With split letters the
+    pieces hold none of them, and a key ends with 0, their number
+    (``GeneratorSystem.grading``).  Pieces are fresh dicts.
     """
     return {key: dict(dims) for key, dims in _tables(gs, gs.grading, w)[3].get(w, {}).items()}
 
@@ -362,7 +367,7 @@ def boundary_columns(gs: GeneratorSystem, w: int, tails: list[tuple[int, ...]],
     is ``gs.int_brackets(w)[0]``.  The caller picks the columns and numbers
     the rows: ``boundary_matrix`` takes every column, the table only those
     the cell above does not prove dependent.  Nothing is assembled into an
-    empty ``rows``.
+    empty ``rows``.  No column may hold a split letter, which no pair brackets.
     """
     if not rows or not codes:
         return [{} for _ in codes]
@@ -380,6 +385,8 @@ def boundary_matrix(gs: GeneratorSystem, m: int, w: int) -> RationalMatrix:
     """
     if m < 1:
         raise AlgebraError(f"boundary_matrix needs degree >= 1, got {m}")
+    if gs.split:  # no pair of its int_brackets holds a split letter
+        raise AlgebraError("a system with split letters brackets none: use the given system")
     (cols, codes), (_, rows) = numbered_bases(gs, w, [m, m - 1], ()).values()
     matrix = RationalMatrix(len(rows), len(cols))
     scale = gs.int_brackets(w)[0]

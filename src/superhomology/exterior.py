@@ -264,7 +264,7 @@ class GeneratorSystem:
         self._int_cache: dict[int, tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]] = {}
         # owned by chain._tables: coords -> (bound, suffix tables, choices, view, packing)
         self._count_cache: dict[tuple, tuple[int, list[dict], dict, dict, tuple]] = {}
-        # 1 at each split letter of a system ``ranked`` returns, () on any other
+        # 1 at each split letter (its first ids) of a system ``ranked`` returns, () on any other
         self.split: tuple[int, ...] = ()
         # e's torus weight where ``ranked`` splits an sl2 off too (``_sl2_weight``), else 0
         self.sl2 = 0
@@ -275,7 +275,9 @@ class GeneratorSystem:
 
     @property
     def grading(self) -> tuple[tuple[int, ...], ...]:
-        """The coordinates the chain spaces split by: ``torus``, then ``split`` if any."""
+        """The coordinates of the graded count tables: ``torus``, then ``split`` if any.  Those
+        tables leave the split letters out (``chain._tables``), so ``split`` is 0 on every key,
+        and a walk cannot step a split letter."""
         return self.torus + (self.split,) if self.split else self.torus
 
     @cached_property
@@ -384,21 +386,23 @@ class GeneratorSystem:
     def int_brackets(self, w: int) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
         """(D_w, {(i, j): ((D_w * c, k), ...)}) for the pairs a weight-w boundary can bracket.
 
-        Those are the pairs i <= j with grade_i + grade_j <= w, leaving out an
-        even generator paired with itself (even letters never repeat).  D_w is
-        the lcm of the denominators of their bracket coefficients, so every
-        entry is an int; it is 1 for an integral algebra.  Zero brackets are
-        left out of the table.  Computed once per weight.
+        Those are the pairs i <= j of letters a ranked piece can hold (no split
+        letter), with grade_i + grade_j <= min(w, dim - 1) (levels p and q bracket
+        to level p + q - 1), leaving out an even generator paired with itself
+        (even letters never repeat).  D_w is the lcm of the denominators of their
+        bracket coefficients, so every entry is an int; it is 1 for an integral
+        algebra.  Zero brackets are left out of the table.  Computed once per weight.
         """
         cached = self._int_cache.get(w)
         if cached is not None:
             return cached
-        grades = self.grades
-        # ids of grade <= b, for every budget b <= w
-        up_to = [[g for g, grade in enumerate(grades) if grade <= b] for b in range(w + 1)]
+        grades, top = self.grades, min(w, self.dim - 1)
+        # ids of grade <= b, for every budget b <= top; the split letters are the first ids
+        up_to = [[g for g in range(sum(self.split), self.count) if grades[g] <= b]
+                 for b in range(top + 1)]
         brackets = {}
-        for i in (up_to[w] if w >= 0 else ()):
-            for j in up_to[w - grades[i]]:
+        for i in (up_to[top] if top >= 0 else ()):
+            for j in up_to[top - grades[i]]:
                 if j > i or (j == i and grades[i] % 2):
                     bracket = self.pair_bracket(i, j)
                     if bracket:

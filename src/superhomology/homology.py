@@ -29,10 +29,10 @@ outside [L, L], so L = L'' + kz, and by Künneth H(L) = H(L'') ⊗ Λ(z) (z is
 even, of weight 0).  ``betti_table`` runs on ``GeneratorSystem.ranked``:
 the given system when there is no such letter (and no sl2, below), else the
 algebra rebuilt on its structure constants in a level-1 basis adapted to
-Z(g) and [g, g], whose first c letters split off and are one more
-coordinate of the pieces.  The piece with j of them is C(c, j) copies of
-the one with none, j degrees up, as its counts must show: only L'' is
-eliminated, and the Betti numbers of L are those of L'' times (1 + t)^c.
+Z(g) and [g, g], whose first c letters split off.  The pieces are counted
+without them (``chain.torus_pieces``), and they sum over torus weights,
+times (1 + t)^c, to ``chain_dim`` in every degree.  Only L'' is eliminated,
+and the Betti numbers of L are those of L'' times (1 + t)^c.
 
 Where level 1 is reductive, g = Z(g) + [g, g] with [g, g] of dim 3 (a form
 of sl2), and the torus comes from its h, every level-1 letter splits off
@@ -46,9 +46,9 @@ and alpha.  Only those two pieces are eliminated (on gl2 at w = 6, 215 and
 190 monomials against the 1,620 of the torus-weight-0 piece of L''), the
 pieces of r at other torus weights force nothing, as they need not be
 acyclic, b_0 - b_alpha must be >= 0, and the Betti numbers of L are
-b_0 - b_alpha times (1 + t)^c (1 + t^3), c = dim Z(g).  The counts of the
-pieces with level-1 letters are checked as copies too, each set of letters
-shifting the torus weight by its own.
+b_0 - b_alpha times (1 + t)^c (1 + t^3), c = dim Z(g).  The counts are
+checked by the same identity, with c = dim g, and the int bracket table
+pairs no level-1 letter.
 
 Cells of one weight share their ranks through d o d = 0 (the "twist" of
 persistent homology: Chen & Kerber 2011, Bauer, Kerber & Reininghaus 2014).
@@ -102,7 +102,7 @@ import random
 import threading
 from collections.abc import Callable
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .algebra import _integer, _known_keys, format_rational
 from .chain import (boundary_columns, chain_dim, count_up_to, numbered_bases, support_degrees,
@@ -221,52 +221,40 @@ def _ranked_pieces(gs: GeneratorSystem) -> list[tuple[int, tuple[int, ...]]]:
     return [(1, zero), (-1, (gs.sl2,) + zero[1:])] if gs.sl2 else [(1, zero)]
 
 
+def _times(dims: dict[int, int], powers: list[int]) -> dict[int, int]:
+    """{m: n} times the product of (1 + t^p) over ``powers``, t shifting the degree by one."""
+    for p in powers:
+        degrees = sorted({*dims, *(m + p for m in dims)})
+        dims = {m: dims.get(m, 0) + dims.get(m - p, 0) for m in degrees}
+    return dims
+
+
 def _piece_ranks(gs: GeneratorSystem, w: int,
-                 degrees: list[int]) -> tuple[dict[int, int], dict[tuple, dict[int, int]]]:
+                 counted: dict[int, int]) -> tuple[dict[int, int], dict[tuple, dict[int, int]]]:
     """Ranks forced by the acyclic torus pieces, and the pieces (``torus_pieces``).
 
     The forced ranks are {m: summed rank of the boundary from degree m over the
-    nonzero torus pieces with no split letter}, none where an sl2 is split off
-    (the pieces of L>=2 are not acyclic).  Raises :class:`TableInvariantError`
-    unless the piece dimensions add up to ``chain_dim``, every forced rank lies
-    in [0, min(rows, cols)] of its piece, which at one past the top degree
-    means the recurrence ends at 0, and the pieces with split letters count as
-    the copies of those without that the module docstring says.
+    nonzero torus pieces}, none where an sl2 is split off (the pieces of L>=2
+    are not acyclic).  Raises :class:`TableInvariantError` unless the pieces,
+    which hold no split letter, summed over torus weights and times (1 + t)^c,
+    c split letters, add up to ``counted``, {m: ``chain_dim``}, in every degree
+    (a split letter is even and of weight 0), and every forced rank lies in
+    [0, min(rows, cols)] of its piece, which at one past the top degree means
+    the recurrence ends at 0.
     """
-    pieces, totals = torus_pieces(gs, w), dict.fromkeys(degrees, 0)
+    pieces, totals = torus_pieces(gs, w), dict.fromkeys(counted, 0)
     for dims in pieces.values():
         for m, d in dims.items():
             totals[m] = totals.get(m, 0) + d
-    for m, total in totals.items():
-        if total != chain_dim(gs, m, w):
+    for m, total in _times(totals, [1] * sum(gs.split)).items():
+        if total != counted.get(m, 0):
             raise TableInvariantError(
-                f"torus pieces at w={w}, m={m} add up to {total}, "
-                f"not chain_dim {chain_dim(gs, m, w)}")
-    zero = (0,) * len(gs.grading)
-    if gs.split:  # each set of j split letters shifts a piece without them j degrees up
-        sets = {zero: 1}  # {(torus weight, j): the sets of j split letters of that weight}
-        for x in (x for x, s in enumerate(gs.split) if s):
-            step, grown = tuple(coord[x] for coord in gs.torus) + (1,), dict(sets)
-            for key, n in sets.items():
-                key = tuple(map(add, key, step))
-                grown[key] = grown.get(key, 0) + n
-            sets = grown
-        copies: dict[tuple, dict[int, int]] = {}
-        for base, dims in pieces.items():
-            for shift, n in sets.items() if not base[-1] else ():
-                if j := shift[-1]:
-                    into = copies.setdefault(tuple(map(add, base, shift)), {})
-                    for m, d in dims.items():
-                        into[m + j] = into.get(m + j, 0) + n * d
-        if wrong := [key for key in copies.keys() | pieces.keys()
-                     if key[-1] and copies.get(key) != pieces.get(key)]:
-            raise TableInvariantError(
-                f"piece {min(wrong)} at w={w} does not count as the copies of pieces with no "
-                f"split letter that its {min(wrong)[-1]} split letters give, "
-                f"{min(wrong)[-1]} degrees up")
+                f"torus pieces at w={w}, m={m} add up to {total} with their split letters, "
+                f"not chain_dim {counted.get(m, 0)}")
     forced: dict[int, int] = {}
+    zero = (0,) * len(gs.grading)
     for key, dims in pieces.items() if not gs.sl2 else ():
-        if key == zero or gs.split and key[-1]:
+        if key == zero:
             continue
         r = 0  # rank of the boundary into the lowest degree
         for m in range(min(dims), max(dims) + 2):
@@ -368,7 +356,7 @@ def betti_row(gs: GeneratorSystem, w: int,
     if not degrees:
         return BettiRow(w, [], [], [], [])
     dims = {m: chain_dim(gs, m, w) for m in degrees}
-    forced, pieces = _piece_ranks(gs, w, degrees)
+    forced, pieces = _piece_ranks(gs, w, dims)
     core: dict[int, int] = {}  # the Betti numbers of the ranked pieces, signed
     for sign, key in _ranked_pieces(gs):
         piece = pieces.get(key, {})
@@ -378,13 +366,8 @@ def betti_row(gs: GeneratorSystem, w: int,
     if any(b < 0 for b in core.values()):
         raise TableInvariantError(f"negative Betti number of the ranked pieces at weight {w}: "
                                   f"{dict(sorted(core.items()))}")
-    factor = [1]  # (1 + t)^c, c central split letters, times 1 + t^3 with an sl2
-    for p in [1] * (sum(gs.split) - 3 * bool(gs.sl2)) + [3] * bool(gs.sl2):
-        factor = [a + b for a, b in zip(factor + [0] * p, [0] * p + factor)]
-    betti: dict[int, int] = {}
-    for m, b in core.items():
-        for j, f in enumerate(factor):
-            betti[m + j] = betti.get(m + j, 0) + f * b
+    # times (1 + t)^c, c central split letters, and 1 + t^3 with an sl2
+    betti = _times(core, [1] * (sum(gs.split) - 3 * bool(gs.sl2)) + [3] * bool(gs.sl2))
     ranks, r = {}, 0  # r: the rank of the boundary from the degree above
     for m in range(max([degrees[-1], *betti]), min([degrees[0], *betti]) - 1, -1):
         r = dims.get(m, 0) - betti.get(m, 0) - r

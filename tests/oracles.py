@@ -557,12 +557,14 @@ def _positions(keys):
 
 
 def piece_dims(gs, w):
-    """{torus weight: {m: dim}} of the pieces of weight w, each monomial of ``chain_basis``
-    keyed by ``torus_weight``; nothing is assembled or ranked."""
+    """{key: {m: dim}} of the pieces of weight w, each monomial of ``chain_basis`` keyed by
+    its weight on each coordinate of ``gs.grading``: its torus weight, then, on a system
+    with split letters, how many it holds; nothing is assembled or ranked."""
     dims: dict = {}
     for m in support_degrees(gs, w):
         for mono in chain_basis(gs, m, w):
-            piece = dims.setdefault(torus_weight(gs, mono), {})
+            key = tuple(sum(c * e for c, e in zip(coord, mono)) for coord in gs.grading)
+            piece = dims.setdefault(key, {})
             piece[m] = piece.get(m, 0) + 1
     return dims
 

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from superhomology import (boundary_matrix, catalog_get, catalog_names,
+from superhomology import (AlgebraError, boundary_matrix, catalog_get, catalog_names,
                            chain_basis, chain_dim, format_monomial,
                            generator_system, load_algebra, support_degrees, torus_pieces)
 from superhomology.chain import count_up_to, max_weight, numbered_bases
@@ -159,15 +159,17 @@ def test_torus_pieces_follow_the_count_tables_through_a_rebuild(name):
 
 
 def _tuple_counts(gs, w_max):
-    """{(m, w): dim} and {w: {torus weight: {m: dim}}} from the tuple-keyed oracle tables."""
+    """{(m, w): dim} and {w: {torus weight: {m: dim}}} from the tuple-keyed oracle tables;
+    the graded one leaves the split letters out, each given a grade above w_max."""
     dims, pieces = suffix_tables(gs.grades, (), w_max)[0], {}
-    for (m, w, *key), n in suffix_tables(gs.grades, gs.grading, w_max)[0].items():
+    grades = [w_max + 1 if s else g for g, s in zip(gs.grades, gs.split)] or gs.grades
+    for (m, w, *key), n in suffix_tables(grades, gs.grading, w_max)[0].items():
         pieces.setdefault(w, {}).setdefault(tuple(key), {})[m] = n
     return dims, pieces
 
 
 # (system, first bound w, then asked at 2w + 1): gl2's ranked system has negative torus
-# weights and the split coordinate, aff1x2 two torus coordinates, g3d3 no grading
+# weights and split letters, aff1x2 two torus coordinates, g3d3 no grading
 _COUNT_CASES = {"gl2": (lambda: generator_system(catalog_get("gl2")).ranked, 6),
                 "sl2_efh": (lambda: generator_system(catalog_get("sl2_efh")), 20),
                 "heis3": (lambda: generator_system(catalog_get("heis3")), 30),
@@ -679,6 +681,18 @@ def test_boundary_matrix_shapes_and_examples():
     matrix = boundary_matrix(sl2, 5, 2)  # top degree at weight 2
     assert (matrix.rows, matrix.cols) == (19, 6)
     assert naive_rank(matrix) == 6
+
+
+@pytest.mark.parametrize("name", ["gl2", "sl2_efh", "abelian4"])
+def test_a_system_with_split_letters_refuses_a_whole_boundary_matrix(name):
+    # its int bracket table leaves out every pair with a split letter, so a whole cell
+    # would silently lose the terms of each column that holds one: boundary_matrix raises
+    # instead, and the given system, which --dump-matrix writes, assembles as before
+    gs = generator_system(catalog_get(name))
+    assert sum(gs.ranked.split) == gs.dim and not gs.split
+    with pytest.raises(AlgebraError, match="split letters"):
+        boundary_matrix(gs.ranked, 3, 2)
+    assert boundary_matrix(gs, 3, 2) == word_boundary_matrix(gs, 3, 2)
 
 
 def test_matrix_dump_round_trip():

@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -17,9 +19,9 @@ from superhomology.ranklin import RationalMatrix
 
 from conftest import REPO_ROOT
 from oracles import (assemble, change_basis, dd_probe_every_column, naive_rank,
-                     numbered_piece_matrix, piece_tables, random_invertible, semidirect_matrix,
-                     semidirect_product, whole_matrix_betti_table, witness_every_cell,
-                     zero_piece_basis, zero_piece_matrix)
+                     numbered_piece_matrix, piece_dims, piece_tables, random_invertible,
+                     semidirect_matrix, semidirect_product, whole_matrix_betti_table,
+                     witness_every_cell, zero_piece_basis, zero_piece_matrix)
 from test_chain import AFF1_SQUARED
 
 PARAMS = {"g3d2": [{"alpha": "-1"}, {"alpha": "2"}, {"alpha": "1/2"}],
@@ -398,12 +400,10 @@ SPLIT_CORRUPT = """
 from superhomology import TableInvariantError, betti_row, catalog_get, generator_system, homology
 real_pieces = homology.torus_pieces
 
-def moved(gs, w):  # one monomial moved between two pieces with one split letter each
+def moved(gs, w):  # a monomial with split letters counted into a piece of L>=2 left unranked
     out = real_pieces(gs, w)
-    a, b = sorted(key for key in out if key[-1] == 1)[:2]
-    m = max(set(out[a]) & set(out[b]))
-    out[a][m] += 1
-    out[b][m] -= 1
+    key = min(key for key in out if key[0] not in (0, gs.sl2))
+    out[key][max(out[key])] += 1
     return out
 
 homology.torus_pieces = moved
@@ -417,9 +417,10 @@ homology.torus_pieces = real_pieces
 """
 
 
-def test_a_piece_with_split_letters_must_count_as_copies(monkeypatch, capsys):
-    # the piece sums still match chain_dim, but a piece with a split letter is no longer
-    # the copy of its piece without one, one degree up; also under python -O
+def test_a_count_in_an_unranked_piece_must_meet_the_chain_dim_identity(monkeypatch, capsys):
+    # gl2 ranks only the pieces of L>=2 at torus weights 0 and 2, and no row reads the
+    # piece at -6 that the count moves into: only the identity (1 + t)^4 times the pieces,
+    # summed, equals chain_dim sees it; also under python -O
     monkeypatch.setattr(homology, "torus_pieces", homology.torus_pieces)  # restored after
     exec(compile(SPLIT_CORRUPT, "split_corrupt", "exec"), {})
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
@@ -427,7 +428,48 @@ def test_a_piece_with_split_letters_must_count_as_copies(monkeypatch, capsys):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     for out in (capsys.readouterr().out, done.stdout):
-        assert out.count("\n") == 1 and "copies of piece" in out, out
+        assert out.count("\n") == 1 and "w=3, m=3 add up to" in out, out
+
+
+@pytest.mark.parametrize("name, w_max", [("gl2", 6), ("sl2_efh", 10), ("abelian4", 4),
+                                         ("g3d1n", 6)])
+def test_pieces_with_split_letters_are_binomial_copies_of_those_without(name, w_max):
+    # the identity the table checks against chain_dim, on listed monomials: a split letter
+    # is even, so a set S of them shifts a piece with none |S| degrees up and by the torus
+    # weight of S.  The pieces with none are the graded count table's
+    gs = generator_system(catalog_get(name)).ranked
+    split = [x for x, s in enumerate(gs.split) if s]
+    for w in range(w_max + 1):
+        pieces, copies = piece_dims(gs, w), {}
+        bare = {key: dims for key, dims in pieces.items() if not key[-1]}
+        for j in range(len(split) + 1):
+            for letters in combinations(split, j):
+                shift = tuple(sum(coord[x] for x in letters) for coord in gs.grading)
+                for key, dims in bare.items():
+                    into = copies.setdefault(tuple(map(add, key, shift)), {})
+                    for m, d in dims.items():
+                        into[m + j] = into.get(m + j, 0) + d
+        assert copies == pieces, w
+        assert torus_pieces(gs, w) == bare, w
+
+
+def test_no_bracket_or_graded_count_of_gl2_holds_a_split_letter(monkeypatch):
+    # after a table to w = 14 in this process, the int bracket table of every weight that
+    # assembles a column (w = 0 and 1 have no cell with rows) leaves out the pairs with a
+    # split letter, and every key of every graded suffix table holds none: its last digit,
+    # the split coordinate, is its offset
+    monkeypatch.setattr(homology, "_workers", lambda: 1)
+    gs = generator_system(catalog_get("gl2"))
+    betti_table(gs, 14)
+    ranked = gs.ranked
+    split = {x for x, s in enumerate(ranked.split) if s}
+    assert sorted(ranked._int_cache) == list(range(2, 15)) and len(split) == 4
+    for w, (_, table) in ranked._int_cache.items():
+        assert table and not split & {x for pair in table for x in pair}, w
+    bound, tables, _, view, (places, offsets, _) = ranked._count_cache[ranked.grading]
+    assert bound == 14 and tables[0]
+    assert all(key % places[-2] == offsets[-1] for table in tables for key in table)
+    assert all(key[-1] == 0 for pieces in view.values() for key in pieces)
 
 
 def test_an_sl2_with_a_torus_splits_off_its_level_1():
