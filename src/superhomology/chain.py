@@ -273,27 +273,63 @@ def chain_basis(gs: GeneratorSystem, m: int, w: int) -> list[tuple[int, ...]]:
 
 
 def numbered_bases(gs: GeneratorSystem, w: int, degrees: list[int], coords: tuple | None = None,
-                   piece: tuple = ()) -> dict[int, tuple[list, list[int]]]:
+                   piece: tuple = (),
+                   halves: dict | None = None) -> dict[int, tuple[list, list[int]]]:
     """{m: (odd tails, codes)} of the weight-w monomials of torus weight ``piece`` (0 by
     default) over ``coords`` in each degree, each in lex order: by default a piece of
     ``torus_pieces``, with no split letter; with ``coords = ()`` the whole cell.  Each tail
     is coded once for every degree.  Int order of the codes is the numbering
-    ``homology.betti_row`` holds: odd letters first, then even ones."""
+    ``homology.betti_row`` holds: odd letters first, then even ones.
+
+    Given ``halves``, a dict, on a system with a mirror (``GeneratorSystem.mirror``), only
+    the monomials of mirror weight >= 0 are listed, and ``halves`` receives {m: (the set of
+    its weight-0 codes, how many monomials of weight < 0 it left out)}.  The tails of each
+    state the even walk leaves are weighed once, and filtered once for each weight of an
+    even part that reaches the state."""
     evens, tails = _walks(gs, gs.grading if coords is None else coords, w, degrees, piece)
     digits, n_even = _digits(gs, w), len(gs.even_ids)
     even_digits, odd_digits = [0] + digits[:n_even], digits[n_even:]  # the start's digit is 0
     codes = {left: [sum(map(mul, o, odd_digits)) for o in part] for left, part in tails.items()}
     out = {m: ([], []) for m in degrees}
+    if halves is None:
+        for e, left in evens:
+            part_tails, part_codes = out[e[0]]
+            part_tails += tails[left]
+            part_codes += map(sum(map(mul, e, even_digits)).__add__, codes[left])
+        return out
+    even_weights = [0] + [gs.mirror[x] for x in gs.even_ids]
+    odd_weights = [gs.mirror[x] for x in gs.odd_ids]
+    weighed = {left: [sum(map(mul, o, odd_weights)) for o in part] for left, part in tails.items()}
+    kept: dict[tuple[int, int], tuple] = {}  # (state, even weight) -> its half of the tails
+    zeros, below = {m: set() for m in degrees}, dict.fromkeys(degrees, 0)
     for e, left in evens:
+        if (key := (left, -sum(map(mul, e, even_weights)))) not in kept:
+            picked = [p for p, t in enumerate(weighed[left]) if t >= key[1]]
+            kept[key] = ([tails[left][p] for p in picked], [codes[left][p] for p in picked],
+                         [codes[left][p] for p in picked if weighed[left][p] == key[1]],
+                         len(tails[left]) - len(picked))
+        half_tails, half_codes, zero_codes, left_out = kept[key]
         part_tails, part_codes = out[e[0]]
-        part_tails += tails[left]
-        part_codes += map(sum(map(mul, e, even_digits)).__add__, codes[left])
+        part_tails += half_tails
+        shift = sum(map(mul, e, even_digits)).__add__
+        part_codes += map(shift, half_codes)
+        zeros[e[0]].update(map(shift, zero_codes))
+        below[e[0]] += left_out
+    halves.update((m, (zeros[m], below[m])) for m in degrees)
     return out
+
+
+def support_dims(gs: GeneratorSystem, w: int) -> dict[int, int]:
+    """{m: dim} of the nonzero weight-w chain spaces in degree order, read off the count
+    view once (no listing); empty, before any table is built to w, past ``max_weight``."""
+    if not 0 <= w <= max_weight(gs, w + gs.dim):  # no degree exceeds w + dim
+        return {}
+    return dict(sorted(_tables(gs, (), w)[3].get(w, {}).get((), {}).items()))
 
 
 def support_degrees(gs: GeneratorSystem, w: int) -> list[int]:
     """Degrees m with a nonzero weight-w chain space (m <= w + dim always)."""
-    return [m for m in range(0, w + gs.dim + 1) if chain_dim(gs, m, w)]
+    return list(support_dims(gs, w))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 from .algebra import (AlgebraError, JacobiError, catalog_entry, catalog_get, catalog_names,
                       format_rational, load_algebra, parse_rational)
 from .chain import (boundary_matrix, chain_basis, chain_dim, format_monomial, max_weight,
-                    support_degrees)
+                    support_dims)
 from .exterior import generator_system, render_bracket_table
 from .homology import BettiTable, betti_table, verify_table
 
@@ -70,8 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-matrix", metavar="DIR",
                    help="write every boundary matrix as 'rows cols' + 'r c p/q' triplets")
     p.add_argument("--report", metavar="PATH",
-                   help="write elimination reports (shape, rank, pivots, fill-in, time, "
-                        "forced and cell rank, the torus weight of the piece) as JSON")
+                   help="write elimination reports of the eliminated pieces (shape, rank, "
+                        "pivots, fill-in, time, forced and cell rank, the torus weight of the "
+                        "piece; with a mirror, as on heis3, the half of mirror weight >= 0) "
+                        "as JSON")
     p.add_argument("--sweep", metavar="NAME=V1,V2,...",
                    help="run the table per parameter value and report differing cells")
 
@@ -110,16 +112,12 @@ def _system(args, params):
     return generator_system(_load_source(args, params), args.basis)
 
 
-def _check_size(gs, cells, max_dim: int) -> None:
-    """Refuse the first (w, m) cell whose chain space has more than max_dim monomials.
-
-    Uses the counting ``chain_dim``, so nothing is listed before the refusal.
-    """
-    for w, m in cells:
-        size = chain_dim(gs, m, w)
-        if size > max_dim:
-            raise ValueError(f"chain space at w={w}, m={m} has {size} monomials, "
-                             f"more than --max-dim {max_dim}")
+def _check_size(w: int, m: int, size: int, max_dim: int) -> None:
+    """Refuse the cell (w, m) if its chain space, of ``size`` monomials, counted (nothing is
+    listed before the refusal), has more than max_dim."""
+    if size > max_dim:
+        raise ValueError(f"chain space at w={w}, m={m} has {size} monomials, "
+                         f"more than --max-dim {max_dim}")
 
 
 def _check_basis_size(gs, m: int, w: int, max_dim: int) -> None:
@@ -139,15 +137,16 @@ def _check_basis_size(gs, m: int, w: int, max_dim: int) -> None:
             if not (dw - dm) % 2 and dw <= top * dm and (size := chain_dim(gs, m2, w2)) > max_dim:
                 raise ValueError(f"chain space at w={w}, m={m} has at least {size} monomials, "
                                  f"as many as at w={w2}, m={m2}; more than --max-dim {max_dim}")
-    _check_size(gs, [(w, m)], max_dim)
+    _check_size(w, m, chain_dim(gs, m, w), max_dim)
 
 
 def _table(args, gs, params, on_cell=None):
     """The Betti table to --wmax once its cells, in weight order, pass the size check, counted
     on ``gs.ranked`` (its letters have the given grades), whose tables ``betti_table`` reuses."""
     gs = gs.ranked
-    cells = ((w, m) for w in range(args.wmax + 1) for m in support_degrees(gs, w))
-    _check_size(gs, cells, args.max_dim)
+    for w in range(args.wmax + 1):
+        for m, size in support_dims(gs, w).items():
+            _check_size(w, m, size, args.max_dim)
     return betti_table(gs, args.wmax, params=params, on_cell=on_cell)
 
 

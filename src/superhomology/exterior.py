@@ -364,6 +364,16 @@ class GeneratorSystem:
         return tuple(coords)
 
     @cached_property
+    def mirror(self) -> tuple[int, ...]:
+        """Mirror weights of the generators, one per id, or ().  Sought (``_mirror_weights``)
+        only on a system ``betti_table`` ranks as it is (``ranked`` is itself) with no torus
+        and no split letter; a letter's weight is that of every wedge of its expansion.
+        Computed on first use, not at construction."""
+        if self.torus or self.split or self.ranked is not self:
+            return ()
+        return _mirror_weights(self)
+
+    @cached_property
     def _letters(self) -> tuple[int, dict]:
         """``_structure`` of the structure constants, built on the first bracket."""
         return _structure(self.sc)
@@ -422,6 +432,46 @@ def _sl2_weight(gs: GeneratorSystem) -> int:
     Cartan subalgebra of sl2 is a line.  e and f weigh +-alpha, h and the central letters 0.
     """
     return max(map(abs, gs.torus[0][:gs.dim])) if gs.torus else 0
+
+
+def _mirror_weights(gs: GeneratorSystem) -> tuple[int, ...]:
+    """The weight of each generator under d = e_i* - e_j* for the first letters i < j of g
+    where d is a derivation, a swap of e_i and e_j with signs is an automorphism sigma, and
+    every generator is a sum of wedges of one weight; () where no pair is.
+
+    Then sigma d sigma^-1 = -d, and sigma, extended to every level and to the chain
+    complex, carries its weight-t piece onto the weight -t piece (``homology``: the
+    mirror).  d is a derivation when each nonzero c_ab^k has weight(a) + weight(b) =
+    weight(k).  With pi the swap, sigma e_a = s_a e_pi(a) is an automorphism when every
+    c_pi(a)pi(b)^pi(k) = s_a s_b s_k c_ab^k: the magnitudes must be equal, and the signs
+    s = (-1)^x solve one GF(2) equation x_a + x_b + x_k = [the two differ] per nonzero
+    c_ab^k, eliminated on bit masks.
+    """
+    n, constants = gs.dim, [(a, b, k, c) for (a, b), vec in gs.sc.entries.items()
+                            for k, c in enumerate(vec, 1) if c]
+    for i, j in combinations(range(1, n + 1), 2):
+        weight = [0] * (n + 1)
+        weight[i], weight[j] = 1, -1
+        swap = list(range(n + 1))
+        swap[i], swap[j] = j, i
+        pivots: dict[int, tuple[int, int]] = {}  # GF(2) echelon: lowest bit -> (mask, rhs)
+        for a, b, k, c in constants:
+            image = gs.sc.bracket(swap[a], swap[b])[swap[k] - 1]
+            if weight[a] + weight[b] != weight[k] or abs(image) != abs(c):
+                break
+            mask, rhs = (1 << a) ^ (1 << b) ^ (1 << k), int(image != c)
+            while mask and (low := mask & -mask) in pivots:
+                mask, rhs = mask ^ pivots[low][0], rhs ^ pivots[low][1]
+            if mask:
+                pivots[mask & -mask] = mask, rhs
+            elif rhs:  # no signs solve it
+                break
+        else:
+            weights = [{sum(map(weight.__getitem__, idx)) for idx in g.expansion.coeffs}
+                       for g in gs.generators]
+            if all(len(w) == 1 for w in weights):
+                return tuple(w.pop() for w in weights)
+    return ()
 
 
 # ---------------------------------------------------------------------------

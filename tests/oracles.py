@@ -13,7 +13,9 @@ tuple keys stepped one letter at a time, not the packed int keys of
 which the table pushes a sample.  ``witness_every_cell`` checks every rank
 a table takes against ``rank_mod_p``, a mod-p echelon at a seeded prime
 near 2^61 that shares nothing with the exact kernel (homology through ranks
-mod p: Dumas, Heckenbach, Saunders & Welker 2003).
+mod p: Dumas, Heckenbach, Saunders & Welker 2003).  ``mirror_by_enumeration``
+seeks the mirror by trying every sign vector of every swap, where ``exterior``
+solves the signs as GF(2) equations.
 The word layer (sorting words of
 generators with the super sign), ``Chain`` arithmetic, multivector sums,
 multiples and wedges (``mv_add``, ``mv_scaled``, ``mv_wedge``), the matrix
@@ -24,9 +26,10 @@ random Lie algebras) live here too: only tests use them.
 """
 
 import random
+from itertools import combinations, product
 from collections import Counter
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from superhomology.algebra import StructureConstants, format_rational, parse_rational
 from superhomology.chain import (_boundary_terms, boundary_columns, boundary_matrix,
@@ -324,11 +327,15 @@ class _Numbering(dict):
         return self[code]
 
 
-def zero_piece_basis(gs, m, w, piece=()) -> list:
+def zero_piece_basis(gs, m, w, piece=(), half=False) -> list:
     """The monomials of ``chain_basis(gs, m, w)`` with torus weight 0 (or ``piece``), in its
     order, as the lister walks them for the table: ``numbered_bases`` codes decoded by
-    ``code_monomial``."""
-    return [code_monomial(gs, w, code) for code in numbered_bases(gs, w, [m], None, piece)[m][1]]
+    ``code_monomial``.  With ``half``, on a system with a mirror, only those of mirror weight
+    >= 0, the half the table ranks, weighed here one monomial at a time."""
+    basis = [code_monomial(gs, w, code) for code in numbered_bases(gs, w, [m], None, piece)[m][1]]
+    if half and gs.mirror:
+        return [mono for mono in basis if sum(map(mul, gs.mirror, mono)) >= 0]
+    return basis
 
 
 def _digit_bases(gs, w) -> list:
@@ -433,6 +440,35 @@ def kernel_dim(matrix) -> int:
 def euler_check(gs, w) -> int:
     """Alternating sum of the weight-w chain dimensions; 0 for every Lie algebra."""
     return sum((-1) ** m * chain_dim(gs, m, w) for m in range(0, w + gs.dim + 1))
+
+
+def mirror_by_enumeration(gs) -> tuple:
+    """The mirror weights ``exterior._mirror_weights`` finds, sought by trying every sign
+    vector of every swap in turn: for the first letters i < j of g where d = e_i* - e_j*
+    is a derivation (checked on every triple of letters) and a swap sigma e_a = s_a e_pi(a)
+    keeps every bracket, sigma [e_a, e_b] = [sigma e_a, sigma e_b], and every generator is
+    a sum of wedges of one weight, the weight of each generator; else ()."""
+    sc, n = gs.sc, gs.dim
+    letters = range(1, n + 1)
+    for i, j in combinations(letters, 2):
+        weight = {k: (k == i) - (k == j) for k in letters}
+        if any(sc.bracket(a, b)[k - 1] and weight[a] + weight[b] != weight[k]
+               for a in letters for b in letters for k in letters):
+            continue
+        swap = {**{k: k for k in letters}, i: j, j: i}
+        for signs in product((1, -1), repeat=n):
+            s = dict(zip(letters, signs))
+            if all(sc.bracket(a, b)[k - 1] * s[k]
+                   == s[a] * s[b] * sc.bracket(swap[a], swap[b])[swap[k] - 1]
+                   for a in letters for b in letters for k in letters):
+                break
+        else:
+            continue
+        weights = [{sum(weight[x] for x in idx) for idx in g.expansion.coeffs}
+                   for g in gs.generators]
+        if all(len(ws) == 1 for ws in weights):
+            return tuple(min(ws) for ws in weights)
+    return ()
 
 
 def whole_matrix_betti_table(gs, w_max) -> BettiTable:
@@ -541,9 +577,9 @@ def odd_first(gs, basis) -> list:
 
 def numbered_piece_matrix(gs, m, w, piece=()) -> RationalMatrix:
     """``zero_piece_matrix`` (of ``piece``) in the numbering ``betti_row`` documents
-    (``odd_first``)."""
-    return _word_matrix(gs, odd_first(gs, zero_piece_basis(gs, m, w, piece)),
-                        odd_first(gs, zero_piece_basis(gs, m - 1, w, piece)))
+    (``odd_first``), on the half of mirror weight >= 0 where the system has a mirror."""
+    return _word_matrix(gs, odd_first(gs, zero_piece_basis(gs, m, w, piece, True)),
+                        odd_first(gs, zero_piece_basis(gs, m - 1, w, piece, True)))
 
 
 def _positions(keys):

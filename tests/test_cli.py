@@ -5,10 +5,11 @@ import os
 import random
 import time
 from math import comb
+from operator import mul
 
 import pytest
 
-from superhomology import catalog_get, chain_dim, cli, generator_system, homology
+from superhomology import catalog_get, chain_basis, chain_dim, cli, generator_system, homology
 from superhomology.cli import run_cli
 
 from conftest import EXPECTED_DIR
@@ -209,9 +210,9 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
     assembled, listed = [], [()]
     real, real_bases = homology.boundary_columns, homology.numbered_bases
 
-    def listing(gs, w, degrees, coords=None, piece=()):
+    def listing(gs, w, degrees, coords=None, piece=(), *halves):
         listed[0] = piece[:len(gs.torus)]  # the torus weight the report names
-        return real_bases(gs, w, degrees, coords, piece)
+        return real_bases(gs, w, degrees, coords, piece, *halves)
 
     def recording(gs, w, tails, codes, rows):
         columns = real(gs, w, tails, codes, rows)
@@ -274,11 +275,22 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
         assert r["cols"] - ranks.get((r["w"], r["m"] + 1), 0) <= cols <= r["cols"]
     assert sorted(f"boundary_w{w}_m{m}.txt" for w, m in cells) == \
         sorted(f for f in dumped if f.startswith("boundary_"))
-    # one piece: the eliminated matrix is the dumped one, and nothing is forced
+    # heis3's mirror: the eliminated matrix is the half of the dumped one at mirror weight
+    # >= 0 (counted here monomial by monomial), and nothing is forced
+    heis3 = generator_system(catalog_get("heis3"))
+    assert heis3.mirror == (1, -1, 0, 0, 0, 1, -1)
+
+    def half(m, w):
+        return sum(sum(map(mul, heis3.mirror, mono)) >= 0 for mono in chain_basis(heis3, m, w))
+
     for r in reports:
-        header = (dump_dir / f"boundary_w{r['w']}_m{r['m']}.txt").read_text().split("\n")[0]
-        assert [r["rows"], r["cols"]] == list(map(int, header.split()))
+        w, m = r["w"], r["m"]
+        header = (dump_dir / f"boundary_w{w}_m{m}.txt").read_text().split("\n")[0]
+        whole = [chain_dim(heis3, m - 1, w), chain_dim(heis3, m, w)]
+        assert list(map(int, header.split())) == whole
+        assert [r["rows"], r["cols"]] == [half(m - 1, w), half(m, w)]
         assert r["forced_rank"] == 0 and r["cell_rank"] == r["rank"]
+    assert any(2 * r["cols"] > chain_dim(heis3, r["m"], r["w"]) > r["cols"] for r in reports)
 
     # gl2 is graded, and its level 1 is z = e1 + e4 and an sl2 whose h gives the torus: only
     # the pieces of L>=2 at torus weights 0 and 2 are eliminated (Hochschild-Serre), in the
@@ -322,11 +334,12 @@ def test_dump_matrix_and_report(tmp_path, monkeypatch):
 # sha256 of every dump file (name and content, in sorted order) and of the
 # report's kernel-order-free fields; a change to the assembled boundary or to
 # a rank shows here.  gl2 and sl2_efh report the cells of two pieces of L>=2
-# (torus weights 0, then 2, at each (w, m)).
+# (torus weights 0, then 2, at each (w, m)); heis3 the cells of its half of mirror
+# weight >= 0, while its dump stays whole.
 PINNED_DUMPS = [
     (["--algebra", "heis3", "--wmax", "4"],
      "3d52606cd7dcd65357b55568a6aaa1652476af38cae922c9d937c0ccfd3ef7a5",
-     "fab3b0f3f8eb3cdd9db52f2f9cfebbb3f08c97e5fc34de68908d434d8ed4d64a"),
+     "bdf3329b9f8a7423f9b8961e61c6d1a508ec10a0a1d39274c49cb0744951c2b6"),
     (["--algebra", "g3d3", "--param", "alpha=2/3", "--param", "beta=-5/7", "--wmax", "4",
       "--basis", "canonical"],
      "01c6f7fb9f4fb891fe0666c1fea7ace7672169bc507c11e663e1d11641d965cb",

@@ -869,13 +869,10 @@ def test_a_gap_in_the_support_skips_nothing(monkeypatch):
     # piece: the cell above the gap maps into an empty space, and the cell below
     # the gap keeps every column
     gs = generator_system(catalog_get("heis3"))
-    real_support, real_dim, real_pieces = (homology.support_degrees, homology.chain_dim,
-                                           homology.torus_pieces)
-    hidden = real_support(gs, 3)[2]
-    monkeypatch.setattr(homology, "support_degrees",
-                        lambda gs, w: [m for m in real_support(gs, w) if m != hidden])
-    monkeypatch.setattr(homology, "chain_dim",
-                        lambda gs, m, w: 0 if m == hidden else real_dim(gs, m, w))
+    real_dims, real_pieces = homology.support_dims, homology.torus_pieces
+    hidden = list(real_dims(gs, 3))[2]
+    monkeypatch.setattr(homology, "support_dims",
+                        lambda gs, w: {m: n for m, n in real_dims(gs, w).items() if m != hidden})
     monkeypatch.setattr(homology, "torus_pieces", lambda gs, w: {
         key: {m: n for m, n in dims.items() if m != hidden}
         for key, dims in real_pieces(gs, w).items()})
